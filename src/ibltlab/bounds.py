@@ -16,7 +16,7 @@ degrade to inf; the clamped total is then 1.
 import math
 from dataclasses import dataclass
 
-from ibltlab.census import StoppingCensus
+from ibltlab.census import StoppingCensus, check_cost, rows_cost_s
 
 
 @dataclass(frozen=True)
@@ -39,19 +39,39 @@ def _ratio_term(numerator: int, denominator: int) -> float:
         return math.inf
 
 
+def check_bound_cost(ell: int, n: int, k: int):
+    """Raise ResourceGuardError when ``union_bound(_, ell, n, k)`` is
+    estimated to exceed ``COST_GUARD_S``.
+
+    Besides the census row, the n terms take a binomial C(n,i) each, about
+    n**3 work in all, and a power count(ell,i)**k of up to k*n*log2(ell)
+    bits each.  The rates were fitted on a 2-core x86 VM under CPython 3.11.
+    """
+    def estimate():
+        bits = float(k * n * max(1, ell.bit_length()))
+        binomials = 1.7e-11 * float(n) ** 3
+        powers = 2e-11 * n * bits**1.5
+        return rows_cost_s(ell, ell, n) + binomials + powers
+
+    check_cost(f"the union bound at ell={ell}, n={n}, k={k}", estimate)
+
+
 def union_bound(census: StoppingCensus, ell: int, n: int, k: int) -> BoundBreakdown:
     """Upper bound on the listing failure probability for k subtables of ell
     cells holding n entries, with the per-size breakdown.
 
     The i=1 term is absent because a single column always has a weight-1 row.
+    Raises ResourceGuardError when the work is estimated over budget.
     """
     if ell < 1 or n < 1 or k < 1:
         raise ValueError("ell, n and k must be positive")
+    check_bound_cost(ell, n, k)
+    counts = census.row(ell, n)
     terms = []
     ell_k = ell**k
     denominator = ell ** (2 * k)
     for i in range(2, n + 1):
-        stoppers = census.count(ell, i)
+        stoppers = counts[i]
         terms.append((i, _ratio_term(math.comb(n, i) * stoppers**k, denominator)))
         denominator *= ell_k
     total = math.fsum(sorted(value for _, value in terms))

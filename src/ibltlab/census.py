@@ -3,28 +3,45 @@
 A column-weight-one matrix with ell rows and n columns places each column's
 single 1 in one of ell rows, so there are ell**n of them.  A matrix is a
 *stopping matrix* when no row has weight exactly 1: peeling cannot start.
-``StoppingCensus`` counts stopping matrices exactly for any (ell, n) via a
-memoized recurrence on pivots (weight-1 row positions):
+Equivalently it is a map [n] -> [ell] with no fiber of size exactly 1,
+whose exponential generating function is (e^x - x)^ell (Flajolet &
+Sedgewick, *Analytic Combinatorics*, ch. II).  Inclusion-exclusion over
+the rows forced to weight 1 gives the closed form
 
-    count(ell, n) = ell**n - sum_{c=1..min(ell,n)}
-                    c! * C(ell,c) * C(n,c) * count(ell-c, n-c)
+    count(ell, n) = sum_{c=0..min(ell,n)} (-1)^c C(ell,c) n!/(n-c)! (ell-c)^(n-c)
 
-Everything is exact integer arithmetic; the recurrence is a difference of
-huge terms and would be destroyed by floating point.  Each entry depends
-only on entries with the same ell-n difference, so a query fills a single
-diagonal iteratively (no deep recursion) and the memo is shared across
-queries.
+``StoppingCensus`` evaluates it one row at a time: for fixed ell, summand
+c moves from column n-1 to column n by the exact integer step
+
+    t_c <- t_c * n * (ell-c) // (n-c)
+
+and summand c = n enters at column n.  Everything is exact integer
+arithmetic; the alternating sum cancels huge terms and would be destroyed
+by floating point.
+
+Two independent computations hold the closed form in the tests: the
+paper's pivot recurrence, as the partition identity
+
+    ell**n = count(ell, n) + sum_{c=1..min(ell,n)}
+             c! * C(ell,c) * C(n,c) * count(ell-c, n-c)
+
+(``tests/test_census.py::test_partition_identity_exact`` and
+``tests/test_acceptance.py::test_03_partition_identity``), and brute-force
+enumeration (``count_stopping_bruteforce``, in
+``tests/test_acceptance.py::test_02_recurrence_equals_enumeration``).
 """
 
 import math
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ibltlab.backend import kernels
 from ibltlab.errors import ResourceGuardError
 
 BRUTE_FORCE_GUARD = 10_000_000
 
-_CACHE_HEADER = "ibltlab-stopping-census 1"
+# Census and union-bound requests estimated to take longer than this many
+# seconds are refused with ResourceGuardError (exit 2 from the CLI).
+COST_GUARD_S = 30.0
 
 
 def is_stopping_matrix(rows: Sequence[Sequence[int]]) -> bool:
@@ -53,49 +70,83 @@ def matrix_from_columns(ell: int, cols: Iterable[int]) -> list[list[int]]:
     return rows
 
 
-class StoppingCensus:
-    """Memoized exact stopping-matrix counts, arbitrary-precision integers.
+def _stopping_row(ell: int, n_max: int) -> list[int]:
+    """count(ell, n) for n = 0..n_max, by the closed form.
 
-    Queries fill the memo lazily and are not synchronized: populate from a
-    single thread (count()/fill()), after which the table is effectively
+    terms[c] holds the signed c-th summand (-1)^c C(ell,c) n!/(n-c)!
+    (ell-c)^(n-c) at the current column n.  Moving to column n advances
+    every summand by the factor n (ell-c) / (n-c), which divides exactly
+    because both ends are integers; summand c = n enters as
+    (-1)^n C(ell,n) n! = (-1)^n ell!/(ell-n)!, and is zero once n > ell.
+    """
+    row = [1]
+    terms = [1]
+    entering = 1
+    for n in range(1, n_max + 1):
+        for c, term in enumerate(terms):
+            terms[c] = term * n * (ell - c) // (n - c)
+        if n <= ell:
+            entering *= n - 1 - ell
+            terms.append(entering)
+        row.append(sum(terms))
+    return row
+
+
+def rows_cost_s(ell_min: int, ell_max: int, n_max: int) -> float:
+    """Estimated seconds for ``_stopping_row(ell, n_max)`` summed over
+    ell = ell_min..ell_max.
+
+    n_max columns advance up to min(ell, n_max) summands of about
+    n_max * log2(ell) bits each; the sum of min(ell, n_max) is exact and
+    every log2(ell) is taken at ell_max.  The rate was fitted on a 2-core
+    x86 VM under CPython 3.11.
+    """
+    def min_sum(top):  # sum of min(ell, n_max) over ell = 1..top
+        below = min(top, n_max)
+        return below * (below + 1) // 2 + (top - below) * n_max
+
+    summands = min_sum(ell_max) - min_sum(ell_min - 1)
+    return 2.2e-10 * n_max * n_max * summands * max(1, ell_max.bit_length())
+
+
+def check_cost(what: str, estimate: Callable[[], float]):
+    """Raise ResourceGuardError when ``estimate()`` seconds exceed
+    ``COST_GUARD_S``; an estimate too large for a float counts as infinite."""
+    try:
+        seconds = estimate()
+    except OverflowError:
+        seconds = math.inf
+    if seconds > COST_GUARD_S:
+        raise ResourceGuardError(
+            f"{what} is estimated at {seconds:.3g} s, over the "
+            f"budget of {COST_GUARD_S:g} s"
+        )
+
+
+class StoppingCensus:
+    """Exact stopping-matrix counts, kept as one row per ell.
+
+    A row holds count(ell, n) for n = 0..n_max; a request beyond a stored
+    row recomputes it at the new length.  Requests are not synchronized:
+    populate from a single thread, after which the rows are effectively
     immutable and safe to share with concurrent readers.
     """
 
     def __init__(self):
-        self._memo: dict[tuple[int, int], int] = {}
-        # Per-diagonal fill progress: (ell - n) -> highest column filled.
-        self._filled: dict[int, int] = {}
+        self._rows: dict[int, list[int]] = {}
+
+    def row(self, ell: int, n_max: int) -> list[int]:
+        """[count(ell, 0), count(ell, 1), ..., count(ell, n_max)]."""
+        if ell < 0 or n_max < 0:
+            raise ValueError("ell and n must be nonnegative")
+        row = self._rows.get(ell)
+        if row is None or len(row) <= n_max:
+            row = self._rows[ell] = _stopping_row(ell, n_max)
+        return row[: n_max + 1]
 
     def count(self, ell: int, n: int) -> int:
         """Number of stopping matrices with ell rows and n weight-one columns."""
-        if ell < 0 or n < 0:
-            raise ValueError("ell and n must be nonnegative")
-        d = ell - n
-        if self._filled.get(d, -1) < n:
-            self._fill_diagonal(d, n)
-        return self._memo[(ell, n)]
-
-    def _fill_diagonal(self, d: int, up_to: int):
-        memo = self._memo
-        start = self._filled.get(d, max(0, -d) - 1) + 1
-        for j in range(start, up_to + 1):
-            rows = d + j
-            if j == 0:
-                memo[(rows, 0)] = 1  # the empty matrix has no weight-1 row
-                continue
-            if rows == 0:
-                memo[(0, j)] = 0
-                continue
-            removed = 0
-            coef = rows * j  # c = 1: 1! * C(rows,1) * C(j,1)
-            for c in range(1, min(rows, j) + 1):
-                sub = memo[(rows - c, j - c)]
-                if sub:
-                    removed += coef * sub
-                # c! * C(rows,c) * C(j,c) ratio step; the division is exact.
-                coef = coef * (rows - c) * (j - c) // (c + 1)
-            memo[(rows, j)] = rows**j - removed
-        self._filled[d] = max(self._filled.get(d, -1), up_to)
+        return self.row(ell, n)[n]
 
     def log_ratio(self, ell: int, n: int) -> float:
         """ln(count / ell**n): log-probability that a fixed column set stops.
@@ -111,42 +162,12 @@ class StoppingCensus:
             return float("-inf")
         return math.log(c) - n * math.log(ell)
 
-    def fill(self, max_ell: int, max_n: int):
-        """Precompute the whole rectangle [0, max_ell] x [0, max_n]."""
-        for ell in range(max_ell + 1):
-            for n in range(max_n + 1):
-                self.count(ell, n)
-
     def known(self) -> dict[tuple[int, int], int]:
-        return dict(self._memo)
-
-    def save(self, path):
-        """Write every memoized entry as '<ell> <n> <count>' lines."""
-        with open(path, "w") as fh:
-            fh.write(_CACHE_HEADER + "\n")
-            for (ell, n) in sorted(self._memo):
-                fh.write(f"{ell} {n} {self._memo[(ell, n)]}\n")
-
-    @classmethod
-    def load(cls, path) -> "StoppingCensus":
-        census = cls()
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != _CACHE_HEADER:
-                raise ValueError(f"unrecognized census cache header: {header!r}")
-            for line in fh:
-                ell_s, n_s, count_s = line.split()
-                census._memo[(int(ell_s), int(n_s))] = int(count_s)
-        # Recompute per-diagonal progress from contiguous prefixes.
-        by_diag: dict[int, set[int]] = {}
-        for (ell, n) in census._memo:
-            by_diag.setdefault(ell - n, set()).add(n)
-        for d, cols in by_diag.items():
-            j = max(0, -d)
-            while j in cols:
-                j += 1
-            census._filled[d] = j - 1
-        return census
+        return {
+            (ell, n): value
+            for ell, row in self._rows.items()
+            for n, value in enumerate(row)
+        }
 
 
 def count_stopping_bruteforce(

@@ -9,16 +9,20 @@ of worker count.
 
 import argparse
 import csv
-import os
 import sys
 import traceback
 
-from ibltlab.bounds import size2_asymptote, union_bound
-from ibltlab.census import StoppingCensus
+from ibltlab.bounds import check_bound_cost, size2_asymptote, union_bound
+from ibltlab.census import COST_GUARD_S, StoppingCensus, check_cost, rows_cost_s
 from ibltlab.errors import ResourceGuardError
 from ibltlab.hashing import HashKind
 from ibltlab.oracle import ORACLE_GUARD, exact_failure_probability
 from ibltlab.simulate import KeyModel, TrialConfig, sweep
+
+
+# Seconds to store and write one ztable cell: `ztable 200000 1` takes 1.9 s
+# on a 2-core x86 VM.
+_ZTABLE_CELL_S = 1e-5
 
 
 def _fmt(x: float) -> str:
@@ -37,9 +41,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ztable", help="exact stopping-matrix counts on a rectangle")
     p.add_argument("lmax", type=int, help="largest subtable size")
     p.add_argument("nmax", type=int, help="largest column count")
-    p.add_argument("--cache", help="census cache file to load from / save to")
 
-    p = sub.add_parser("bound", help="union bound on the listing failure probability")
+    p = sub.add_parser(
+        "bound",
+        help="union bound on the listing failure probability",
+        description="Union bound on the listing failure probability.  Inputs "
+        f"whose census and bound are estimated to take over {COST_GUARD_S:g} s "
+        "(2-core x86 VM, CPython 3.11) are refused with exit code 2.",
+    )
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--ell", type=int, help="cells per subtable")
     group.add_argument("--m", type=int, help="total cells (k subtables of m/k)")
@@ -82,18 +91,18 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_ztable(args, out) -> int:
     if args.lmax < 1 or args.nmax < 1:
         raise ValueError("lmax and nmax must be positive")
-    if args.cache and os.path.exists(args.cache):
-        census = StoppingCensus.load(args.cache)
-    else:
-        census = StoppingCensus()
-    census.fill(args.lmax, args.nmax)
-    if args.cache:
-        census.save(args.cache)
+    check_cost(
+        f"ztable {args.lmax} {args.nmax}",
+        lambda: rows_cost_s(1, args.lmax, args.nmax)
+        + _ZTABLE_CELL_S * args.lmax * args.nmax,
+    )
+    census = StoppingCensus()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["ell", "n", "z"])
     for ell in range(1, args.lmax + 1):
+        row = census.row(ell, args.nmax)
         for n in range(1, args.nmax + 1):
-            writer.writerow([ell, n, census.count(ell, n)])
+            writer.writerow([ell, n, row[n]])
     return 0
 
 
@@ -146,16 +155,22 @@ def cmd_simulate(args, out) -> int:
     else:
         key_model = KeyModel(args.key_model)
     m_values = [args.m] if args.m is not None else _parse_sweep(args.sweep)
-    base = TrialConfig(
-        n=args.n,
-        m=m_values[0],
-        k=args.k,
-        b=args.b,
-        trials=args.trials,
-        seed=args.seed,
-        scheme=scheme,
-        key_model=key_model,
-    )
+    # Validate and cost every grid point before the header is written.
+    configs = [
+        TrialConfig(
+            n=args.n,
+            m=m,
+            k=args.k,
+            b=args.b,
+            trials=args.trials,
+            seed=args.seed,
+            scheme=scheme,
+            key_model=key_model,
+        )
+        for m in m_values
+    ]
+    for cfg in configs:
+        check_bound_cost(cfg.ell, cfg.n, cfg.k)
     census = StoppingCensus()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(
@@ -164,8 +179,8 @@ def cmd_simulate(args, out) -> int:
             "p_hat", "ci_low", "ci_high", "bound_clamped", "p2", "seed",
         ]
     )
-    for m in m_values:
-        report = sweep(base, [m], census=census, workers=args.workers)[0]
+    for cfg in configs:
+        report = sweep(cfg, [cfg.m], census=census, workers=args.workers)[0]
         writer.writerow(
             [
                 report.m,

@@ -9,7 +9,8 @@ from ibltlab.census import StoppingCensus
 
 @pytest.fixture(scope="session")
 def census():
-    """One shared memo table; filling is incremental and order-independent."""
+    """One shared census: rows are kept per ell and recomputed only when a
+    longer one is asked for, so test order cannot change a count."""
     return StoppingCensus()
 
 

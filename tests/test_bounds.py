@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ibltlab import (
+    ResourceGuardError,
     exact_failure_probability,
     is_stopping_matrix,
     size2_asymptote,
@@ -120,6 +121,10 @@ def test_validation():
         size2_asymptote(0, 2, 1)
     with pytest.raises(ValueError):
         stopping_set_probability(StoppingCensus(), 2, 0, 1)
+    census = StoppingCensus()
+    with pytest.raises(ResourceGuardError):
+        union_bound(census, 5000, 3000, 3)
+    assert census.known() == {}  # refused before any work
 
 
 def test_peeling_region_bound_blows_up(census):

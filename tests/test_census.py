@@ -91,9 +91,10 @@ def test_recursion_equals_literal_enumeration(census):
 
 
 def test_partition_identity_exact(census):
-    # ell**n = count(ell,n) + sum_c c! C(ell,c) C(n,c) count(ell-c, n-c)
-    for ell in range(1, 13):
-        for n in range(1, 13):
+    # ell**n = count(ell,n) + sum_c c! C(ell,c) C(n,c) count(ell-c, n-c):
+    # the paper's pivot recurrence, on counts far beyond 64 bits.
+    for ell in range(1, 41):
+        for n in range(1, 41):
             pivot_ways = sum(
                 math.factorial(c)
                 * math.comb(ell, c)
@@ -111,7 +112,7 @@ def test_counts_within_range(census):
 
 
 def test_large_counts_are_exact_integers(census):
-    # Spot value beyond float precision: reproducible from the recurrence.
+    # Spot value beyond float precision: reproducible from the closed form.
     value = census.count(40, 40)
     assert value == census.count(40, 40)
     assert isinstance(value, int)
@@ -125,36 +126,23 @@ def test_log_ratio(census):
     assert census.log_ratio(10, 10) == pytest.approx(expected, rel=1e-12)
 
 
-def test_rectangle_fill_equals_lazy_queries():
-    filled = StoppingCensus()
-    filled.fill(9, 9)
-    lazy = StoppingCensus()
-    for ell in range(10):
-        for n in range(10):
-            assert filled.count(ell, n) == lazy.count(ell, n)
-
-
-def test_cache_roundtrip(tmp_path):
+def test_row_is_the_counts_of_one_ell():
     census = StoppingCensus()
-    census.fill(8, 8)
-    path = tmp_path / "census.txt"
-    census.save(path)
-    loaded = StoppingCensus.load(path)
-    assert loaded.known() == census.known()
-    # queries continue past the cached region
-    assert loaded.count(12, 9) == StoppingCensus().count(12, 9)
-
-
-def test_cache_rejects_unknown_header(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("something-else 9\n1 1 0\n")
-    with pytest.raises(ValueError):
-        StoppingCensus.load(path)
+    assert census.row(5, 7) == [census.count(5, n) for n in range(8)]
+    assert census.row(5, 3) == [1, 0, 5, 5]
+    longer = census.row(5, 12)  # past the stored row: recomputed
+    assert longer == [StoppingCensus().count(5, n) for n in range(13)]
+    assert census.row(0, 3) == [1, 0, 0, 0]
+    assert census.known() == {(5, n): longer[n] for n in range(13)} | {
+        (0, n): int(n == 0) for n in range(4)
+    }
 
 
 def test_invalid_arguments(census):
     with pytest.raises(ValueError):
         census.count(-1, 2)
+    with pytest.raises(ValueError):
+        census.row(3, -1)
     with pytest.raises(ValueError):
         census.log_ratio(0, 2)
     with pytest.raises(ValueError):

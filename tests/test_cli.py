@@ -1,7 +1,10 @@
 import csv
+import hashlib
 import io
 import subprocess
 import sys
+
+import pytest
 
 from reference import STOPPING_COUNTS_10X10
 
@@ -37,13 +40,10 @@ def test_ztable_full_rectangle(invoke_cli):
         assert int(z_s) == STOPPING_COUNTS_10X10[int(ell_s) - 1][int(n_s) - 1]
 
 
-def test_ztable_cache_roundtrip(invoke_cli, tmp_path):
-    cache = tmp_path / "census.txt"
-    code1, out1, _ = invoke_cli(["ztable", "6", "6", "--cache", str(cache)])
-    assert code1 == 0 and cache.exists()
-    code2, out2, _ = invoke_cli(["ztable", "6", "6", "--cache", str(cache)])
-    assert code2 == 0
-    assert out1 == out2
+def test_ztable_guard_exit_code(invoke_cli):
+    code, out, err = invoke_cli(["ztable", "1000", "1000"])
+    assert (code, out) == (2, "")
+    assert "guard" in err
 
 
 def test_bound_summary_row(invoke_cli):
@@ -76,6 +76,32 @@ def test_bound_rejects_indivisible_m(invoke_cli):
     code, out, err = invoke_cli(["bound", "--m", "13", "--n", "2", "--k", "3"])
     assert code == 1
     assert "divisible" in err
+
+
+def test_bound_breakdown_bytes_are_pinned(invoke_cli):
+    # Fixes all 209 terms; perfbench records the same digest.
+    code, out, _ = invoke_cli(
+        ["bound", "--n", "210", "--k", "3", "--breakdown", "--m", "840"]
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9e5f1a8a543b4bb0b2554930e7ecfe81a1c19c0eebbada4fe2703a7b8fde9e0f"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--ell", "5000", "--n", "3000", "--k", "3"],  # census row
+        ["--ell", "2", "--n", "20000", "--k", "3"],  # binomials
+        ["--ell", "3", "--n", "5", "--k", "10000000000"],  # powers
+        ["--ell", "2", "--n", "1" + "0" * 400, "--k", "3"],  # beyond float range
+    ],
+)
+def test_bound_guard_exit_code(invoke_cli, argv):
+    code, out, err = invoke_cli(["bound"] + argv)
+    assert (code, out) == (2, "")
+    assert "guard" in err
 
 
 def test_bound_breakdown_size2_term_equals_p2(invoke_cli):
@@ -147,6 +173,21 @@ def test_simulate_rejects_bad_config(invoke_cli):
     assert "divisible" in err
 
 
+def test_simulate_checks_every_sweep_point_first(invoke_cli):
+    code, out, err = invoke_cli(
+        ["simulate", "--n", "5", "--k", "3", "--sweep", "30:40:5", "--trials", "10"]
+    )
+    assert (code, out) == (1, "")
+    assert "divisible" in err
+    # m = 30 is cheap; m = 15000 puts the bound over budget.
+    code, out, err = invoke_cli(
+        ["simulate", "--n", "3000", "--k", "3", "--sweep", "30:15000:14970",
+         "--trials", "10"]
+    )
+    assert (code, out) == (2, "")
+    assert "guard" in err
+
+
 def test_simulate_rejects_iid_with_ss(invoke_cli):
     code, _, err = invoke_cli(
         ["simulate", "--n", "5", "--k", "2", "--m", "32", "--b", "8",
@@ -191,8 +232,6 @@ def test_oracle_guard_exit_code(invoke_cli):
 
 
 def test_usage_errors_exit_one(invoke_cli):
-    import pytest
-
     with pytest.raises(SystemExit) as excinfo:
         invoke_cli(["nonsense"])
     assert excinfo.value.code == 1
