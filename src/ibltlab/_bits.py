@@ -1,9 +1,8 @@
 """64-bit mixing primitives shared by the hash schemes and the trial kernels.
 
 Everything downstream (hash lanes, per-trial key streams, sweep seeds) is
-derived from one finalizer, so the compiled kernel only has to replicate
-these few lines of integer arithmetic to stay bit-identical with the
-pure-Python path.
+derived from one finalizer; the scalar ``mix64`` and the numpy
+``mix64_array`` compute it bit for bit alike.
 """
 
 import numpy as np
@@ -18,7 +17,7 @@ LANE_SALT = 0x85EBCA77C2B2AE63
 TRIAL_SALT = 0xC2B2AE3D27D4EB4F
 SWEEP_SALT = 0x165667B19E3779F9
 
-# Integer codes of the kernel API (mirrored in the compiled extension).
+# Integer codes of the trial kernel's arguments.
 SCHEME_PARTITIONED = 0
 SCHEME_SS_AVOIDING = 1
 KEYS_IID = 0

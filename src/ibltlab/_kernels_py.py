@@ -1,8 +1,8 @@
-"""Pure-Python/numpy fallback kernels.
+"""The numpy kernels: brute-force stopping-matrix enumeration and the
+Monte Carlo trial loop.
 
-Same API and bit-identical results as the compiled extension in
-``_kernels.pyx``; used when the extension is unavailable (or forced via
-IBLTLAB_BACKEND=python).  Roughly 30-100x slower on the trial loop.
+Keys come from the counter streams of ``_bits`` and cell indices from the
+hash schemes of ``hashing``, so the kernel holds no hash layout of its own.
 """
 
 import numpy as np
@@ -12,10 +12,15 @@ from ibltlab._bits import (
     MASK64,
     PHI64,
     SCHEME_PARTITIONED,
-    lane_keys,
     mix64,
     mix64_array,
     trial_state,
+)
+from ibltlab.hashing import (
+    HashKind,
+    HashParams,
+    PartitionedUniformScheme,
+    SsAvoidingScheme,
 )
 
 
@@ -47,7 +52,7 @@ def count_stopping_matrices(ell: int, n: int) -> int:
 
 
 def _distinct_keys_replay(state: int, n: int, mask: int) -> list[int]:
-    """Sequential key draw with rejection, mirroring the compiled kernel.
+    """Sequential key draw with rejection: the stream order behind distinct keys.
 
     Per entry: draw key candidates until unseen (each rejection consumes
     one stream output), then consume one output for the value.
@@ -91,15 +96,10 @@ def run_trials(
     steps = np.arange(1, 2 * n + 1, dtype=np.uint64) * np.uint64(PHI64)
     np_mask = np.uint64(mask)
     if scheme == SCHEME_PARTITIONED:
-        lanes = np.array(lane_keys(seed, k), dtype=np.uint64)[:, None]
-        np_ell = np.uint64(ell)
+        hasher = PartitionedUniformScheme(HashParams(k, ell, b, seed))
     else:
-        s_bits = b // k
-        shifts = np.array(
-            [s_bits * (k - 1 - i) for i in range(k)], dtype=np.uint64
-        )[:, None]
-        np_field = np.uint64(ell - 1)
-    offsets = (np.arange(k, dtype=np.int64) * ell)[:, None]
+        params = HashParams(k, ell, b, seed, HashKind.SS_AVOIDING)
+        hasher = SsAvoidingScheme(params, None)
 
     failures = 0
     two_left = 0
@@ -109,11 +109,7 @@ def run_trials(
         keys = outs[0::2] & np_mask
         if key_model == KEYS_DISTINCT and np.unique(keys).size != n:
             keys = np.array(_distinct_keys_replay(st, n, mask), dtype=np.uint64)
-        if scheme == SCHEME_PARTITIONED:
-            idx = (mix64_array(keys[None, :] ^ lanes) % np_ell).astype(np.int64)
-        else:
-            idx = ((keys[None, :] >> shifts) & np_field).astype(np.int64)
-        idx += offsets
+        idx = hasher.indices_array(keys)
 
         counts = [0] * m
         key_sums = [0] * m

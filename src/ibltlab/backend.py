@@ -1,49 +1,13 @@
-"""Kernel backend selection.
+"""Names that report which trial kernel runs.
 
-The two hot loops (stopping-matrix enumeration and Monte Carlo listing
-trials) exist twice: a compiled Cython extension and a pure-Python/numpy
-fallback with identical semantics.  The compiled one is used when the
-extension built; set IBLTLAB_BACKEND=python or =compiled to override.
-Both backends produce bit-identical results, so the choice only affects
-speed (see benchmarks/bench_backends.py).
+There is one kernel module, the numpy ``_kernels_py``; these names let
+run records and tools say so.
 """
 
-import os
+from ibltlab import _kernels_py as kernels
 
-BACKEND_ENV = "IBLTLAB_BACKEND"
-
-
-def load_backend(name: str):
-    if name == "python":
-        from ibltlab import _kernels_py
-
-        return _kernels_py
-    if name == "compiled":
-        from ibltlab import _kernels
-
-        return _kernels
-    raise ValueError(f"unknown backend {name!r} (use 'compiled' or 'python')")
+backend_name = "python"
 
 
 def available_backends() -> list[str]:
-    names = []
-    try:
-        load_backend("compiled")
-        names.append("compiled")
-    except ImportError:
-        pass
-    names.append("python")
-    return names
-
-
-def _select():
-    forced = os.environ.get(BACKEND_ENV)
-    if forced:
-        return forced, load_backend(forced)
-    try:
-        return "compiled", load_backend("compiled")
-    except ImportError:
-        return "python", load_backend("python")
-
-
-backend_name, kernels = _select()
+    return [backend_name]

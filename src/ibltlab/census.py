@@ -34,7 +34,7 @@ enumeration (``count_stopping_bruteforce``, in
 import math
 from typing import Callable, Iterable, Sequence
 
-from ibltlab.backend import kernels
+from ibltlab import _kernels_py
 from ibltlab.errors import ResourceGuardError
 
 BRUTE_FORCE_GUARD = 10_000_000
@@ -175,8 +175,8 @@ def count_stopping_bruteforce(
 ) -> int:
     """Independent oracle: enumerate all ell**n matrices and count stoppers.
 
-    Refuses when ell**n exceeds ``guard``.  Runs on the active kernel
-    backend (compiled, or the pure-Python fallback).
+    Refuses when ell**n exceeds ``guard``.  Enumerates in numpy chunks
+    (``_kernels_py.count_stopping_matrices``).
     """
     if ell < 0 or n < 0:
         raise ValueError("ell and n must be nonnegative")
@@ -192,4 +192,4 @@ def count_stopping_bruteforce(
         # weight-1 row exactly when n == 1.  Skips an O(n) kernel pass that
         # the ell**n guard does not catch.
         return 0 if n == 1 else 1
-    return kernels.count_stopping_matrices(ell, n)
+    return _kernels_py.count_stopping_matrices(ell, n)

@@ -17,7 +17,7 @@ from ibltlab.census import COST_GUARD_S, StoppingCensus, check_cost, rows_cost_s
 from ibltlab.errors import ResourceGuardError
 from ibltlab.hashing import HashKind
 from ibltlab.oracle import ORACLE_GUARD, exact_failure_probability
-from ibltlab.simulate import KeyModel, TrialConfig, sweep
+from ibltlab.simulate import KeyModel, TrialConfig, check_trial_memory, sweep
 
 
 # Seconds to store and write one ztable cell: `ztable 200000 1` takes 1.9 s
@@ -96,6 +96,15 @@ def cmd_ztable(args, out) -> int:
         lambda: rows_cost_s(1, args.lmax, args.nmax)
         + _ZTABLE_CELL_S * args.lmax * args.nmax,
     )
+    # csv writes each count with str(), which CPython refuses past
+    # sys.get_int_max_str_digits() digits (0 means no limit).  No count
+    # exceeds lmax**nmax, so refusing here keeps a partial table off stdout.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits and args.lmax**args.nmax >= 10**digits:
+        raise ResourceGuardError(
+            f"ztable {args.lmax} {args.nmax}: counts may exceed the "
+            f"{digits}-digit limit on printing an integer"
+        )
     census = StoppingCensus()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["ell", "n", "z"])
@@ -107,6 +116,8 @@ def cmd_ztable(args, out) -> int:
 
 
 def cmd_bound(args, out) -> int:
+    if args.n < 1 or args.k < 1:
+        raise ValueError("n and k must be positive")
     if args.ell is not None:
         ell = args.ell
     else:
@@ -170,6 +181,7 @@ def cmd_simulate(args, out) -> int:
         for m in m_values
     ]
     for cfg in configs:
+        check_trial_memory(cfg.m)
         check_bound_cost(cfg.ell, cfg.n, cfg.k)
     census = StoppingCensus()
     writer = csv.writer(out, lineterminator="\n")

@@ -75,6 +75,8 @@ class PartitionedUniformScheme:
         self.b = params.b
         self.m = params.m
         self._lanes = lane_keys(params.seed, params.k)
+        self._lane_column = np.array(self._lanes, dtype=np.uint64)[:, None]
+        self._offsets = np.arange(0, params.m, params.ell, dtype=np.int64)[:, None]
 
     def indices(self, key: int) -> tuple[int, ...]:
         ell = self.ell
@@ -85,12 +87,8 @@ class PartitionedUniformScheme:
     def indices_array(self, keys: np.ndarray) -> np.ndarray:
         """Vectorized indices: shape (k, len(keys)), dtype int64."""
         keys = keys.astype(np.uint64, copy=False)
-        out = np.empty((self.k, len(keys)), dtype=np.int64)
-        ell = np.uint64(self.ell)
-        for i, lane in enumerate(self._lanes):
-            out[i] = (mix64_array(keys ^ np.uint64(lane)) % ell).astype(np.int64)
-            out[i] += i * self.ell
-        return out
+        hashed = mix64_array(keys[None, :] ^ self._lane_column) % np.uint64(self.ell)
+        return hashed.astype(np.int64) + self._offsets
 
 
 class SsAvoidingScheme:
@@ -110,6 +108,10 @@ class SsAvoidingScheme:
         self.s = params.b // params.k
         self._bijection = bijection
         self.is_identity = bijection is None
+        self._shift_column = np.array(
+            [self.s * (self.k - 1 - i) for i in range(self.k)], dtype=np.uint64
+        )[:, None]
+        self._offsets = np.arange(0, params.m, params.ell, dtype=np.int64)[:, None]
 
     def indices(self, key: int) -> tuple[int, ...]:
         y = key if self._bijection is None else self._bijection(key)
@@ -124,13 +126,8 @@ class SsAvoidingScheme:
             y = keys.astype(np.uint64, copy=False)
         else:
             y = np.array([self._bijection(int(x)) for x in keys], dtype=np.uint64)
-        out = np.empty((self.k, len(keys)), dtype=np.int64)
-        mask = np.uint64(self.ell - 1)
-        for i in range(self.k):
-            shift = np.uint64(self.s * (self.k - 1 - i))
-            out[i] = ((y >> shift) & mask).astype(np.int64)
-            out[i] += i * self.ell
-        return out
+        fields = (y[None, :] >> self._shift_column) & np.uint64(self.ell - 1)
+        return fields.astype(np.int64) + self._offsets
 
 
 class ExplicitScheme:

@@ -15,6 +15,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
+from ibltlab import _kernels_py
 from ibltlab._bits import (
     KEYS_DISTINCT,
     KEYS_IID,
@@ -23,9 +24,9 @@ from ibltlab._bits import (
     SCHEME_SS_AVOIDING,
     sweep_point_seed,
 )
-from ibltlab.backend import kernels
 from ibltlab.bounds import size2_asymptote, union_bound
 from ibltlab.census import StoppingCensus
+from ibltlab.errors import ResourceGuardError
 from ibltlab.hashing import HashKind
 
 
@@ -42,6 +43,11 @@ _KEY_CODES = {KeyModel.IID_UNIFORM: KEYS_IID, KeyModel.DISTINCT_UNIFORM: KEYS_DI
 
 # 97.5th normal percentile: two-sided 95% score interval.
 _WILSON_Z = 1.959963984540054
+
+# A trial holds a count and a key sum per cell, two Python lists of 8-byte
+# slots, in every process that runs the kernel.
+TRIAL_MEMORY_GUARD_BYTES = 1 << 30
+_CELL_BYTES = 16
 
 
 @dataclass(frozen=True)
@@ -114,9 +120,19 @@ def wilson_interval(failures: int, trials: int, z: float = _WILSON_Z) -> tuple[f
     return min(max(0.0, center - half), p), max(min(1.0, center + half), p)
 
 
+def check_trial_memory(m: int):
+    """Raise ResourceGuardError when one trial's m cells would take more
+    than ``TRIAL_MEMORY_GUARD_BYTES``."""
+    if _CELL_BYTES * m > TRIAL_MEMORY_GUARD_BYTES:
+        raise ResourceGuardError(
+            f"a trial at m = {m} cells needs about {_CELL_BYTES * m / 2**30:.3g} GiB, "
+            f"over the budget of {TRIAL_MEMORY_GUARD_BYTES / 2**30:g} GiB"
+        )
+
+
 def _run_range(args) -> tuple[int, int]:
     seed, lo, hi, n, ell, k, b, scheme_code, key_code = args
-    return kernels.run_trials(seed, lo, hi, n, ell, k, b, scheme_code, key_code)
+    return _kernels_py.run_trials(seed, lo, hi, n, ell, k, b, scheme_code, key_code)
 
 
 def _trial_ranges(trials: int, workers: int) -> list[tuple[int, int]]:
@@ -136,8 +152,10 @@ def run_trials(
     A trial fails when listing leaves any entry unrecovered.  The report
     pairs the estimate with the union bound and the floor asymptote at
     ell = m/k, and carries the count of failures that left exactly two
-    entries -- those necessarily had identical index tuples.
+    entries -- those necessarily had identical index tuples.  Raises
+    ResourceGuardError when a trial's cells exceed the memory guard.
     """
+    check_trial_memory(cfg.m)
     args = [
         (
             cfg.seed,

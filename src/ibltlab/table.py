@@ -52,6 +52,16 @@ class Iblt:
 
     A table is single-writer; concurrent reads of an unchanging table are
     safe.  An all-zero table represents the empty set.
+
+    Results are certain only while the table holds pairs that were
+    inserted.  Deleting a pair that was never inserted (a non-member)
+    leaves cells with negative counts, or with several keys under a net
+    count of 1.  Listing peels a count-1 cell only when its key sum hashes
+    to that cell, the purity test of Goodrich and Mitzenmacher
+    (arXiv:1101.2245), so most such cells stay in the residual; but a key
+    sum that happens to be a key hashing to its cell passes, so a listed
+    pair is then likely, not certain.  ``get`` may then return ABSENT for
+    a stored key or FOUND with a wrong value.
     """
 
     def __init__(self, scheme):
@@ -137,8 +147,9 @@ class Iblt:
         """Recover all stored pairs by peeling count-1 cells; non-mutating.
 
         By default the lowest-index count-1 cell is taken first, which makes
-        runs reproducible; passing ``rng`` randomizes the choice (the final
-        status and recovered set are independent of the order).
+        runs reproducible; passing ``rng`` randomizes the choice (while no
+        non-member has been deleted, the final status and recovered set are
+        independent of the order).
         """
         return self.copy().list_entries_inplace(rng)
 
@@ -160,9 +171,15 @@ class Iblt:
             if counts[c] != 1:
                 continue
             x = self._key_sums[c]
+            try:
+                cells = self.scheme.indices(x)
+            except KeyError:  # x is no key of an ExplicitScheme: impure
+                continue
+            if c not in cells:  # several keys net to a count of 1: impure
+                continue
             y = self._value_sums[c]
             entries.add((x, y))
-            for ci in self.scheme.indices(x):
+            for ci in cells:
                 counts[ci] -= 1
                 self._key_sums[ci] ^= x
                 self._value_sums[ci] ^= y

@@ -13,7 +13,7 @@ from ibltlab._bits import (
 
 
 def test_mix64_is_stable():
-    # Frozen outputs; the compiled kernel replicates these exact constants.
+    # Frozen outputs: every stream, hash lane and seed derives from mix64.
     # The second one is the canonical first splitmix64 output for seed 0.
     assert mix64(0) == 0
     assert mix64(1) == 6238072747940578789

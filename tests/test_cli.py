@@ -46,6 +46,13 @@ def test_ztable_guard_exit_code(invoke_cli):
     assert "guard" in err
 
 
+def test_ztable_refuses_counts_past_the_digit_limit(invoke_cli):
+    # count(2, 15000) has 4516 digits; CPython prints at most 4300 by default.
+    code, out, err = invoke_cli(["ztable", "2", "15000"])
+    assert (code, out) == (2, "")
+    assert "digit" in err
+
+
 def test_bound_summary_row(invoke_cli):
     code, out, _ = invoke_cli(["bound", "--ell", "4", "--n", "2", "--k", "3"])
     assert code == 0
@@ -76,6 +83,19 @@ def test_bound_rejects_indivisible_m(invoke_cli):
     code, out, err = invoke_cli(["bound", "--m", "13", "--n", "2", "--k", "3"])
     assert code == 1
     assert "divisible" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--m", "12", "--n", "2", "--k", "0"],  # k is checked before m % k
+        ["--m", "12", "--n", "0", "--k", "3"],
+    ],
+)
+def test_bound_rejects_nonpositive_n_and_k(invoke_cli, argv):
+    code, out, err = invoke_cli(["bound"] + argv)
+    assert (code, out) == (1, "")
+    assert "positive" in err
 
 
 def test_bound_breakdown_bytes_are_pinned(invoke_cli):
@@ -183,6 +203,17 @@ def test_simulate_checks_every_sweep_point_first(invoke_cli):
     code, out, err = invoke_cli(
         ["simulate", "--n", "3000", "--k", "3", "--sweep", "30:15000:14970",
          "--trials", "10"]
+    )
+    assert (code, out) == (2, "")
+    assert "guard" in err
+
+
+@pytest.mark.parametrize(
+    "grid", [["--m", "4000000000"], ["--sweep", "30:4000000000:3999999970"]]
+)
+def test_simulate_guards_trial_memory(invoke_cli, grid):
+    code, out, err = invoke_cli(
+        ["simulate", "--n", "5", "--k", "1", "--b", "64", "--trials", "1"] + grid
     )
     assert (code, out) == (2, "")
     assert "guard" in err

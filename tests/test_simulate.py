@@ -7,6 +7,7 @@ from ibltlab import (
     HashParams,
     Iblt,
     KeyModel,
+    ResourceGuardError,
     TrialConfig,
     exact_failure_probability,
     make_partitioned_uniform,
@@ -17,7 +18,7 @@ from ibltlab import (
     wilson_interval,
 )
 from ibltlab._bits import stream_output, trial_state
-from ibltlab.backend import kernels
+from ibltlab import _kernels_py
 
 
 def tiny_cfg(**kw):
@@ -128,6 +129,12 @@ def test_config_validation():
     assert ok.ell == 4
 
 
+def test_run_trials_guards_trial_memory():
+    # 16 bytes per cell: 4e9 cells would need about 60 GiB per trial.
+    with pytest.raises(ResourceGuardError):
+        run_trials(TrialConfig(n=5, m=4_000_000_000, k=1, trials=1))
+
+
 def test_config_is_frozen():
     cfg = tiny_cfg()
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -175,7 +182,7 @@ def test_kernel_matches_table_object_replay():
             table.insert(x, y)
         listed = table.list_entries()
         object_failed = not listed.complete or listed.entries != frozenset(pairs)
-        kernel_failed = kernels.run_trials(seed, t, t + 1, n, ell, k, b, 0, 0)[0] == 1
+        kernel_failed = _kernels_py.run_trials(seed, t, t + 1, n, ell, k, b, 0, 0)[0] == 1
         assert object_failed == kernel_failed, t
 
 

@@ -122,6 +122,26 @@ def test_listing_full_collision_is_partial():
     assert result.residual_cells == 3
 
 
+@pytest.mark.parametrize(
+    "mapping, deleted",
+    [
+        # Cell 0's key sum 1^2^3 = 0 is no key of the scheme.
+        ({1: (0, 4), 2: (0, 5), 3: (0, 6)}, 3),
+        # Cell 0's key sum 1^2^4 = 7 is a key, but 7 does not hash to cell 0.
+        ({1: (0, 4), 2: (0, 5), 4: (0, 6), 7: (1, 7)}, 4),
+    ],
+)
+def test_listing_skips_impure_count_one_cells(mapping, deleted):
+    t = Iblt(ExplicitScheme(ell=4, k=2, mapping=mapping))
+    t.insert(1, 10)
+    t.insert(2, 20)
+    t.delete(deleted, 10 ^ 20)  # a non-member: cell 0 nets count 1, value sum 0
+    result = t.list_entries()
+    assert result.entries == {(1, 10), (2, 20)}
+    assert result.status is ListingStatus.PARTIAL
+    assert result.residual_cells == 2
+
+
 def test_listing_pairs_never_fail_under_field_split_scheme():
     # Distinct keys cannot share a full index tuple, so any two entries peel.
     scheme = make_ss_avoiding(
