@@ -3,6 +3,16 @@ Monte Carlo trial loop.
 
 Keys come from the counter streams of ``_bits`` and cell indices from the
 hash schemes of ``hashing``, so the kernel holds no hash layout of its own.
+
+The trial loop peels a batch of trials at once.  Their tables sit side by
+side in one cell array, and each round counts the live entries per cell
+with ``np.bincount`` and drops every live entry that has a cell of count
+one.  Peeling is confluent: any order of peels ends at the same fixpoint,
+the largest stopping set, so the rounds leave exactly the entries a
+one-cell-at-a-time peeler leaves (Jiang, Mitzenmacher and Thaler,
+"Parallel Peeling Algorithms", arXiv:1302.7014).  A batch holds about
+``BATCH_CELLS`` cells and entry cells, which bounds its memory; a table
+wider than that runs one trial per batch.
 """
 
 import numpy as np
@@ -12,9 +22,9 @@ from ibltlab._bits import (
     MASK64,
     PHI64,
     SCHEME_PARTITIONED,
+    TRIAL_SALT,
     mix64,
     mix64_array,
-    trial_state,
 )
 from ibltlab.hashing import (
     HashKind,
@@ -22,6 +32,9 @@ from ibltlab.hashing import (
     PartitionedUniformScheme,
     SsAvoidingScheme,
 )
+
+# Cells plus entry cells (m + n*k per trial) of one batch of trials.
+BATCH_CELLS = 1 << 15
 
 
 def count_stopping_matrices(ell: int, n: int) -> int:
@@ -72,6 +85,24 @@ def _distinct_keys_replay(state: int, n: int, mask: int) -> list[int]:
     return keys
 
 
+def peel_rounds(cells: np.ndarray, m: int) -> np.ndarray:
+    """Peel to the fixpoint in rounds; returns the indices of unpeeled entries.
+
+    ``cells`` has shape (k, entries): column e holds entry e's k cells, all
+    in [0, m).  A round drops every live entry that is alone in one of its
+    cells; peeling stops after a round that drops nothing.
+    """
+    alive = np.arange(cells.shape[1])
+    while alive.size:
+        counts = np.bincount(cells.ravel(), minlength=m)
+        keep = ~(counts[cells] == 1).any(axis=0)
+        if keep.all():
+            break
+        cells = cells[:, keep]
+        alive = alive[keep]
+    return alive
+
+
 def run_trials(
     seed: int,
     t_lo: int,
@@ -90,9 +121,14 @@ def run_trials(
     unrecovered.  The second counter is the number of failing trials with
     exactly two entries left, which at fixpoint forces their index tuples
     to coincide.
+
+    Trials run in batches; each batch's tables sit side by side in one
+    cell array, trial r of the batch owning cells [r*m, (r+1)*m).
     """
     mask = (1 << b) - 1
     m = ell * k
+    batch = max(1, BATCH_CELLS // (n * k + m))
+    base = np.uint64(mix64(seed ^ TRIAL_SALT))
     steps = np.arange(1, 2 * n + 1, dtype=np.uint64) * np.uint64(PHI64)
     np_mask = np.uint64(mask)
     if scheme == SCHEME_PARTITIONED:
@@ -103,42 +139,21 @@ def run_trials(
 
     failures = 0
     two_left = 0
-    for t in range(t_lo, t_hi):
-        st = trial_state(seed, t)
-        outs = mix64_array(np.uint64(st) + steps)
-        keys = outs[0::2] & np_mask
-        if key_model == KEYS_DISTINCT and np.unique(keys).size != n:
-            keys = np.array(_distinct_keys_replay(st, n, mask), dtype=np.uint64)
-        idx = hasher.indices_array(keys)
-
-        counts = [0] * m
-        key_sums = [0] * m
-        cells_of = {}
-        key_list = keys.tolist()
-        cell_lists = idx.T.tolist()
-        for j in range(n):
-            x = key_list[j]
-            cs = cell_lists[j]
-            cells_of[x] = cs
-            for c in cs:
-                counts[c] += 1
-                key_sums[c] ^= x
-        stack = [c for c in range(m) if counts[c] == 1]
-        recovered = 0
-        while stack:
-            c = stack.pop()
-            if counts[c] != 1:
-                continue
-            x = key_sums[c]
-            recovered += 1
-            for ci in cells_of[x]:
-                counts[ci] -= 1
-                key_sums[ci] ^= x
-                if counts[ci] == 1:
-                    stack.append(ci)
-        left = n - recovered
-        if left > 0:
-            failures += 1
-            if left == 2:
-                two_left += 1
+    for lo in range(t_lo, t_hi, batch):
+        trials = min(batch, t_hi - lo)
+        # trial_state(seed, t) for the batch's trials t = lo, lo+1, ...
+        counters = np.arange(lo + 1, lo + trials + 1, dtype=np.uint64)
+        states = mix64_array(base + counters * np.uint64(PHI64))
+        keys = mix64_array(states[:, None] + steps)[:, 0::2] & np_mask
+        if key_model == KEYS_DISTINCT:
+            ordered = np.sort(keys, axis=1)
+            repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+            for r in np.flatnonzero(repeats):
+                keys[r] = _distinct_keys_replay(int(states[r]), n, mask)
+        cells = hasher.indices_array(keys.ravel()).reshape(k, trials, n)
+        cells += np.arange(0, trials * m, m, dtype=np.int64)[:, None]
+        unpeeled = peel_rounds(cells.reshape(k, trials * n), trials * m)
+        left = np.bincount(unpeeled // n, minlength=trials)
+        failures += int(np.count_nonzero(left))
+        two_left += int(np.count_nonzero(left == 2))
     return failures, two_left

@@ -76,7 +76,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="defaults to iid, or distinct under the ss-avoiding scheme",
     )
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="trial processes, at least 1; capped at the CPU count and --trials",
+    )
     p.add_argument("--verbose", action="store_true", help="progress on stderr")
 
     p = sub.add_parser("oracle", help="exact failure probability by enumeration")
@@ -181,7 +186,7 @@ def cmd_simulate(args, out) -> int:
         for m in m_values
     ]
     for cfg in configs:
-        check_trial_memory(cfg.m)
+        check_trial_memory(cfg, args.workers)
         check_bound_cost(cfg.ell, cfg.n, cfg.k)
     census = StoppingCensus()
     writer = csv.writer(out, lineterminator="\n")

@@ -12,6 +12,7 @@ mix64(mix64(seed ^ SWEEP_SALT) + m*PHI64).
 
 import enum
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -44,10 +45,17 @@ _KEY_CODES = {KeyModel.IID_UNIFORM: KEYS_IID, KeyModel.DISTINCT_UNIFORM: KEYS_DI
 # 97.5th normal percentile: two-sided 95% score interval.
 _WILSON_Z = 1.959963984540054
 
-# A trial holds a count and a key sum per cell, two Python lists of 8-byte
-# slots, in every process that runs the kernel.
+# Peak bytes of one kernel process at a table too wide to batch: per cell,
+# a round's int64 counts and the previous round's, alive together while the
+# new ones are counted; per entry, its two stream outputs and key, and per
+# entry cell, the int64 cell index, its gathered count and the hashing
+# temporaries.  Fitted to the resident set of trials with up to 6e6 cells
+# or 1e6 entries.  Narrower tables batch to about BATCH_CELLS cells, a few
+# MiB at most.
 TRIAL_MEMORY_GUARD_BYTES = 1 << 30
 _CELL_BYTES = 16
+_ENTRY_BYTES = 32
+_ENTRY_CELL_BYTES = 48
 
 
 @dataclass(frozen=True)
@@ -120,13 +128,27 @@ def wilson_interval(failures: int, trials: int, z: float = _WILSON_Z) -> tuple[f
     return min(max(0.0, center - half), p), max(min(1.0, center + half), p)
 
 
-def check_trial_memory(m: int):
-    """Raise ResourceGuardError when one trial's m cells would take more
-    than ``TRIAL_MEMORY_GUARD_BYTES``."""
-    if _CELL_BYTES * m > TRIAL_MEMORY_GUARD_BYTES:
+def _kernel_processes(trials: int, workers: int) -> int:
+    """Processes that run the trial kernel for ``workers`` requested: at
+    most one per CPU and one per trial.  Raises ValueError for workers < 1."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    return min(workers, os.cpu_count() or 1, trials)
+
+
+def check_trial_memory(cfg: TrialConfig, workers: int = 1):
+    """Raise ResourceGuardError when the kernel processes that run ``cfg``
+    would together take more than ``TRIAL_MEMORY_GUARD_BYTES``."""
+    processes = _kernel_processes(cfg.trials, workers)
+    per_process = (
+        _CELL_BYTES * cfg.m + (_ENTRY_BYTES + _ENTRY_CELL_BYTES * cfg.k) * cfg.n
+    )
+    need = processes * per_process
+    if need > TRIAL_MEMORY_GUARD_BYTES:
         raise ResourceGuardError(
-            f"a trial at m = {m} cells needs about {_CELL_BYTES * m / 2**30:.3g} GiB, "
-            f"over the budget of {TRIAL_MEMORY_GUARD_BYTES / 2**30:g} GiB"
+            f"trials at m = {cfg.m} cells and n = {cfg.n} entries need about "
+            f"{need / 2**30:.3g} GiB in {processes} process(es), over the budget "
+            f"of {TRIAL_MEMORY_GUARD_BYTES / 2**30:g} GiB"
         )
 
 
@@ -135,10 +157,11 @@ def _run_range(args) -> tuple[int, int]:
     return _kernels_py.run_trials(seed, lo, hi, n, ell, k, b, scheme_code, key_code)
 
 
-def _trial_ranges(trials: int, workers: int) -> list[tuple[int, int]]:
-    if workers <= 1:
+def _trial_ranges(trials: int, processes: int) -> list[tuple[int, int]]:
+    """Split the trials into ranges, at least one per process."""
+    if processes <= 1:
         return [(0, trials)]
-    step = max(1, math.ceil(trials / (workers * 4)))
+    step = max(1, math.ceil(trials / (processes * 4)))
     return [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
 
 
@@ -152,10 +175,13 @@ def run_trials(
     A trial fails when listing leaves any entry unrecovered.  The report
     pairs the estimate with the union bound and the floor asymptote at
     ell = m/k, and carries the count of failures that left exactly two
-    entries -- those necessarily had identical index tuples.  Raises
-    ResourceGuardError when a trial's cells exceed the memory guard.
+    entries -- those necessarily had identical index tuples.  Trials run
+    in min(workers, CPUs, trials) processes, in-process when that is 1.
+    Raises ValueError for workers < 1 and ResourceGuardError when the
+    kernel processes would exceed the memory guard.
     """
-    check_trial_memory(cfg.m)
+    check_trial_memory(cfg, workers)
+    processes = _kernel_processes(cfg.trials, workers)
     args = [
         (
             cfg.seed,
@@ -168,12 +194,12 @@ def run_trials(
             _SCHEME_CODES[cfg.scheme],
             _KEY_CODES[cfg.key_model],
         )
-        for lo, hi in _trial_ranges(cfg.trials, workers)
+        for lo, hi in _trial_ranges(cfg.trials, processes)
     ]
-    if workers <= 1:
+    if processes == 1:
         results = [_run_range(a) for a in args]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_run_range, args))
     failures = sum(r[0] for r in results)
     two_left = sum(r[1] for r in results)

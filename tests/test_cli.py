@@ -219,6 +219,16 @@ def test_simulate_guards_trial_memory(invoke_cli, grid):
     assert "guard" in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_simulate_rejects_nonpositive_workers(invoke_cli, workers):
+    code, out, err = invoke_cli(
+        ["simulate", "--n", "5", "--k", "3", "--m", "30", "--trials", "10",
+         "--workers", workers]
+    )
+    assert (code, out) == (1, "")
+    assert "workers" in err
+
+
 def test_simulate_rejects_iid_with_ss(invoke_cli):
     code, _, err = invoke_cli(
         ["simulate", "--n", "5", "--k", "2", "--m", "32", "--b", "8",

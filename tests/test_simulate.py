@@ -11,14 +11,22 @@ from ibltlab import (
     TrialConfig,
     exact_failure_probability,
     make_partitioned_uniform,
+    make_ss_avoiding,
     run_trials,
     size2_asymptote,
     sweep,
     union_bound,
     wilson_interval,
 )
-from ibltlab._bits import stream_output, trial_state
-from ibltlab import _kernels_py
+from ibltlab._bits import (
+    KEYS_DISTINCT,
+    KEYS_IID,
+    SCHEME_PARTITIONED,
+    SCHEME_SS_AVOIDING,
+    stream_output,
+    trial_state,
+)
+from ibltlab import _kernels_py, simulate
 
 
 def tiny_cfg(**kw):
@@ -135,6 +143,57 @@ def test_run_trials_guards_trial_memory():
         run_trials(TrialConfig(n=5, m=4_000_000_000, k=1, trials=1))
 
 
+def test_trial_memory_guard_counts_the_kernel_processes(monkeypatch):
+    # About 0.6 GiB of cells: one process fits the 1 GiB budget, two do not.
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    cfg = TrialConfig(n=5, m=40_000_000, k=1, trials=2)
+    simulate.check_trial_memory(cfg, workers=1)
+    with pytest.raises(ResourceGuardError):
+        simulate.check_trial_memory(cfg, workers=2)
+    # A single trial runs in one process, whatever was asked for.
+    simulate.check_trial_memory(dataclasses.replace(cfg, trials=1), workers=8)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_trials_rejects_nonpositive_workers(workers):
+    with pytest.raises(ValueError):
+        run_trials(tiny_cfg(trials=10), workers=workers)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, items):
+        return list(map(fn, items))
+
+
+@pytest.mark.parametrize(
+    "cpus, workers, trials, pool_size",
+    [(4, 10**6, 9000, 4), (4, 3, 9000, 3), (64, 10**6, 5, 5), (1, 8, 9000, None)],
+)
+def test_pool_is_capped_by_cpus_and_trials(
+    census, monkeypatch, cpus, workers, trials, pool_size
+):
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    cfg = tiny_cfg(trials=trials, seed=5)
+    report = run_trials(cfg, census=census, workers=workers)
+    assert _RecordingPool.sizes == ([] if pool_size is None else [pool_size])
+    assert report == run_trials(cfg, census=census, workers=1)
+
+
 def test_config_is_frozen():
     cfg = tiny_cfg()
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -165,25 +224,59 @@ def test_distinct_keys_can_exhaust_the_key_space(census):
     assert report.failures == 0
 
 
-def test_kernel_matches_table_object_replay():
+def _replay_pairs(state, n, mask, distinct):
+    """One trial's key-value pairs, read off its stream in the documented
+    order: key, value, key, value, ...; under distinct keys a repeated key
+    candidate consumes one output and is drawn again.  Also returns the
+    number of rejected candidates."""
+    pairs, seen, j = [], set(), 0
+    while len(pairs) < n:
+        x = stream_output(state, j) & mask
+        j += 1
+        if distinct and x in seen:
+            continue
+        seen.add(x)
+        pairs.append((x, stream_output(state, j) & mask))
+        j += 1
+    return pairs, j - 2 * n
+
+
+def _check_kernel_against_table_replay(kind, key_code, n, ell, k, b):
     # Replay each trial's documented stream through the Iblt object and the
-    # real hash scheme; the kernel must reach the same failure verdict.
-    n, ell, k, b, seed = 12, 8, 3, 16, 99
-    scheme = make_partitioned_uniform(HashParams(k=k, ell=ell, b=b, seed=seed))
+    # real hash scheme; the kernel must reach the same failure verdict, one
+    # trial at a time and over the whole range at once.
+    seed, trials = 99, 250
+    params = HashParams(k=k, ell=ell, b=b, seed=seed, kind=kind)
+    if kind is HashKind.SS_AVOIDING:
+        scheme, scheme_code = make_ss_avoiding(params), SCHEME_SS_AVOIDING
+    else:
+        scheme, scheme_code = make_partitioned_uniform(params), SCHEME_PARTITIONED
     mask = (1 << b) - 1
-    for t in range(250):
-        state = trial_state(seed, t)
-        pairs = [
-            (stream_output(state, 2 * j) & mask, stream_output(state, 2 * j + 1) & mask)
-            for j in range(n)
-        ]
+    failed = rejections = 0
+    for t in range(trials):
+        pairs, rejected = _replay_pairs(trial_state(seed, t), n, mask, key_code == KEYS_DISTINCT)
+        rejections += rejected
         table = Iblt(scheme)
         for x, y in pairs:
             table.insert(x, y)
         listed = table.list_entries()
         object_failed = not listed.complete or listed.entries != frozenset(pairs)
-        kernel_failed = _kernels_py.run_trials(seed, t, t + 1, n, ell, k, b, 0, 0)[0] == 1
-        assert object_failed == kernel_failed, t
+        kernel = _kernels_py.run_trials(seed, t, t + 1, n, ell, k, b, scheme_code, key_code)
+        assert object_failed == (kernel[0] == 1), t
+        failed += object_failed
+    assert 0 < failed < trials
+    assert (rejections > 0) == (key_code == KEYS_DISTINCT)
+    whole = _kernels_py.run_trials(seed, 0, trials, n, ell, k, b, scheme_code, key_code)
+    assert whole[0] == failed
+
+
+def test_kernel_matches_table_object_replay():
+    _check_kernel_against_table_replay(HashKind.PARTITIONED_UNIFORM, KEYS_IID, 12, 8, 3, 16)
+
+
+def test_kernel_matches_table_object_replay_ss_avoiding():
+    # 8-bit keys: about a quarter of the trials reject a repeated key.
+    _check_kernel_against_table_replay(HashKind.SS_AVOIDING, KEYS_DISTINCT, 12, 16, 2, 8)
 
 
 def test_wilson_interval_properties():
