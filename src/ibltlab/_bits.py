@@ -3,9 +3,17 @@
 Everything downstream (hash lanes, per-trial key streams, sweep seeds) is
 derived from one finalizer; the scalar ``mix64`` and the numpy
 ``mix64_array`` compute it bit for bit alike.
+
+The scalar functions are plain integer arithmetic.  Only the two vector
+functions, ``mix64_array`` and ``stream_outputs``, use numpy, and they
+import it when called, so the census, the bounds, the oracle and the table
+run without loading it.
 """
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MASK64 = (1 << 64) - 1
 
@@ -61,25 +69,22 @@ def sweep_point_seed(seed: int, m: int) -> int:
     return mix64((base + m * PHI64) & MASK64)
 
 
-_NP_MUL1 = np.uint64(_MUL1)
-_NP_MUL2 = np.uint64(_MUL2)
-_NP30 = np.uint64(30)
-_NP27 = np.uint64(27)
-_NP31 = np.uint64(31)
-
-
-def mix64_array(x: np.ndarray) -> np.ndarray:
+def mix64_array(x: "np.ndarray") -> "np.ndarray":
     """Vectorized mix64 over a uint64 array (wrapping arithmetic)."""
+    import numpy as np
+
     x = x.astype(np.uint64, copy=True)
-    x ^= x >> _NP30
-    x *= _NP_MUL1
-    x ^= x >> _NP27
-    x *= _NP_MUL2
-    x ^= x >> _NP31
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(_MUL1)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(_MUL2)
+    x ^= x >> np.uint64(31)
     return x
 
 
-def stream_outputs(state: int, count: int) -> np.ndarray:
+def stream_outputs(state: int, count: int) -> "np.ndarray":
     """First ``count`` outputs of the counter stream rooted at ``state``."""
+    import numpy as np
+
     steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(PHI64)
     return mix64_array(np.uint64(state) + steps)

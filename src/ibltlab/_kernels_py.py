@@ -3,6 +3,9 @@ Monte Carlo trial loop.
 
 Keys come from the counter streams of ``_bits`` and cell indices from the
 hash schemes of ``hashing``, so the kernel holds no hash layout of its own.
+This is the one module that imports numpy when it is imported; ``census``
+and ``simulate`` import it only where they call it, so the package starts
+without numpy.
 
 The trial loop peels a batch of trials at once.  Their tables sit side by
 side in one cell array, and each round counts the live entries per cell

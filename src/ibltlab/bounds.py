@@ -43,9 +43,12 @@ def check_bound_cost(ell: int, n: int, k: int):
     """Raise ResourceGuardError when ``union_bound(_, ell, n, k)`` is
     estimated to exceed ``COST_GUARD_S``.
 
-    Besides the census row, the n terms take a binomial C(n,i) each, about
-    n**3 work in all, and a power count(ell,i)**k of up to k*n*log2(ell)
-    bits each.  The rates were fitted on a 2-core x86 VM under CPython 3.11.
+    Besides the census row, the n terms take a binomial C(n,i) each and a
+    power count(ell,i)**k of up to k*n*log2(ell) bits each.  The rates were
+    fitted on a 2-core x86 VM under CPython 3.11.  The binomial rate
+    assumes each C(n,i) is computed afresh (about n**3 work in all), which
+    overestimates the one multiply and divide per term ``union_bound``
+    spends advancing it.
     """
     def estimate():
         bits = float(k * n * max(1, ell.bit_length()))
@@ -70,9 +73,10 @@ def union_bound(census: StoppingCensus, ell: int, n: int, k: int) -> BoundBreakd
     terms = []
     ell_k = ell**k
     denominator = ell ** (2 * k)
+    subsets = math.comb(n, 2)  # C(n, i), advanced exactly to C(n, i+1)
     for i in range(2, n + 1):
-        stoppers = counts[i]
-        terms.append((i, _ratio_term(math.comb(n, i) * stoppers**k, denominator)))
+        terms.append((i, _ratio_term(subsets * counts[i] ** k, denominator)))
+        subsets = subsets * (n - i) // (i + 1)
         denominator *= ell_k
     total = math.fsum(sorted(value for _, value in terms))
     return BoundBreakdown(ell, n, k, tuple(terms), total, min(total, 1.0))

@@ -34,7 +34,6 @@ enumeration (``count_stopping_bruteforce``, in
 import math
 from typing import Callable, Iterable, Sequence
 
-from ibltlab import _kernels_py
 from ibltlab.errors import ResourceGuardError
 
 BRUTE_FORCE_GUARD = 10_000_000
@@ -192,4 +191,6 @@ def count_stopping_bruteforce(
         # weight-1 row exactly when n == 1.  Skips an O(n) kernel pass that
         # the ell**n guard does not catch.
         return 0 if n == 1 else 1
+    from ibltlab import _kernels_py  # numpy, loaded only for enumeration
+
     return _kernels_py.count_stopping_matrices(ell, n)

@@ -15,16 +15,19 @@ Two families are provided:
   the full index tuple.  Requires b = s*k and ell = 2**s.
 
 Schemes are immutable after construction and safe to share across workers;
-evaluation is a pure function of (scheme, key).
+evaluation is a pure function of (scheme, key).  ``indices`` is plain
+integer arithmetic; only the vectorized ``indices_array`` uses numpy, which
+it imports when called.
 """
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from ibltlab._bits import lane_keys, mix64, mix64_array
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class HashKind(enum.Enum):
@@ -75,8 +78,6 @@ class PartitionedUniformScheme:
         self.b = params.b
         self.m = params.m
         self._lanes = lane_keys(params.seed, params.k)
-        self._lane_column = np.array(self._lanes, dtype=np.uint64)[:, None]
-        self._offsets = np.arange(0, params.m, params.ell, dtype=np.int64)[:, None]
 
     def indices(self, key: int) -> tuple[int, ...]:
         ell = self.ell
@@ -84,11 +85,15 @@ class PartitionedUniformScheme:
             i * ell + mix64(key ^ lane) % ell for i, lane in enumerate(self._lanes)
         )
 
-    def indices_array(self, keys: np.ndarray) -> np.ndarray:
+    def indices_array(self, keys: "np.ndarray") -> "np.ndarray":
         """Vectorized indices: shape (k, len(keys)), dtype int64."""
+        import numpy as np
+
         keys = keys.astype(np.uint64, copy=False)
-        hashed = mix64_array(keys[None, :] ^ self._lane_column) % np.uint64(self.ell)
-        return hashed.astype(np.int64) + self._offsets
+        lanes = np.array(self._lanes, dtype=np.uint64)[:, None]
+        hashed = mix64_array(keys[None, :] ^ lanes) % np.uint64(self.ell)
+        offsets = np.arange(0, self.m, self.ell, dtype=np.int64)[:, None]
+        return hashed.astype(np.int64) + offsets
 
 
 class SsAvoidingScheme:
@@ -108,10 +113,6 @@ class SsAvoidingScheme:
         self.s = params.b // params.k
         self._bijection = bijection
         self.is_identity = bijection is None
-        self._shift_column = np.array(
-            [self.s * (self.k - 1 - i) for i in range(self.k)], dtype=np.uint64
-        )[:, None]
-        self._offsets = np.arange(0, params.m, params.ell, dtype=np.int64)[:, None]
 
     def indices(self, key: int) -> tuple[int, ...]:
         y = key if self._bijection is None else self._bijection(key)
@@ -121,13 +122,20 @@ class SsAvoidingScheme:
             for i in range(self.k)
         )
 
-    def indices_array(self, keys: np.ndarray) -> np.ndarray:
+    def indices_array(self, keys: "np.ndarray") -> "np.ndarray":
+        """Vectorized indices: shape (k, len(keys)), dtype int64."""
+        import numpy as np
+
         if self._bijection is None:
             y = keys.astype(np.uint64, copy=False)
         else:
             y = np.array([self._bijection(int(x)) for x in keys], dtype=np.uint64)
-        fields = (y[None, :] >> self._shift_column) & np.uint64(self.ell - 1)
-        return fields.astype(np.int64) + self._offsets
+        shifts = np.array(
+            [self.s * (self.k - 1 - i) for i in range(self.k)], dtype=np.uint64
+        )[:, None]
+        fields = (y[None, :] >> shifts) & np.uint64(self.ell - 1)
+        offsets = np.arange(0, self.m, self.ell, dtype=np.int64)[:, None]
+        return fields.astype(np.int64) + offsets
 
 
 class ExplicitScheme:

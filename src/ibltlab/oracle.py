@@ -82,9 +82,15 @@ def iter_state_matrices(ell: int, n: int, k: int):
 def exact_failure_probability(
     ell: int, n: int, k: int, guard: int = ORACLE_GUARD
 ) -> Fraction:
-    """Exact probability that listing fails, by full enumeration."""
+    """Exact probability that listing fails, by full enumeration.
+
+    Raises ValueError for a guard below 1 and ResourceGuardError when the
+    ell**(n*k) state matrices exceed ``guard``.
+    """
     if ell < 1 or n < 1 or k < 1:
         raise ValueError("ell, n and k must be positive")
+    if guard < 1:
+        raise ValueError(f"guard must be at least 1, got {guard}")
     total = ell ** (n * k)
     if total > guard:
         raise ResourceGuardError(

@@ -16,7 +16,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from ibltlab import _kernels_py
 from ibltlab._bits import (
     KEYS_DISTINCT,
     KEYS_IID,
@@ -153,6 +152,8 @@ def check_trial_memory(cfg: TrialConfig, workers: int = 1):
 
 
 def _run_range(args) -> tuple[int, int]:
+    from ibltlab import _kernels_py  # numpy, loaded only to run trials
+
     seed, lo, hi, n, ell, k, b, scheme_code, key_code = args
     return _kernels_py.run_trials(seed, lo, hi, n, ell, k, b, scheme_code, key_code)
 

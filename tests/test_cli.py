@@ -272,6 +272,14 @@ def test_oracle_guard_exit_code(invoke_cli):
     assert "guard" in err
 
 
+@pytest.mark.parametrize("guard", ["0", "-1"])
+def test_oracle_rejects_guard_below_one(invoke_cli, guard):
+    code, out, err = invoke_cli(["oracle", "2", "2", "2", "--guard", guard])
+    assert code == 1
+    assert out == ""
+    assert "guard must be at least 1" in err
+
+
 def test_usage_errors_exit_one(invoke_cli):
     with pytest.raises(SystemExit) as excinfo:
         invoke_cli(["nonsense"])

@@ -68,6 +68,12 @@ def test_guard():
         exact_failure_probability(2, 2, 2, guard=10)
 
 
+@pytest.mark.parametrize("guard", [0, -1])
+def test_guard_below_one_is_a_bad_input(guard):
+    with pytest.raises(ValueError, match="guard"):
+        exact_failure_probability(2, 2, 2, guard=guard)
+
+
 def test_enumeration_is_complete():
     matrices = list(iter_state_matrices(2, 2, 2))
     assert len(matrices) == 2 ** 4
