@@ -10,6 +10,7 @@ import it when called, so the census, the bounds, the oracle and the table
 run without loading it.
 """
 
+import functools
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -69,16 +70,25 @@ def sweep_point_seed(seed: int, m: int) -> int:
     return mix64((base + m * PHI64) & MASK64)
 
 
+@functools.cache
+def _mix64_constants() -> tuple:
+    """mix64's shifts and multipliers as numpy scalars, built once."""
+    import numpy as np
+
+    return tuple(np.uint64(c) for c in (30, _MUL1, 27, _MUL2, 31))
+
+
 def mix64_array(x: "np.ndarray") -> "np.ndarray":
     """Vectorized mix64 over a uint64 array (wrapping arithmetic)."""
     import numpy as np
 
+    shift1, mul1, shift2, mul2, shift3 = _mix64_constants()
     x = x.astype(np.uint64, copy=True)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(_MUL1)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(_MUL2)
-    x ^= x >> np.uint64(31)
+    x ^= x >> shift1
+    x *= mul1
+    x ^= x >> shift2
+    x *= mul2
+    x ^= x >> shift3
     return x
 
 

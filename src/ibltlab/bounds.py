@@ -78,7 +78,10 @@ def union_bound(census: StoppingCensus, ell: int, n: int, k: int) -> BoundBreakd
         terms.append((i, _ratio_term(subsets * counts[i] ** k, denominator)))
         subsets = subsets * (n - i) // (i + 1)
         denominator *= ell_k
-    total = math.fsum(sorted(value for _, value in terms))
+    try:
+        total = math.fsum(sorted(value for _, value in terms))
+    except OverflowError:  # finite terms summing past float range
+        total = math.inf
     return BoundBreakdown(ell, n, k, tuple(terms), total, min(total, 1.0))
 
 

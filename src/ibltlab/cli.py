@@ -12,12 +12,13 @@ import csv
 import sys
 import traceback
 
-from ibltlab.bounds import check_bound_cost, size2_asymptote, union_bound
+from ibltlab import simulate
+from ibltlab.bounds import size2_asymptote, union_bound
 from ibltlab.census import COST_GUARD_S, StoppingCensus, check_cost, rows_cost_s
 from ibltlab.errors import ResourceGuardError
 from ibltlab.hashing import HashKind
 from ibltlab.oracle import ORACLE_GUARD, exact_failure_probability
-from ibltlab.simulate import KeyModel, TrialConfig, check_trial_memory, sweep
+from ibltlab.simulate import KeyModel, TrialConfig
 
 
 # Seconds to store and write one ztable cell: `ztable 200000 1` takes 1.9 s
@@ -171,24 +172,18 @@ def cmd_simulate(args, out) -> int:
     else:
         key_model = KeyModel(args.key_model)
     m_values = [args.m] if args.m is not None else _parse_sweep(args.sweep)
-    # Validate and cost every grid point before the header is written.
-    configs = [
-        TrialConfig(
-            n=args.n,
-            m=m,
-            k=args.k,
-            b=args.b,
-            trials=args.trials,
-            seed=args.seed,
-            scheme=scheme,
-            key_model=key_model,
-        )
-        for m in m_values
-    ]
-    for cfg in configs:
-        check_trial_memory(cfg, args.workers)
-        check_bound_cost(cfg.ell, cfg.n, cfg.k)
-    census = StoppingCensus()
+    base = TrialConfig(
+        n=args.n,
+        m=m_values[0],
+        k=args.k,
+        b=args.b,
+        trials=args.trials,
+        seed=args.seed,
+        scheme=scheme,
+        key_model=key_model,
+    )
+    # Every grid point is validated and checked before the header is written.
+    configs = simulate.sweep_configs(base, m_values, args.workers)
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(
         [
@@ -197,7 +192,7 @@ def cmd_simulate(args, out) -> int:
         ]
     )
     for cfg in configs:
-        report = sweep(cfg, [cfg.m], census=census, workers=args.workers)[0]
+        report = simulate.run_trials(cfg, workers=args.workers)
         writer.writerow(
             [
                 report.m,

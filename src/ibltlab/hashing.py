@@ -17,10 +17,12 @@ Two families are provided:
 Schemes are immutable after construction and safe to share across workers;
 evaluation is a pure function of (scheme, key).  ``indices`` is plain
 integer arithmetic; only the vectorized ``indices_array`` uses numpy, which
-it imports when called.
+it imports when called.  A scheme builds its numpy constants once, on its
+first ``indices_array`` call.
 """
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -85,14 +87,22 @@ class PartitionedUniformScheme:
             i * ell + mix64(key ^ lane) % ell for i, lane in enumerate(self._lanes)
         )
 
+    @functools.cached_property
+    def _array_constants(self):
+        """The lane and offset columns, and ell as a numpy scalar."""
+        import numpy as np
+
+        lanes = np.array(self._lanes, dtype=np.uint64)[:, None]
+        offsets = np.arange(0, self.m, self.ell, dtype=np.int64)[:, None]
+        return lanes, offsets, np.uint64(self.ell)
+
     def indices_array(self, keys: "np.ndarray") -> "np.ndarray":
         """Vectorized indices: shape (k, len(keys)), dtype int64."""
         import numpy as np
 
+        lanes, offsets, ell = self._array_constants
         keys = keys.astype(np.uint64, copy=False)
-        lanes = np.array(self._lanes, dtype=np.uint64)[:, None]
-        hashed = mix64_array(keys[None, :] ^ lanes) % np.uint64(self.ell)
-        offsets = np.arange(0, self.m, self.ell, dtype=np.int64)[:, None]
+        hashed = mix64_array(keys[None, :] ^ lanes) % ell
         return hashed.astype(np.int64) + offsets
 
 
@@ -122,19 +132,27 @@ class SsAvoidingScheme:
             for i in range(self.k)
         )
 
+    @functools.cached_property
+    def _array_constants(self):
+        """The shift and offset columns, and the field mask as a numpy scalar."""
+        import numpy as np
+
+        shifts = np.array(
+            [self.s * (self.k - 1 - i) for i in range(self.k)], dtype=np.uint64
+        )[:, None]
+        offsets = np.arange(0, self.m, self.ell, dtype=np.int64)[:, None]
+        return shifts, offsets, np.uint64(self.ell - 1)
+
     def indices_array(self, keys: "np.ndarray") -> "np.ndarray":
         """Vectorized indices: shape (k, len(keys)), dtype int64."""
         import numpy as np
 
+        shifts, offsets, mask = self._array_constants
         if self._bijection is None:
             y = keys.astype(np.uint64, copy=False)
         else:
             y = np.array([self._bijection(int(x)) for x in keys], dtype=np.uint64)
-        shifts = np.array(
-            [self.s * (self.k - 1 - i) for i in range(self.k)], dtype=np.uint64
-        )[:, None]
-        fields = (y[None, :] >> shifts) & np.uint64(self.ell - 1)
-        offsets = np.arange(0, self.m, self.ell, dtype=np.int64)[:, None]
+        fields = (y[None, :] >> shifts) & mask
         return fields.astype(np.int64) + offsets
 
 

@@ -24,10 +24,10 @@ from ibltlab._bits import (
     SCHEME_SS_AVOIDING,
     sweep_point_seed,
 )
-from ibltlab.bounds import size2_asymptote, union_bound
-from ibltlab.census import StoppingCensus
+from ibltlab.bounds import check_bound_cost, size2_asymptote, union_bound
+from ibltlab.census import StoppingCensus, check_cost
 from ibltlab.errors import ResourceGuardError
-from ibltlab.hashing import HashKind
+from ibltlab.hashing import HashKind, HashParams
 
 
 class KeyModel(enum.Enum):
@@ -56,6 +56,14 @@ _CELL_BYTES = 16
 _ENTRY_BYTES = 32
 _ENTRY_CELL_BYTES = 48
 
+# Kernel seconds per unit of trial work, trials * (n*k + m) units in all;
+# trials estimated over COST_GUARD_S are refused.  On a 2-core x86 VM under
+# CPython 3.11 the slowest shapes measured, loads near the peeling
+# threshold, take this long.  Distinct 12-bit keys, which mostly go
+# through the sequential key replay, take about half of it, and the
+# paper's shapes a tenth to a twentieth.
+_TRIAL_UNIT_S = 1.6e-7
+
 
 @dataclass(frozen=True)
 class TrialConfig:
@@ -71,23 +79,16 @@ class TrialConfig:
     def __post_init__(self):
         if self.n < 1 or self.m < 1 or self.k < 1 or self.trials < 1:
             raise ValueError("n, m, k and trials must be positive")
-        if not 1 <= self.b <= 64:
-            raise ValueError("key width b must be in [1, 64]")
         if self.m % self.k != 0:
             raise ValueError(f"m = {self.m} must be divisible by k = {self.k}")
         if not 0 <= self.seed <= MASK64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if self.scheme is HashKind.SS_AVOIDING:
-            if self.key_model is not KeyModel.DISTINCT_UNIFORM:
-                raise ValueError("the ss-avoiding scheme requires distinct keys")
-            if self.b % self.k != 0:
-                raise ValueError("ss-avoiding needs b = s*k for integer s")
-            if self.ell != 1 << (self.b // self.k):
-                raise ValueError(
-                    f"ss-avoiding needs m/k = 2**(b/k) = {1 << (self.b // self.k)}, "
-                    f"got {self.ell}"
-                )
-        if self.key_model is KeyModel.DISTINCT_UNIFORM and self.n > (1 << self.b):
+        # The scheme's own checks: the key width b and the ss-avoiding shape.
+        HashParams(self.k, self.ell, self.b, self.seed, self.scheme)
+        distinct = self.key_model is KeyModel.DISTINCT_UNIFORM
+        if self.scheme is HashKind.SS_AVOIDING and not distinct:
+            raise ValueError("the ss-avoiding scheme requires distinct keys")
+        if distinct and self.n > (1 << self.b):
             raise ValueError("cannot draw n distinct keys from fewer than n values")
 
     @property
@@ -151,6 +152,31 @@ def check_trial_memory(cfg: TrialConfig, workers: int = 1):
         )
 
 
+def check_trials(cfg: TrialConfig, workers: int = 1):
+    """Decide whether ``cfg`` may run, before any trial work: raise
+    ValueError for workers < 1, and ResourceGuardError when its kernel
+    processes would exceed the memory guard, its trials the time guard
+    or its union bound the cost guard."""
+    check_trial_memory(cfg, workers)
+    processes = _kernel_processes(cfg.trials, workers)
+    check_cost(
+        f"{cfg.trials} trials at m = {cfg.m} cells and n = {cfg.n} entries",
+        lambda: _TRIAL_UNIT_S * cfg.trials * (cfg.n * cfg.k + cfg.m) / processes,
+    )
+    check_bound_cost(cfg.ell, cfg.n, cfg.k)
+
+
+def sweep_configs(
+    base: TrialConfig, m_values: list[int], workers: int = 1
+) -> list[TrialConfig]:
+    """The sweep point of each m value, with its derived seed; every point
+    is validated and checked with ``check_trials`` before any is returned."""
+    configs = [replace(base, m=m, seed=sweep_point_seed(base.seed, m)) for m in m_values]
+    for cfg in configs:
+        check_trials(cfg, workers)
+    return configs
+
+
 def _run_range(args) -> tuple[int, int]:
     from ibltlab import _kernels_py  # numpy, loaded only to run trials
 
@@ -178,10 +204,9 @@ def run_trials(
     ell = m/k, and carries the count of failures that left exactly two
     entries -- those necessarily had identical index tuples.  Trials run
     in min(workers, CPUs, trials) processes, in-process when that is 1.
-    Raises ValueError for workers < 1 and ResourceGuardError when the
-    kernel processes would exceed the memory guard.
+    ``check_trials`` decides, before any trial runs, whether it may run.
     """
-    check_trial_memory(cfg, workers)
+    check_trials(cfg, workers)
     processes = _kernel_processes(cfg.trials, workers)
     args = [
         (
@@ -233,11 +258,9 @@ def sweep(
     census: StoppingCensus | None = None,
     workers: int = 1,
 ) -> list[SimReport]:
-    """Run one report per m value, each with its derived seed."""
+    """Run one report per m value, each with its derived seed, after every
+    point has been checked."""
+    configs = sweep_configs(base, m_values, workers)
     if census is None:
         census = StoppingCensus()
-    reports = []
-    for m in m_values:
-        cfg = replace(base, m=m, seed=sweep_point_seed(base.seed, m))
-        reports.append(run_trials(cfg, census=census, workers=workers))
-    return reports
+    return [run_trials(cfg, census=census, workers=workers) for cfg in configs]

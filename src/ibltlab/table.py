@@ -7,8 +7,6 @@ table of a union is the cellwise combination of the tables.
 """
 
 import enum
-import heapq
-import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -143,31 +141,24 @@ class Iblt:
             and self._value_sums == other._value_sums
         )
 
-    def list_entries(self, rng: random.Random | None = None) -> ListingResult:
+    def list_entries(self) -> ListingResult:
         """Recover all stored pairs by peeling count-1 cells; non-mutating.
 
-        By default the lowest-index count-1 cell is taken first, which makes
-        runs reproducible; passing ``rng`` randomizes the choice (while no
-        non-member has been deleted, the final status and recovered set are
-        independent of the order).
+        While no non-member has been deleted, the final status and the
+        recovered set do not depend on the order of the peels.
         """
-        return self.copy().list_entries_inplace(rng)
+        return self.copy().list_entries_inplace()
 
-    def list_entries_inplace(self, rng: random.Random | None = None) -> ListingResult:
-        """Destructive listing: recovered pairs are deleted from this table."""
+    def list_entries_inplace(self) -> ListingResult:
+        """Destructive listing: recovered pairs are deleted from this table.
+
+        Count-1 cells wait on one stack, last in first out.
+        """
         counts = self._counts
         entries = set()
-        if rng is None:
-            frontier = [i for i in range(self.m) if counts[i] == 1]
-            heapq.heapify(frontier)
-            pop = lambda: heapq.heappop(frontier)
-            push = lambda c: heapq.heappush(frontier, c)
-        else:
-            frontier = [i for i in range(self.m) if counts[i] == 1]
-            pop = lambda: frontier.pop(rng.randrange(len(frontier)))
-            push = frontier.append
-        while frontier:
-            c = pop()
+        stack = [i for i in range(self.m) if counts[i] == 1]
+        while stack:
+            c = stack.pop()
             if counts[c] != 1:
                 continue
             x = self._key_sums[c]
@@ -184,7 +175,7 @@ class Iblt:
                 self._key_sums[ci] ^= x
                 self._value_sums[ci] ^= y
                 if counts[ci] == 1:
-                    push(ci)
+                    stack.append(ci)
         residual = self.nonzero_cells()
         status = ListingStatus.COMPLETE if residual == 0 else ListingStatus.PARTIAL
         return ListingResult(frozenset(entries), status, residual)

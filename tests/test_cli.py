@@ -72,6 +72,15 @@ def test_bound_clamps_at_one(invoke_cli):
     assert float(row["bound_clamped"]) == 1.0
 
 
+def test_bound_total_past_float_range_is_inf(invoke_cli):
+    # Every term is finite, but they sum past float range.
+    code, out, err = invoke_cli(["bound", "--ell", "2", "--n", "1030", "--k", "1"])
+    assert (code, err) == (0, "")
+    header, rows = parse_csv(out)
+    row = dict(zip(header, rows[0]))
+    assert (row["bound_raw"], row["bound_clamped"]) == ("inf", "1.0")
+
+
 def test_bound_accepts_total_cells(invoke_cli):
     code_ell, out_ell, _ = invoke_cli(["bound", "--ell", "4", "--n", "2", "--k", "3"])
     code_m, out_m, _ = invoke_cli(["bound", "--m", "12", "--n", "2", "--k", "3"])
@@ -216,6 +225,20 @@ def test_simulate_guards_trial_memory(invoke_cli, grid):
         ["simulate", "--n", "5", "--k", "1", "--b", "64", "--trials", "1"] + grid
     )
     assert (code, out) == (2, "")
+    assert "guard" in err
+
+
+def test_simulate_guards_trial_time(invoke_cli, monkeypatch):
+    # 10**9 trials at the paper's shape would run for hours: refused
+    # before any trial runs.
+    from ibltlab import _kernels_py
+
+    calls = []
+    monkeypatch.setattr(_kernels_py, "run_trials", lambda *a: calls.append(a) or (0, 0))
+    code, out, err = invoke_cli(
+        ["simulate", "--n", "210", "--k", "3", "--m", "768", "--trials", "1000000000"]
+    )
+    assert (code, out, calls) == (2, "", [])
     assert "guard" in err
 
 

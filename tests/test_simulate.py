@@ -154,6 +154,26 @@ def test_trial_memory_guard_counts_the_kernel_processes(monkeypatch):
     simulate.check_trial_memory(dataclasses.replace(cfg, trials=1), workers=8)
 
 
+def test_refusals_come_before_any_kernel_call(monkeypatch):
+    # n = 3000 at m = 15000 puts the union bound over budget.
+    calls = []
+    monkeypatch.setattr(_kernels_py, "run_trials", lambda *a: calls.append(a) or (0, 0))
+    with pytest.raises(ResourceGuardError):
+        run_trials(TrialConfig(n=3000, m=15000, k=3, trials=10))
+    with pytest.raises(ResourceGuardError):
+        sweep(TrialConfig(n=3000, m=30, k=3, trials=10), [30, 15000])
+    assert calls == []
+
+
+def test_trial_time_guard_shares_the_work_among_processes(monkeypatch):
+    # About 45 s of trial work: two processes fit the 30 s budget, one does not.
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    cfg = TrialConfig(n=210, m=768, k=3, trials=200_000)
+    with pytest.raises(ResourceGuardError):
+        simulate.check_trials(cfg, workers=1)
+    simulate.check_trials(cfg, workers=2)
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_run_trials_rejects_nonpositive_workers(workers):
     with pytest.raises(ValueError):

@@ -186,22 +186,6 @@ def test_listing_inplace_consumes_table():
     assert t.is_empty()
 
 
-def test_listing_order_independent():
-    rng = random.Random(3)
-    scheme = make_partitioned_uniform(HashParams(k=3, ell=6, b=16, seed=4))
-    for _ in range(60):
-        t = Iblt(scheme)
-        keys = rng.sample(range(1 << 16), 8)
-        for x in keys:
-            t.insert(x, x ^ 0xFFFF)
-        baseline = t.list_entries()
-        for attempt in range(4):
-            shuffled = t.list_entries(rng=random.Random(attempt))
-            assert shuffled.status == baseline.status
-            assert shuffled.entries == baseline.entries
-            assert shuffled.residual_cells == baseline.residual_cells
-
-
 def test_tables_combine_cellwise():
     scheme = small_scheme(seed=12)
     a, b, both = Iblt(scheme), Iblt(scheme), Iblt(scheme)
