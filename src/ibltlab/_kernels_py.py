@@ -1,5 +1,5 @@
-"""The numpy kernels: brute-force stopping-matrix enumeration and the
-Monte Carlo trial loop.
+"""The numpy kernels: the brute-force stopping-matrix count, which tests
+row counts a table of matrices at a time, and the Monte Carlo trial loop.
 
 Keys come from the counter streams of ``_bits`` and cell indices from the
 hash schemes of ``hashing``, so the kernel holds no hash layout of its own.
@@ -17,6 +17,8 @@ one-cell-at-a-time peeler leaves (Jiang, Mitzenmacher and Thaler,
 ``BATCH_CELLS`` cells and entry cells, which bounds its memory; a table
 wider than that runs one trial per batch.
 """
+
+import itertools
 
 import numpy as np
 
@@ -39,31 +41,28 @@ from ibltlab.hashing import (
 # Cells plus entry cells (m + n*k per trial) of one batch of trials.
 BATCH_CELLS = 1 << 15
 
+# Row counts in the brute-force census's table (ell per placement).
+TABLE_CELLS = 1 << 18
+
 
 def count_stopping_matrices(ell: int, n: int) -> int:
-    """Count stopping matrices by enumerating all ell**n column placements.
+    """Count stopping matrices: test the row counts of all ell**n placements.
 
-    Matrices are generated as chunks of mixed-radix column indices; a
-    matrix stops when no row value occurs exactly once, detected on the
-    sorted columns (a lone value differs from both neighbors).
+    Column t of ``table`` holds the row counts of the t-th placement of
+    the first ``low`` columns.  Under one placement of the other columns,
+    matrix t has a weight-1 row where its table count is 1 minus that
+    placement's row count; a matrix stops when no row does.
     """
-    if n == 0:
-        return 1
-    if n == 1:
-        return 0  # every single weight-one column is itself a weight-1 row
-    total = ell**n
-    powers = ell ** np.arange(n, dtype=np.int64)
-    chunk = 1 << 15
+    low = 0
+    while low < n and ell ** (low + 2) <= TABLE_CELLS:
+        low += 1
+    rows = ell**low
+    lows = np.indices((ell,) * low).reshape(low, rows) * rows + np.arange(rows)
+    table = np.bincount(lows.ravel(), minlength=ell * rows).reshape(ell, rows)
     count = 0
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        cols = (idx[:, None] // powers) % ell
-        cols.sort(axis=1)
-        neq = cols[:, 1:] != cols[:, :-1]
-        has_single = neq[:, 0] | neq[:, -1]
-        if n > 2:
-            has_single |= (neq[:, :-1] & neq[:, 1:]).any(axis=1)
-        count += int((~has_single).sum())
+    for high in itertools.product(range(ell), repeat=n - low):
+        lone = 1 - np.bincount(high, minlength=ell)[:, None]
+        count += rows - int(np.count_nonzero((table == lone).any(axis=0)))
     return count
 
 

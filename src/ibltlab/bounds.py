@@ -43,18 +43,13 @@ def check_bound_cost(ell: int, n: int, k: int):
     """Raise ResourceGuardError when ``union_bound(_, ell, n, k)`` is
     estimated to exceed ``COST_GUARD_S``.
 
-    Besides the census row, the n terms take a binomial C(n,i) each and a
-    power count(ell,i)**k of up to k*n*log2(ell) bits each.  The rates were
-    fitted on a 2-core x86 VM under CPython 3.11.  The binomial rate
-    assumes each C(n,i) is computed afresh (about n**3 work in all), which
-    overestimates the one multiply and divide per term ``union_bound``
-    spends advancing it.
+    Besides the census row, the n terms take a power count(ell,i)**k of up
+    to k*n*log2(ell) bits each.  The rates were fitted on a 2-core x86 VM
+    under CPython 3.11.
     """
     def estimate():
         bits = float(k * n * max(1, ell.bit_length()))
-        binomials = 1.7e-11 * float(n) ** 3
-        powers = 2e-11 * n * bits**1.5
-        return rows_cost_s(ell, ell, n) + binomials + powers
+        return rows_cost_s(ell, ell, n) + 2e-11 * n * bits**1.5
 
     check_cost(f"the union bound at ell={ell}, n={n}, k={k}", estimate)
 

@@ -26,8 +26,9 @@ paper's pivot recurrence, as the partition identity
              c! * C(ell,c) * C(n,c) * count(ell-c, n-c)
 
 (``tests/test_census.py::test_partition_identity_exact`` and
-``tests/test_acceptance.py::test_03_partition_identity``), and brute-force
-enumeration (``count_stopping_bruteforce``, in
+``tests/test_acceptance.py::test_03_partition_identity``), and a brute
+force that tests the row counts of every matrix, one by one
+(``count_stopping_bruteforce``, in
 ``tests/test_acceptance.py::test_02_recurrence_equals_enumeration``).
 """
 
@@ -36,7 +37,7 @@ from typing import Callable, Iterable, Sequence
 
 from ibltlab.errors import ResourceGuardError
 
-BRUTE_FORCE_GUARD = 10_000_000
+BRUTE_FORCE_GUARD = 10**8
 
 # Census and union-bound requests estimated to take longer than this many
 # seconds are refused with ResourceGuardError (exit 2 from the CLI).
@@ -172,25 +173,23 @@ class StoppingCensus:
 def count_stopping_bruteforce(
     ell: int, n: int, guard: int = BRUTE_FORCE_GUARD
 ) -> int:
-    """Independent oracle: enumerate all ell**n matrices and count stoppers.
+    """Independent oracle: test the ell row counts of each of the ell**n
+    matrices (``_kernels_py.count_stopping_matrices``) and count stoppers.
 
-    Refuses when ell**n exceeds ``guard``.  Enumerates in numpy chunks
-    (``_kernels_py.count_stopping_matrices``).
+    Refuses when those ell**(n+1) row counts exceed ``guard``; the default
+    1e8 admits ell <= 10**4 at n = 1, ell <= 100 at n = 3, n <= 25 at ell = 2.
     """
     if ell < 0 or n < 0:
         raise ValueError("ell and n must be nonnegative")
-    total = ell**n
-    if total > guard:
+    work = ell ** (n + 1)
+    if work > guard:
         raise ResourceGuardError(
-            f"ell**n = {total} matrices exceeds the guard of {guard}"
+            f"ell**(n+1) = {work} row counts exceeds the guard of {guard}"
         )
-    if ell == 0:
+    if ell == 0 or n == 0:  # only the empty matrix, which stops
         return 1 if n == 0 else 0
     if ell == 1:
-        # One possible matrix: all columns in the single row, which is a
-        # weight-1 row exactly when n == 1.  Skips an O(n) kernel pass that
-        # the ell**n guard does not catch.
-        return 0 if n == 1 else 1
+        return 0 if n == 1 else 1  # one matrix, its single row of weight n
     from ibltlab import _kernels_py  # numpy, loaded only for enumeration
 
     return _kernels_py.count_stopping_matrices(ell, n)

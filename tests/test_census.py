@@ -73,15 +73,19 @@ def test_bruteforce_examples():
 
 def test_bruteforce_guard():
     with pytest.raises(ResourceGuardError):
-        count_stopping_bruteforce(10, 8)  # 10**8 matrices
+        count_stopping_bruteforce(10, 8)  # 10**9 row counts
+    with pytest.raises(ResourceGuardError):
+        count_stopping_bruteforce(3162, 2)  # 3.2e10 row counts, 1e7 matrices
     with pytest.raises(ResourceGuardError):
         count_stopping_bruteforce(3, 4, guard=80)
 
 
 def test_recursion_equals_bruteforce_small(census):
-    for ell in range(1, 6):
-        for n in range(1, 6):
-            assert census.count(ell, n) == count_stopping_bruteforce(ell, n)
+    shapes = [(ell, n) for ell in range(1, 6) for n in range(1, 6)]
+    # Columns past the kernel's table, which at ell = 600 holds none.
+    shapes += [(2, 19), (9, 6), (70, 3), (600, 1)]
+    for ell, n in shapes:
+        assert census.count(ell, n) == count_stopping_bruteforce(ell, n)
 
 
 def test_recursion_equals_literal_enumeration(census):

@@ -122,7 +122,7 @@ def test_bound_breakdown_bytes_are_pinned(invoke_cli):
     "argv",
     [
         ["--ell", "5000", "--n", "3000", "--k", "3"],  # census row
-        ["--ell", "2", "--n", "20000", "--k", "3"],  # binomials
+        ["--ell", "2", "--n", "40000", "--k", "3"],  # powers, at large n
         ["--ell", "3", "--n", "5", "--k", "10000000000"],  # powers
         ["--ell", "2", "--n", "1" + "0" * 400, "--k", "3"],  # beyond float range
     ],
@@ -182,6 +182,22 @@ def test_simulate_sweep_grid(invoke_cli):
     header, rows = parse_csv(out)
     assert [row[0] for row in rows] == ["24", "36", "48"]
     assert all(row[1] == str(int(row[0]) // 3) for row in rows)
+
+
+def test_simulate_verbose_reports_on_stderr_only(invoke_cli):
+    argv = ["simulate", "--n", "8", "--k", "3", "--sweep", "24:48:12",
+            "--trials", "1000", "--seed", "2"]
+    code, quiet, quiet_err = invoke_cli(argv)
+    verbose_code, out, err = invoke_cli(argv + ["--verbose"])
+    assert code == verbose_code == 0
+    assert out == quiet
+    assert quiet_err == ""
+    header, rows = parse_csv(out)
+    failures = header.index("failures")
+    assert err.splitlines() == [
+        f"m={row[0]}: {row[failures]}/1000 failures" for row in rows
+    ]
+    assert [row[0] for row in rows] == ["24", "36", "48"]
 
 
 def test_simulate_ss_scheme_defaults_to_distinct_keys(invoke_cli):

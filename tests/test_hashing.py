@@ -135,15 +135,22 @@ def test_ss_bijection_spot_checks():
 
 
 def test_indices_array_matches_scalar_path():
-    scheme = make_partitioned_uniform(uniform_params(k=3, ell=13, seed=5))
     keys = np.arange(100, dtype=np.uint64)
-    arr = scheme.indices_array(keys)
-    for j, key in enumerate(keys):
-        assert tuple(arr[:, j]) == scheme.indices(int(key))
-    ss = make_ss_avoiding(ss_params(k=3, s=3, seed=5))
-    arr = ss.indices_array(keys)
-    for j, key in enumerate(keys):
-        assert tuple(arr[:, j]) == ss.indices(int(key))
+    for scheme, scheme_keys in (
+        (make_partitioned_uniform(uniform_params(k=3, ell=13, seed=5)), keys),
+        (make_ss_avoiding(ss_params(k=3, s=3, seed=5)), keys),
+        # A custom bijection takes the per-key path; 4-bit keys only.
+        (
+            make_ss_avoiding(
+                ss_params(k=2, s=2), bijection=lambda x: (5 * x + 3) % 16
+            ),
+            keys[:16],
+        ),
+    ):
+        arr = scheme.indices_array(scheme_keys)
+        assert arr.shape == (scheme.k, len(scheme_keys))
+        for j, key in enumerate(scheme_keys):
+            assert tuple(arr[:, j]) == scheme.indices(int(key))
 
 
 def test_explicit_scheme_mapping():
