@@ -16,9 +16,10 @@ Two families are provided:
 
 Schemes are immutable after construction and safe to share across workers;
 evaluation is a pure function of (scheme, key).  ``indices`` is plain
-integer arithmetic; only the vectorized ``indices_array`` uses numpy, which
-it imports when called.  A scheme builds its numpy constants once, on its
-first ``indices_array`` call.
+integer arithmetic, one step per subtable over (first cell, lane key or
+field shift) pairs built with the scheme; only the vectorized
+``indices_array`` uses numpy, which it imports when called.  A scheme
+builds its numpy constants once, on its first ``indices_array`` call.
 """
 
 import enum
@@ -80,12 +81,15 @@ class PartitionedUniformScheme:
         self.b = params.b
         self.m = params.m
         self._lanes = lane_keys(params.seed, params.k)
+        # (first cell, lane key) of each subtable.
+        self._subtables = tuple(zip(range(0, self.m, self.ell), self._lanes))
 
     def indices(self, key: int) -> tuple[int, ...]:
         ell = self.ell
-        return tuple(
-            i * ell + mix64(key ^ lane) % ell for i, lane in enumerate(self._lanes)
-        )
+        cells = []
+        for offset, lane in self._subtables:
+            cells.append(offset + mix64(key ^ lane) % ell)
+        return tuple(cells)
 
     @functools.cached_property
     def _array_constants(self):
@@ -123,23 +127,25 @@ class SsAvoidingScheme:
         self.s = params.b // params.k
         self._bijection = bijection
         self.is_identity = bijection is None
+        # (first cell, field shift) of each subtable.
+        self._subtables = tuple(
+            (i * self.ell, self.s * (self.k - 1 - i)) for i in range(self.k)
+        )
 
     def indices(self, key: int) -> tuple[int, ...]:
         y = key if self._bijection is None else self._bijection(key)
-        s, mask = self.s, self.ell - 1
-        return tuple(
-            i * self.ell + ((y >> (s * (self.k - 1 - i))) & mask)
-            for i in range(self.k)
-        )
+        mask = self.ell - 1
+        cells = []
+        for offset, shift in self._subtables:
+            cells.append(offset + ((y >> shift) & mask))
+        return tuple(cells)
 
     @functools.cached_property
     def _array_constants(self):
         """The shift and offset columns, and the field mask as a numpy scalar."""
         import numpy as np
 
-        shifts = np.array(
-            [self.s * (self.k - 1 - i) for i in range(self.k)], dtype=np.uint64
-        )[:, None]
+        shifts = np.array([s for _, s in self._subtables], dtype=np.uint64)[:, None]
         offsets = np.arange(0, self.m, self.ell, dtype=np.int64)[:, None]
         return shifts, offsets, np.uint64(self.ell - 1)
 

@@ -59,10 +59,13 @@ _ENTRY_CELL_BYTES = 48
 # Kernel seconds per unit of trial work, trials * (n*k + m) units in all;
 # trials estimated over COST_GUARD_S are refused.  On a 2-core x86 VM under
 # CPython 3.11 the slowest shapes measured, loads near the peeling
-# threshold, take this long.  Distinct 12-bit keys, which mostly go
-# through the sequential key replay, take about half of it, and the
-# paper's shapes a tenth to a twentieth.
+# threshold, take this long, and the paper's shapes a tenth to a
+# twentieth.  The sequential key replay of distinct-key trials is charged
+# on top, at _REPLAY_CANDIDATE_S per key candidate it draws (see
+# _replay_seconds): on the same VM one candidate, a scalar mix64 and a set
+# lookup, took 1.1-1.5 us on one pinned vCPU.
 _TRIAL_UNIT_S = 1.6e-7
+_REPLAY_CANDIDATE_S = 1.7e-6
 
 
 @dataclass(frozen=True)
@@ -152,6 +155,24 @@ def check_trial_memory(cfg: TrialConfig, workers: int = 1):
         )
 
 
+def _replay_seconds(cfg: TrialConfig) -> float:
+    """Estimated seconds of sequential key replay in all of ``cfg``'s trials.
+
+    Under distinct keys a trial whose n vector-drawn keys repeat one, with
+    probability at most C(n, 2)/N among N = 2**b keys, draws its keys
+    again one candidate at a time, N (H_N - H_(N-n)) candidates on average.
+    That is at most N (1/L + ln(N/L)) with L = N - n + 1, about n for
+    n << N and N ln N for n = N.
+    """
+    if cfg.key_model is not KeyModel.DISTINCT_UNIFORM:
+        return 0.0
+    keys, n = 1 << cfg.b, cfg.n
+    repeats = min(1.0, n * (n - 1) / (2 * keys))
+    low = keys - n + 1
+    candidates = keys * (1 / low - math.log1p(-(n - 1) / keys))
+    return cfg.trials * repeats * candidates * _REPLAY_CANDIDATE_S
+
+
 def check_trials(cfg: TrialConfig, workers: int = 1):
     """Decide whether ``cfg`` may run, before any trial work: raise
     ValueError for workers < 1, and ResourceGuardError when its kernel
@@ -161,7 +182,10 @@ def check_trials(cfg: TrialConfig, workers: int = 1):
     processes = _kernel_processes(cfg.trials, workers)
     check_cost(
         f"{cfg.trials} trials at m = {cfg.m} cells and n = {cfg.n} entries",
-        lambda: _TRIAL_UNIT_S * cfg.trials * (cfg.n * cfg.k + cfg.m) / processes,
+        lambda: (
+            _TRIAL_UNIT_S * cfg.trials * (cfg.n * cfg.k + cfg.m) + _replay_seconds(cfg)
+        )
+        / processes,
     )
     check_bound_cost(cfg.ell, cfg.n, cfg.k)
 

@@ -29,6 +29,11 @@ class GetResult(NamedTuple):
     value: int | None
 
 
+# The two valueless results, shared by every get that returns one.
+_ABSENT = GetResult(GetStatus.ABSENT, None)
+_INCONCLUSIVE = GetResult(GetStatus.INCONCLUSIVE, None)
+
+
 class ListingStatus(enum.Enum):
     COMPLETE = "complete"
     PARTIAL = "partial"
@@ -49,7 +54,9 @@ class Iblt:
     """Cell array driven by a hash scheme (anything with k, m, b and indices()).
 
     A table is single-writer; concurrent reads of an unchanging table are
-    safe.  An all-zero table represents the empty set.
+    safe.  An all-zero table represents the empty set.  Insert, delete and
+    get each hash their key once, with one ``scheme.indices`` call, and
+    listing hashes once per count-1 cell it tries.
 
     Results are certain only while the table holds pairs that were
     inserted.  Deleting a pair that was never inserted (a non-member)
@@ -77,18 +84,20 @@ class Iblt:
     def insert(self, x: int, y: int):
         """Add the pair (x, y); touches exactly k cells."""
         self._check(x, y)
+        counts, key_sums, value_sums = self._counts, self._key_sums, self._value_sums
         for c in self.scheme.indices(x):
-            self._counts[c] += 1
-            self._key_sums[c] ^= x
-            self._value_sums[c] ^= y
+            counts[c] += 1
+            key_sums[c] ^= x
+            value_sums[c] ^= y
 
     def delete(self, x: int, y: int):
         """Exact inverse of insert; no membership check, counts may go negative."""
         self._check(x, y)
+        counts, key_sums, value_sums = self._counts, self._key_sums, self._value_sums
         for c in self.scheme.indices(x):
-            self._counts[c] -= 1
-            self._key_sums[c] ^= x
-            self._value_sums[c] ^= y
+            counts[c] -= 1
+            key_sums[c] ^= x
+            value_sums[c] ^= y
 
     def get(self, x: int) -> GetResult:
         """Look up the value stored under key x.
@@ -99,12 +108,15 @@ class Iblt:
         rather than returned as a wrong value.
         """
         cells = self.scheme.indices(x)
-        if any(self._counts[c] == 0 for c in cells):
-            return GetResult(GetStatus.ABSENT, None)
+        counts = self._counts
         for c in cells:
-            if self._counts[c] == 1 and self._key_sums[c] == x:
+            if counts[c] == 0:
+                return _ABSENT
+        key_sums = self._key_sums
+        for c in cells:
+            if counts[c] == 1 and key_sums[c] == x:
                 return GetResult(GetStatus.FOUND, self._value_sums[c])
-        return GetResult(GetStatus.INCONCLUSIVE, None)
+        return _INCONCLUSIVE
 
     def cell(self, i: int) -> Cell:
         return Cell(self._counts[i], self._key_sums[i], self._value_sums[i])
@@ -113,11 +125,7 @@ class Iblt:
         return [self.cell(i) for i in range(self.m)]
 
     def nonzero_cells(self) -> int:
-        return sum(
-            1
-            for i in range(self.m)
-            if self._counts[i] or self._key_sums[i] or self._value_sums[i]
-        )
+        return sum(map(any, zip(self._counts, self._key_sums, self._value_sums)))
 
     def is_empty(self) -> bool:
         return self.nonzero_cells() == 0
@@ -154,26 +162,27 @@ class Iblt:
 
         Count-1 cells wait on one stack, last in first out.
         """
-        counts = self._counts
+        counts, key_sums, value_sums = self._counts, self._key_sums, self._value_sums
+        indices = self.scheme.indices
         entries = set()
-        stack = [i for i in range(self.m) if counts[i] == 1]
+        stack = [c for c, count in enumerate(counts) if count == 1]
         while stack:
             c = stack.pop()
             if counts[c] != 1:
                 continue
-            x = self._key_sums[c]
+            x = key_sums[c]
             try:
-                cells = self.scheme.indices(x)
+                cells = indices(x)
             except KeyError:  # x is no key of an ExplicitScheme: impure
                 continue
             if c not in cells:  # several keys net to a count of 1: impure
                 continue
-            y = self._value_sums[c]
+            y = value_sums[c]
             entries.add((x, y))
             for ci in cells:
                 counts[ci] -= 1
-                self._key_sums[ci] ^= x
-                self._value_sums[ci] ^= y
+                key_sums[ci] ^= x
+                value_sums[ci] ^= y
                 if counts[ci] == 1:
                     stack.append(ci)
         residual = self.nonzero_cells()

@@ -258,6 +258,22 @@ def test_simulate_guards_trial_time(invoke_cli, monkeypatch):
     assert "guard" in err
 
 
+def test_simulate_guards_distinct_key_replay(invoke_cli, monkeypatch):
+    # 4096 distinct keys out of 2**12 repeat in every trial's vector draw,
+    # so each trial replays about 2**12 ln 2**12 key candidates one at a
+    # time: about 15 minutes in all, refused before any trial runs.
+    from ibltlab import _kernels_py
+
+    calls = []
+    monkeypatch.setattr(_kernels_py, "run_trials", lambda *a: calls.append(a) or (0, 0))
+    code, out, err = invoke_cli(
+        ["simulate", "--n", "4096", "--k", "3", "--b", "12", "--m", "48",
+         "--scheme", "ss-avoiding", "--trials", "15000"]
+    )
+    assert (code, out, calls) == (2, "", [])
+    assert "guard" in err
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_simulate_rejects_nonpositive_workers(invoke_cli, workers):
     code, out, err = invoke_cli(

@@ -159,3 +159,14 @@ def test_explicit_scheme_mapping():
     assert scheme.m == 8
     with pytest.raises(ValueError):
         ExplicitScheme(ell=4, k=2, mapping={1: (0,)})
+
+
+def test_indices_are_pinned():
+    uniform = make_partitioned_uniform(HashParams(k=3, ell=1000, b=32, seed=5))
+    assert uniform.indices(0) == (198, 1586, 2449)
+    assert uniform.indices(1) == (303, 1797, 2561)
+    assert uniform.indices(0xDEADBEEF) == (740, 1603, 2962)
+    fields = make_ss_avoiding(HashParams(k=3, ell=256, b=24, kind=HashKind.SS_AVOIDING))
+    assert fields.indices(0) == (0, 256, 512)
+    assert fields.indices(1) == (0, 256, 513)
+    assert fields.indices(0xABCDEF) == (0xAB, 256 + 0xCD, 512 + 0xEF)

@@ -174,6 +174,24 @@ def test_trial_time_guard_shares_the_work_among_processes(monkeypatch):
     simulate.check_trials(cfg, workers=2)
 
 
+def test_trial_time_guard_charges_distinct_key_replay():
+    # At n = 2**b every distinct-key trial replays its key draw: the
+    # per-entry-cell work alone is estimated at 29.6 s, under the budget,
+    # and the replay puts it far over.
+    cfg = TrialConfig(n=4096, m=48, k=3, b=12, trials=15_000)
+    simulate.check_trials(cfg)
+    with pytest.raises(ResourceGuardError):
+        simulate.check_trials(dataclasses.replace(cfg, key_model=KeyModel.DISTINCT_UNIFORM))
+    # A repeat is rare at the paper's ss-avoiding shape (about 1.3e-3 of
+    # the trials at b = 24, n = 210), so its replay costs next to nothing.
+    floor = TrialConfig(
+        n=210, m=768, k=3, b=24, trials=100_000,
+        scheme=HashKind.SS_AVOIDING, key_model=KeyModel.DISTINCT_UNIFORM,
+    )
+    assert simulate._replay_seconds(floor) < 0.1
+    simulate.check_trials(floor)
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_run_trials_rejects_nonpositive_workers(workers):
     with pytest.raises(ValueError):

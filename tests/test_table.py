@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -122,15 +123,35 @@ def test_listing_full_collision_is_partial():
     assert result.residual_cells == 3
 
 
-@pytest.mark.parametrize(
-    "mapping, deleted",
-    [
-        # Cell 0's key sum 1^2^3 = 0 is no key of the scheme.
-        ({1: (0, 4), 2: (0, 5), 3: (0, 6)}, 3),
-        # Cell 0's key sum 1^2^4 = 7 is a key, but 7 does not hash to cell 0.
-        ({1: (0, 4), 2: (0, 5), 4: (0, 6), 7: (1, 7)}, 4),
-    ],
-)
+# Two entries 1 and 2 and a deleted non-member whose cells overlap theirs
+# in one cell, which nets a count of 1 with value sum 0 but is impure.
+_IMPURE_CASES = [
+    # Cell 0's key sum 1^2^3 = 0 is no key of the scheme.
+    ({1: (0, 4), 2: (0, 5), 3: (0, 6)}, 3),
+    # Cell 0's key sum 1^2^4 = 7 is a key, but 7 does not hash to cell 0.
+    ({1: (0, 4), 2: (0, 5), 4: (0, 6), 7: (1, 7)}, 4),
+    # The same two with the impure cell at 7.  Count-1 cells are tried
+    # last in, first out, so listing tries cell 7 first, before peeling
+    # 1 or 2 takes its count off 1; above, it never tries cell 0.
+    ({1: (0, 7), 2: (1, 7), 3: (2, 7)}, 3),
+    ({1: (0, 7), 2: (1, 7), 4: (2, 7), 7: (3, 6)}, 4),
+]
+
+
+class _RecordingScheme:
+    """Passes ``indices`` through to a scheme and records each key asked."""
+
+    def __init__(self, scheme):
+        self.scheme = scheme
+        self.k, self.m, self.b = scheme.k, scheme.m, scheme.b
+        self.keys = []
+
+    def indices(self, key):
+        self.keys.append(key)
+        return self.scheme.indices(key)
+
+
+@pytest.mark.parametrize("mapping, deleted", _IMPURE_CASES)
 def test_listing_skips_impure_count_one_cells(mapping, deleted):
     t = Iblt(ExplicitScheme(ell=4, k=2, mapping=mapping))
     t.insert(1, 10)
@@ -140,6 +161,44 @@ def test_listing_skips_impure_count_one_cells(mapping, deleted):
     assert result.entries == {(1, 10), (2, 20)}
     assert result.status is ListingStatus.PARTIAL
     assert result.residual_cells == 2
+
+
+@pytest.mark.parametrize(
+    "case, tried", zip(_IMPURE_CASES, [[1, 2], [1, 2], [0, 1, 2], [1, 2, 7]])
+)
+def test_listing_hashes_once_per_peel_attempt(case, tried):
+    # One indices call per count-1 cell tried: each entry peeled, and the
+    # key sum of each impure cell, which is then skipped.
+    mapping, deleted = case
+    scheme = _RecordingScheme(ExplicitScheme(ell=4, k=2, mapping=mapping))
+    t = Iblt(scheme)
+    t.insert(1, 10)
+    t.insert(2, 20)
+    t.delete(deleted, 10 ^ 20)
+    assert scheme.keys == [1, 2, deleted]
+    scheme.keys.clear()
+    assert t.list_entries().entries == {(1, 10), (2, 20)}
+    assert sorted(scheme.keys) == tried
+
+
+@pytest.mark.parametrize("ell, complete", [(40, True), (12, False)])
+def test_one_indices_call_per_operation(ell, complete):
+    scheme = _RecordingScheme(make_partitioned_uniform(HashParams(k=3, ell=ell, b=16, seed=3)))
+    t = Iblt(scheme)
+    keys = list(range(0, 300, 5))
+    for x in keys:
+        t.insert(x, x + 1)
+    for x in range(100):
+        t.get(x)
+    for x in keys[:10]:
+        t.delete(x, x + 1)
+    assert scheme.keys == keys + list(range(100)) + keys[:10]
+    scheme.keys.clear()
+    result = t.list_entries()
+    # In a table of inserted pairs every count-1 cell tried is pure, so
+    # each try peels one entry.
+    assert result.complete is complete and result.entries
+    assert sorted(scheme.keys) == sorted(x for x, _ in result.entries)
 
 
 def test_listing_pairs_never_fail_under_field_split_scheme():
@@ -208,3 +267,73 @@ def test_width_validation():
         t.insert(1 << 16, 0)
     with pytest.raises(ValueError):
         t.insert(0, 1 << 16)
+
+
+def _churn_digest(scheme, n, seed):
+    """sha256 of one seeded churn on ``scheme``: n inserts, a get of every
+    present key and of n absent keys, a listing, n/2 deletes and one of a
+    non-member, and a listing in place."""
+    rng = random.Random(seed)
+    keys = rng.sample(range(1 << scheme.b), 2 * n + 1)
+    present, absent, stranger = keys[:n], keys[n : 2 * n], keys[-1]
+    pairs = [(x, rng.getrandbits(scheme.b)) for x in present]
+    t = Iblt(scheme)
+    for x, y in pairs:
+        t.insert(x, y)
+    gets = [t.get(x) for x in present + absent]
+    listed = t.list_entries()
+    for x, y in pairs[: n // 2]:
+        t.delete(x, y)
+    t.delete(stranger, 0)
+    remaining = t.list_entries_inplace()
+    # Every get status occurs, so each branch of get is pinned.
+    assert {got.status for got in gets} == set(GetStatus)
+    digest = hashlib.sha256()
+    for got in gets:
+        digest.update(f"{got.status.value}:{got.value};".encode())
+    for result in (listed, remaining):
+        digest.update(f"{result.status.value}:{result.residual_cells}:".encode())
+        digest.update(repr(sorted(result.entries)).encode())
+    return digest.hexdigest(), listed.status, remaining.status
+
+
+@pytest.mark.parametrize(
+    "params, n, listed_status, digest",
+    [
+        # m = 1.5n: both listings peel every stored pair; the deleted
+        # non-member is left in the residual.
+        (
+            HashParams(k=3, ell=1000, b=32, seed=5),
+            2000,
+            ListingStatus.COMPLETE,
+            "a91d36da650063d5573d47dd65cc0d087f25d88095672fef8317a3c9b61cbdf3",
+        ),
+        # m = 1.1n, below the k = 3 peeling threshold: the first listing stops.
+        (
+            HashParams(k=3, ell=734, b=32, seed=6),
+            2000,
+            ListingStatus.PARTIAL,
+            "bced4d37154b92d9dd001b29e90ae9a6817b2adf77cce423686d5ffc8ecf2738",
+        ),
+        # ell = 256 holds 768 cells: 500 pairs keep the load at m = 1.5n.
+        (
+            HashParams(k=3, ell=256, b=24, kind=HashKind.SS_AVOIDING),
+            500,
+            ListingStatus.COMPLETE,
+            "a60c504fc2101ead349e1a6211f3d9e266b0f998435e4dad7db3de88a2efe4ff",
+        ),
+    ],
+    ids=["complete", "partial", "ss-avoiding"],
+)
+def test_table_outcomes_are_pinned(params, n, listed_status, digest):
+    # Recorded before the per-key paths of hashing and table were last
+    # rewritten: a rewrite may make them faster, never change a result.
+    if params.kind is HashKind.SS_AVOIDING:
+        scheme = make_ss_avoiding(params)
+    else:
+        scheme = make_partitioned_uniform(params)
+    assert _churn_digest(scheme, n, seed=11) == (
+        digest,
+        listed_status,
+        ListingStatus.PARTIAL,
+    )
