@@ -5,10 +5,19 @@ which of the ell rows the entry occupies.  Peeling removes any column that
 is the unique 1 in some row of the stacked k*ell x n matrix; the residual
 at fixpoint is nonempty exactly when a stopping sub-matrix is present.
 Enumerating every state matrix gives the exact listing failure probability
-as a rational -- no sampling, no rounding.  Clarity beats cleverness here;
-this module is the reference the fast paths are checked against.
+as a rational -- no sampling, no rounding.  This module is the reference
+the fast paths are checked against.
+
+Peeling sees only which entries share a row in each block, never the row
+indices themselves: a block enters it as the set partition it induces on
+the entries, one bit mask per occupied row.  So the peel is memoised on
+the tuple of the k partitions, which makes it exact, not approximate:
+states with equal tuples peel alike.  Of the 531,441 states at ell = 3,
+n = 4, k = 3 only 2,744 tuples differ (Stanley, *Enumerative
+Combinatorics* Vol. 1, ch. 3, on the set-partition lattice).
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,31 +49,43 @@ class StateMatrix:
         return len(self.placements[0]) if self.placements else 0
 
 
+# Bounded memos: the ell**n blocks and the tuples of partitions (at most
+# Bell(n)**k) of most shapes under the guard fit; a full _residual holds
+# about 11 MiB.
+@functools.lru_cache(maxsize=1 << 12)
+def _row_masks(block: tuple[int, ...]) -> tuple[int, ...]:
+    """The set partition ``block`` induces on the entries: one bit mask per
+    occupied row, ordered by each row's first entry, so that blocks which
+    group the entries alike give equal tuples."""
+    masks: dict[int, int] = {}
+    for j, r in enumerate(block):
+        masks[r] = masks.get(r, 0) | 1 << j
+    return tuple(masks.values())
+
+
+@functools.lru_cache(maxsize=1 << 15)
+def _residual(partitions: tuple[tuple[int, ...], ...], n: int) -> int:
+    """Bit mask of the entries left when every row that holds exactly one
+    live entry is peeled until none does."""
+    alive = (1 << n) - 1
+    peeled = True
+    while peeled:
+        peeled = False
+        for rows in partitions:
+            for row in rows:
+                live = row & alive
+                if live and not live & (live - 1):
+                    alive ^= live
+                    peeled = True
+    return alive
+
+
 def peel_fixpoint(sm: StateMatrix) -> set[int]:
-    """Columns surviving peeling; empty iff no stopping sub-matrix exists."""
-    ell, k, n = sm.ell, sm.k, sm.n
-    count = [0] * (ell * k)
-    colsum = [0] * (ell * k)
-    for i, block in enumerate(sm.placements):
-        for j, r in enumerate(block):
-            c = i * ell + r
-            count[c] += 1
-            colsum[c] += j
-    alive = [True] * n
-    stack = [c for c in range(ell * k) if count[c] == 1]
-    while stack:
-        c = stack.pop()
-        if count[c] != 1:
-            continue
-        j = colsum[c]  # the lone remaining column in this row
-        alive[j] = False
-        for i, block in enumerate(sm.placements):
-            ci = i * ell + block[j]
-            count[ci] -= 1
-            colsum[ci] -= j
-            if count[ci] == 1:
-                stack.append(ci)
-    return {j for j in range(n) if alive[j]}
+    """Columns surviving peeling, as a new set on every call; empty iff no
+    stopping sub-matrix exists."""
+    n = sm.n
+    alive = _residual(tuple(map(_row_masks, sm.placements)), n)
+    return {j for j in range(n) if alive >> j & 1} if alive else set()
 
 
 def contains_stopping_submatrix(sm: StateMatrix) -> bool:
@@ -72,11 +93,14 @@ def contains_stopping_submatrix(sm: StateMatrix) -> bool:
 
 
 def iter_state_matrices(ell: int, n: int, k: int):
-    """All ell**(n*k) state matrices, in mixed-radix order."""
-    for digits in itertools.product(range(ell), repeat=n * k):
-        yield StateMatrix(
-            ell, tuple(digits[i * n : (i + 1) * n] for i in range(k))
-        )
+    """All ell**(n*k) state matrices, in mixed-radix order: block 0 varies
+    slowest, and within a block entry 0 does."""
+    blocks = itertools.product(range(ell), repeat=n)
+    # For k >= 2 the ell**n <= sqrt(states) blocks are listed once; k = 1
+    # streams them, so it lists nothing.
+    tuples = zip(blocks) if k == 1 else itertools.product(list(blocks), repeat=k)
+    for placements in tuples:
+        yield StateMatrix(ell, placements)
 
 
 def exact_failure_probability(
@@ -96,7 +120,5 @@ def exact_failure_probability(
         raise ResourceGuardError(
             f"ell**(n*k) = {total} state matrices exceeds the guard of {guard}"
         )
-    failing = sum(
-        1 for sm in iter_state_matrices(ell, n, k) if contains_stopping_submatrix(sm)
-    )
+    failing = sum(1 for sm in iter_state_matrices(ell, n, k) if peel_fixpoint(sm))
     return Fraction(failing, total)

@@ -11,6 +11,7 @@ mix64(mix64(seed ^ SWEEP_SALT) + m*PHI64).
 """
 
 import enum
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -56,15 +57,32 @@ _CELL_BYTES = 16
 _ENTRY_BYTES = 32
 _ENTRY_CELL_BYTES = 48
 
-# Kernel seconds per unit of trial work, trials * (n*k + m) units in all;
-# trials estimated over COST_GUARD_S are refused.  On a 2-core x86 VM under
-# CPython 3.11 the slowest shapes measured, loads near the peeling
-# threshold, take this long, and the paper's shapes a tenth to a
-# twentieth.  The sequential key replay of distinct-key trials is charged
-# on top, at _REPLAY_CANDIDATE_S per key candidate it draws (see
-# _replay_seconds): on the same VM one candidate, a scalar mix64 and a set
-# lookup, took 1.1-1.5 us on one pinned vCPU.
-_TRIAL_UNIT_S = 1.6e-7
+# Kernel seconds per unit of trial work, trials * (n*k + m) units in all,
+# against x, the load n/m over the peeling threshold of k (see
+# _trial_unit_s); trials estimated over COST_GUARD_S are refused.  Far
+# below the threshold a trial peels in a few rounds; near it the rounds
+# grow, most at x = 1, and past it the peel stops early.  Each rate is
+# about 1.6 times the slowest measured near its x on a 2-core x86 VM under
+# CPython 3.11, over k = 1, 2, 3, 4, 6 at 60, 768 and 30,000 cells.  The
+# spike at x = 1 grows with the table: the peak rate covers 300,000 cells
+# (measured at 0.85 us), not larger tables.  The sequential key replay of
+# distinct-key trials is charged on top, at _REPLAY_CANDIDATE_S per key
+# candidate it draws (see _replay_seconds): on the same VM one candidate,
+# a scalar mix64 and a set lookup, took 1.1-1.5 us on one pinned vCPU.
+_TRIAL_RATES = (
+    (0.0, 2.5e-8),
+    (0.55, 5.0e-8),
+    (0.75, 1.0e-7),
+    (0.9, 1.8e-7),
+    (0.97, 3.4e-7),
+    (0.985, 1.0e-6),
+    (1.015, 1.0e-6),
+    (1.06, 4.0e-7),
+    (1.2, 2.6e-7),
+    (1.5, 2.3e-7),
+    (3.0, 2.0e-7),
+    (10.0, 1.2e-7),
+)
 _REPLAY_CANDIDATE_S = 1.7e-6
 
 
@@ -155,6 +173,38 @@ def check_trial_memory(cfg: TrialConfig, workers: int = 1):
         )
 
 
+@functools.cache
+def _peeling_threshold(k: int) -> float:
+    """Load n/m below which peeling a large random table with k >= 2 cells
+    per entry succeeds: the minimum over y > 0 of
+    y / (k (1 - e^-y)^(k-1)), 0.5 at k = 2 and 0.818 at k = 3.  The
+    function is unimodal in y, so a ternary search finds it."""
+    def load(y):
+        return y / (k * (-math.expm1(-y)) ** (k - 1))
+
+    lo, hi = 1e-9, 2.0 * k
+    for _ in range(100):
+        a, b = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+        if load(a) < load(b):
+            hi = b
+        else:
+            lo = a
+    return load(lo)
+
+
+def _trial_unit_s(cfg: TrialConfig) -> float:
+    """Kernel seconds per unit of ``cfg``'s trial work, interpolated in
+    ``_TRIAL_RATES`` at its load over the peeling threshold.  A k = 1
+    table peels in one round at any load and is charged the last rate."""
+    if cfg.k == 1:
+        return _TRIAL_RATES[-1][1]
+    x = cfg.n / cfg.m / _peeling_threshold(cfg.k)
+    for (x0, r0), (x1, r1) in zip(_TRIAL_RATES, _TRIAL_RATES[1:]):
+        if x < x1:
+            return r0 + (r1 - r0) * (x - x0) / (x1 - x0)
+    return _TRIAL_RATES[-1][1]
+
+
 def _replay_seconds(cfg: TrialConfig) -> float:
     """Estimated seconds of sequential key replay in all of ``cfg``'s trials.
 
@@ -183,7 +233,8 @@ def check_trials(cfg: TrialConfig, workers: int = 1):
     check_cost(
         f"{cfg.trials} trials at m = {cfg.m} cells and n = {cfg.n} entries",
         lambda: (
-            _TRIAL_UNIT_S * cfg.trials * (cfg.n * cfg.k + cfg.m) + _replay_seconds(cfg)
+            _trial_unit_s(cfg) * cfg.trials * (cfg.n * cfg.k + cfg.m)
+            + _replay_seconds(cfg)
         )
         / processes,
     )

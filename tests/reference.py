@@ -1,4 +1,5 @@
-"""Frozen reference values shared by the unit and acceptance tests."""
+"""Frozen reference values, and plain reference implementations, shared by
+the unit and acceptance tests."""
 
 # Exact stopping-matrix counts for subtable sizes 1..10 (rows) and column
 # counts 1..10 (columns).  Every value has been cross-checked against
@@ -15,3 +16,35 @@ STOPPING_COUNTS_10X10 = [
     [0, 9, 9, 225, 729, 9369, 56961, 573057, 4794633, 46341081],
     [0, 10, 10, 280, 910, 13060, 80650, 892720, 7753510, 81163900],
 ]
+
+
+def peel_cells(ell, placements):
+    """Columns left when peeling a state matrix one cell at a time.
+
+    ``placements[i][j]`` is the row of entry j in block i.  Cell counts and
+    column sums find each cell that holds one live entry, which is then
+    removed from all of its cells; an independent check of the oracle's
+    memoised peel.
+    """
+    k, n = len(placements), len(placements[0])
+    count = [0] * (ell * k)
+    colsum = [0] * (ell * k)
+    for i, block in enumerate(placements):
+        for j, r in enumerate(block):
+            count[i * ell + r] += 1
+            colsum[i * ell + r] += j
+    alive = [True] * n
+    stack = [c for c in range(ell * k) if count[c] == 1]
+    while stack:
+        c = stack.pop()
+        if count[c] != 1:
+            continue
+        j = colsum[c]  # the lone remaining column in this cell
+        alive[j] = False
+        for i, block in enumerate(placements):
+            ci = i * ell + block[j]
+            count[ci] -= 1
+            colsum[ci] -= j
+            if count[ci] == 1:
+                stack.append(ci)
+    return {j for j in range(n) if alive[j]}

@@ -258,6 +258,27 @@ def test_simulate_guards_trial_time(invoke_cli, monkeypatch):
     assert "guard" in err
 
 
+def test_simulate_time_guard_follows_the_load(invoke_cli, monkeypatch):
+    # 200k trials at the paper's shape (load 0.27) run in a few seconds and
+    # are accepted; the same work near the peeling threshold (load 0.82)
+    # is estimated at minutes and refused before any trial runs.
+    from ibltlab import _kernels_py
+
+    calls = []
+    monkeypatch.setattr(_kernels_py, "run_trials", lambda *a: calls.append(a) or (0, 0))
+    code, out, err = invoke_cli(
+        ["simulate", "--n", "210", "--k", "3", "--m", "768", "--trials", "200000"]
+    )
+    assert (code, err) == (0, "")
+    assert out.startswith("m,ell,n,k,")
+    assert [a[1:4] for a in calls] == [(0, 200_000, 210)]
+    code, out, err = invoke_cli(
+        ["simulate", "--n", "628", "--k", "3", "--m", "768", "--trials", "105000"]
+    )
+    assert (code, out, len(calls)) == (2, "", 1)
+    assert "guard" in err
+
+
 def test_simulate_guards_distinct_key_replay(invoke_cli, monkeypatch):
     # 4096 distinct keys out of 2**12 repeat in every trial's vector draw,
     # so each trial replays about 2**12 ln 2**12 key candidates one at a

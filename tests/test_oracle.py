@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import ibltlab.oracle
 from ibltlab import (
     ExplicitScheme,
     Iblt,
@@ -13,6 +14,7 @@ from ibltlab import (
     iter_state_matrices,
     peel_fixpoint,
 )
+from reference import peel_cells
 
 
 def test_single_column_always_peels():
@@ -78,6 +80,51 @@ def test_enumeration_is_complete():
     matrices = list(iter_state_matrices(2, 2, 2))
     assert len(matrices) == 2 ** 4
     assert len(set(matrices)) == 2 ** 4
+
+
+def test_peel_fixpoint_matches_cell_count_peel():
+    # The memoised peel against the plain one-cell-at-a-time peel, on every
+    # state of every small shape.
+    shapes = [
+        (ell, n, k)
+        for ell in range(1, 5)
+        for n in range(1, 6)
+        for k in range(1, 4)
+        if ell ** (n * k) <= 50_000
+    ]
+    assert len(shapes) == 52
+    for ell, n, k in shapes:
+        for sm in iter_state_matrices(ell, n, k):
+            assert peel_fixpoint(sm) == peel_cells(ell, sm.placements), sm
+
+
+def test_peel_fixpoint_returns_a_fresh_set():
+    sm = StateMatrix(3, ((1, 1, 2), (0, 0, 1)))
+    residual = peel_fixpoint(sm)
+    assert residual == {0, 1}
+    residual.clear()
+    assert peel_fixpoint(sm) == {0, 1}
+    peel_fixpoint(StateMatrix(3, ((0, 1, 2), (0, 1, 2)))).add(7)
+    assert peel_fixpoint(StateMatrix(3, ((0, 1, 2), (0, 1, 2)))) == set()
+
+
+@pytest.mark.parametrize("ell,n,k", [(1, 3, 2), (3, 1, 2), (3, 2, 1), (2, 3, 2), (3, 2, 3), (2, 1, 4)])
+def test_enumeration_order_is_mixed_radix(ell, n, k):
+    digits = itertools.product(range(ell), repeat=n * k)
+    expected = [tuple(d[i * n : (i + 1) * n] for i in range(k)) for d in digits]
+    assert [sm.placements for sm in iter_state_matrices(ell, n, k)] == expected
+
+
+@pytest.mark.parametrize("ell,n,k", [(1, 2, 3), (2, 3, 2), (3, 3, 2), (4, 2, 2)])
+def test_exact_probability_peels_each_state_once(ell, n, k, monkeypatch):
+    # Benchmark tracing counts one peel_fixpoint call per state.
+    expected = exact_failure_probability(ell, n, k)
+    calls = []
+    peel = ibltlab.oracle.peel_fixpoint
+    monkeypatch.setattr(ibltlab.oracle, "peel_fixpoint", lambda sm: calls.append(sm) or peel(sm))
+    assert exact_failure_probability(ell, n, k) == expected
+    assert len(calls) == ell ** (n * k)
+    assert len(set(calls)) == len(calls)
 
 
 def test_listing_fails_exactly_on_stopping_submatrices():

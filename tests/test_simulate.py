@@ -166,9 +166,10 @@ def test_refusals_come_before_any_kernel_call(monkeypatch):
 
 
 def test_trial_time_guard_shares_the_work_among_processes(monkeypatch):
-    # About 45 s of trial work: two processes fit the 30 s budget, one does not.
+    # About 43 s of trial work at load 0.75: two processes fit the 30 s
+    # budget, one does not.
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
-    cfg = TrialConfig(n=210, m=768, k=3, trials=200_000)
+    cfg = TrialConfig(n=576, m=768, k=3, trials=80_000)
     with pytest.raises(ResourceGuardError):
         simulate.check_trials(cfg, workers=1)
     simulate.check_trials(cfg, workers=2)
@@ -176,7 +177,7 @@ def test_trial_time_guard_shares_the_work_among_processes(monkeypatch):
 
 def test_trial_time_guard_charges_distinct_key_replay():
     # At n = 2**b every distinct-key trial replays its key draw: the
-    # per-entry-cell work alone is estimated at 29.6 s, under the budget,
+    # per-entry-cell work alone is estimated at 22.2 s, under the budget,
     # and the replay puts it far over.
     cfg = TrialConfig(n=4096, m=48, k=3, b=12, trials=15_000)
     simulate.check_trials(cfg)
@@ -190,6 +191,25 @@ def test_trial_time_guard_charges_distinct_key_replay():
     )
     assert simulate._replay_seconds(floor) < 0.1
     simulate.check_trials(floor)
+
+
+def test_peeling_thresholds():
+    assert simulate._peeling_threshold(2) == pytest.approx(0.5)
+    assert simulate._peeling_threshold(3) == pytest.approx(0.8185, abs=1e-4)
+    assert simulate._peeling_threshold(4) == pytest.approx(0.7723, abs=1e-4)
+
+
+def test_trial_rate_peaks_at_the_peeling_threshold():
+    def rate(n, m, k):
+        return simulate._trial_unit_s(TrialConfig(n=n, m=m, k=k, trials=1))
+
+    # Load 0.27, the paper's shape, against 0.82, the threshold of k = 3.
+    assert rate(210, 768, 3) < rate(629, 768, 3) / 20
+    # At k = 2 the threshold is at load 0.5.
+    assert rate(384, 768, 2) == rate(629, 768, 3) == max(r for _, r in simulate._TRIAL_RATES)
+    rates = [rate(n, 768, 3) for n in range(1, 630)]
+    assert rates == sorted(rates)
+    assert rate(768, 768, 1) == rate(10, 768, 1) == simulate._TRIAL_RATES[-1][1]
 
 
 @pytest.mark.parametrize("workers", [0, -3])
