@@ -7,13 +7,14 @@ This is the one module that imports numpy when it is imported; ``census``
 and ``simulate`` import it only where they call it, so the package starts
 without numpy.
 
-The trial loop peels a batch of trials at once.  Their tables sit side by
-side in one cell array, and each round counts the live entries per cell
-with ``np.bincount`` and drops every live entry that has a cell of count
-one.  Peeling is confluent: any order of peels ends at the same fixpoint,
-the largest stopping set, so the rounds leave exactly the entries a
-one-cell-at-a-time peeler leaves (Jiang, Mitzenmacher and Thaler,
-"Parallel Peeling Algorithms", arXiv:1302.7014).  A batch holds about
+The trial loop mixes only the key outputs of each trial's counter stream
+(the values play no part in peeling) and peels a batch of trials at once.
+Their tables sit side by side in one cell array, and each round counts the
+live entries per cell with ``np.bincount`` and drops every live entry whose
+least cell count is one.  Peeling is confluent: any order of peels ends at
+the same fixpoint, the largest stopping set, so the rounds leave exactly
+the entries a one-cell-at-a-time peeler leaves (Jiang, Mitzenmacher and
+Thaler, "Parallel Peeling Algorithms", arXiv:1302.7014).  A batch holds about
 ``BATCH_CELLS`` cells and entry cells, which bounds its memory; a table
 wider than that runs one trial per batch.
 """
@@ -92,15 +93,17 @@ def peel_rounds(cells: np.ndarray, m: int) -> np.ndarray:
 
     ``cells`` has shape (k, entries): column e holds entry e's k cells, all
     in [0, m).  A round drops every live entry that is alone in one of its
-    cells; peeling stops after a round that drops nothing.
+    cells; peeling stops after a round that drops nothing.  Each cell of a
+    live entry counts at least that entry, so the entry is alone in one of
+    its cells exactly when the least of their counts is 1.
     """
     alive = np.arange(cells.shape[1])
     while alive.size:
         counts = np.bincount(cells.ravel(), minlength=m)
-        keep = ~(counts[cells] == 1).any(axis=0)
-        if keep.all():
+        keep = np.flatnonzero(counts[cells].min(axis=0) > 1)
+        if keep.size == alive.size:
             break
-        cells = cells[:, keep]
+        cells = cells.take(keep, axis=1)
         alive = alive[keep]
     return alive
 
@@ -118,11 +121,12 @@ def run_trials(
 ) -> tuple[int, int]:
     """Run listing trials [t_lo, t_hi); returns (failures, size-2 residuals).
 
-    A trial draws n key-value pairs from the trial's counter stream,
-    builds the table, peels to fixpoint, and fails when any entry is left
-    unrecovered.  The second counter is the number of failing trials with
-    exactly two entries left, which at fixpoint forces their index tuples
-    to coincide.
+    A trial draws the keys of n key-value pairs from the trial's counter
+    stream (outputs 0, 2, 4, ...; the values at the odd outputs are never
+    mixed), builds the table, peels to fixpoint, and fails when any entry
+    is left unrecovered.  The second counter is the number of failing
+    trials with exactly two entries left, which at fixpoint forces their
+    index tuples to coincide.
 
     Trials run in batches; each batch's tables sit side by side in one
     cell array, trial r of the batch owning cells [r*m, (r+1)*m).
@@ -131,7 +135,7 @@ def run_trials(
     m = ell * k
     batch = max(1, BATCH_CELLS // (n * k + m))
     base = np.uint64(mix64(seed ^ TRIAL_SALT))
-    steps = np.arange(1, 2 * n + 1, dtype=np.uint64) * np.uint64(PHI64)
+    steps = np.arange(1, 2 * n, 2, dtype=np.uint64) * np.uint64(PHI64)
     np_mask = np.uint64(mask)
     if scheme == SCHEME_PARTITIONED:
         hasher = PartitionedUniformScheme(HashParams(k, ell, b, seed))
@@ -146,7 +150,8 @@ def run_trials(
         # trial_state(seed, t) for the batch's trials t = lo, lo+1, ...
         counters = np.arange(lo + 1, lo + trials + 1, dtype=np.uint64)
         states = mix64_array(base + counters * np.uint64(PHI64))
-        keys = mix64_array(states[:, None] + steps)[:, 0::2] & np_mask
+        keys = mix64_array(states[:, None] + steps)
+        keys &= np_mask
         if key_model == KEYS_DISTINCT:
             ordered = np.sort(keys, axis=1)
             repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)

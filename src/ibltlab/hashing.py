@@ -19,7 +19,10 @@ evaluation is a pure function of (scheme, key).  ``indices`` is plain
 integer arithmetic, one step per subtable over (first cell, lane key or
 field shift) pairs built with the scheme; only the vectorized
 ``indices_array`` uses numpy, which it imports when called.  A scheme
-builds its numpy constants once, on its first ``indices_array`` call.
+builds its numpy constants once, on its first ``indices_array`` call.  The
+partitioned scheme's ``indices_array`` reduces modulo ell as
+``h - h // ell * ell``, equal to ``h % ell`` on unsigned integers, because
+numpy divides by a scalar several times faster than it takes a remainder.
 """
 
 import enum
@@ -97,7 +100,7 @@ class PartitionedUniformScheme:
         import numpy as np
 
         lanes = np.array(self._lanes, dtype=np.uint64)[:, None]
-        offsets = np.arange(0, self.m, self.ell, dtype=np.int64)[:, None]
+        offsets = np.arange(0, self.m, self.ell, dtype=np.uint64)[:, None]
         return lanes, offsets, np.uint64(self.ell)
 
     def indices_array(self, keys: "np.ndarray") -> "np.ndarray":
@@ -106,8 +109,10 @@ class PartitionedUniformScheme:
 
         lanes, offsets, ell = self._array_constants
         keys = keys.astype(np.uint64, copy=False)
-        hashed = mix64_array(keys[None, :] ^ lanes) % ell
-        return hashed.astype(np.int64) + offsets
+        hashed = mix64_array(keys[None, :] ^ lanes)
+        hashed -= hashed // ell * ell  # hashed % ell, see the module docstring
+        hashed += offsets
+        return hashed.view(np.int64)
 
 
 class SsAvoidingScheme:
@@ -146,7 +151,7 @@ class SsAvoidingScheme:
         import numpy as np
 
         shifts = np.array([s for _, s in self._subtables], dtype=np.uint64)[:, None]
-        offsets = np.arange(0, self.m, self.ell, dtype=np.int64)[:, None]
+        offsets = np.arange(0, self.m, self.ell, dtype=np.uint64)[:, None]
         return shifts, offsets, np.uint64(self.ell - 1)
 
     def indices_array(self, keys: "np.ndarray") -> "np.ndarray":
@@ -158,8 +163,10 @@ class SsAvoidingScheme:
             y = keys.astype(np.uint64, copy=False)
         else:
             y = np.array([self._bijection(int(x)) for x in keys], dtype=np.uint64)
-        fields = (y[None, :] >> shifts) & mask
-        return fields.astype(np.int64) + offsets
+        fields = y[None, :] >> shifts
+        fields &= mask
+        fields += offsets
+        return fields.view(np.int64)
 
 
 class ExplicitScheme:

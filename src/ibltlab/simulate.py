@@ -14,7 +14,6 @@ import enum
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from ibltlab._bits import (
@@ -63,20 +62,29 @@ _ENTRY_CELL_BYTES = 48
 # below the threshold a trial peels in a few rounds; near it the rounds
 # grow, most at x = 1, and past it the peel stops early.  Each rate is
 # about 1.6 times the slowest measured near its x on a 2-core x86 VM under
-# CPython 3.11, over k = 1, 2, 3, 4, 6 at 60, 768 and 30,000 cells.  The
-# spike at x = 1 grows with the table: the peak rate covers 300,000 cells
-# (measured at 0.85 us), not larger tables.  The sequential key replay of
-# distinct-key trials is charged on top, at _REPLAY_CANDIDATE_S per key
-# candidate it draws (see _replay_seconds): on the same VM one candidate,
-# a scalar mix64 and a set lookup, took 1.1-1.5 us on one pinned vCPU.
+# CPython 3.11, over k = 1, 2, 3, 4, 6 at 60, 768 and 30,000 cells, with a
+# kernel that has since become 1.5-3 times faster.  At k >= 3 the spike at
+# x = 1 grows with the table, so past _PEAK_CELLS cells the peak rate grows
+# as m**_PEAK_GROWTH (see _peak_rate).  With the current kernel, on one
+# pinned vCPU of the same VM, the slowest k = 3 trials near x = 1 took
+# 0.17 us at 30,000 cells, 0.75 us at 300,000, 1.9 us at 1e6 and 4.1 us at
+# 3e6, against peak rates of 1, 1.33, 3.1 and 6.6 us; k = 4 took 2.9 us at
+# 3e6 cells, and k = 2, whose rounds do not pile up, 0.12 us.  The
+# sequential key replay of distinct-key trials is charged on top, at
+# _REPLAY_CANDIDATE_S per key candidate it draws (see _replay_seconds): on
+# the same VM one candidate, a scalar mix64 and a set lookup, took
+# 1.1-1.5 us on one pinned vCPU.
+_PEAK_RATE = 1.0e-6
+_PEAK_CELLS = 200_000
+_PEAK_GROWTH = 0.7
 _TRIAL_RATES = (
     (0.0, 2.5e-8),
     (0.55, 5.0e-8),
     (0.75, 1.0e-7),
     (0.9, 1.8e-7),
     (0.97, 3.4e-7),
-    (0.985, 1.0e-6),
-    (1.015, 1.0e-6),
+    (0.985, _PEAK_RATE),
+    (1.015, _PEAK_RATE),
     (1.06, 4.0e-7),
     (1.2, 2.6e-7),
     (1.5, 2.3e-7),
@@ -192,17 +200,29 @@ def _peeling_threshold(k: int) -> float:
     return load(lo)
 
 
+def _peak_rate(cfg: TrialConfig) -> float:
+    """The rate at the peeling threshold: ``_PEAK_RATE`` up to
+    ``_PEAK_CELLS`` cells, growing as m**_PEAK_GROWTH past them at k >= 3,
+    where the rounds at the threshold pile up with the table."""
+    if cfg.k < 3 or cfg.m <= _PEAK_CELLS:
+        return _PEAK_RATE
+    return _PEAK_RATE * (cfg.m / _PEAK_CELLS) ** _PEAK_GROWTH
+
+
 def _trial_unit_s(cfg: TrialConfig) -> float:
     """Kernel seconds per unit of ``cfg``'s trial work, interpolated in
-    ``_TRIAL_RATES`` at its load over the peeling threshold.  A k = 1
-    table peels in one round at any load and is charged the last rate."""
+    ``_TRIAL_RATES`` at its load over the peeling threshold, with its
+    peak entries at ``_peak_rate``.  A k = 1 table peels in one round at
+    any load and is charged the last rate."""
     if cfg.k == 1:
         return _TRIAL_RATES[-1][1]
     x = cfg.n / cfg.m / _peeling_threshold(cfg.k)
-    for (x0, r0), (x1, r1) in zip(_TRIAL_RATES, _TRIAL_RATES[1:]):
+    peak = _peak_rate(cfg)
+    rates = [(x0, peak if r == _PEAK_RATE else r) for x0, r in _TRIAL_RATES]
+    for (x0, r0), (x1, r1) in zip(rates, rates[1:]):
         if x < x1:
             return r0 + (r1 - r0) * (x - x0) / (x1 - x0)
-    return _TRIAL_RATES[-1][1]
+    return rates[-1][1]
 
 
 def _replay_seconds(cfg: TrialConfig) -> float:
@@ -300,6 +320,10 @@ def run_trials(
     if processes == 1:
         results = [_run_range(a) for a in args]
     else:
+        # Imported here: concurrent.futures loads multiprocessing, which an
+        # in-process run never uses.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_run_range, args))
     failures = sum(r[0] for r in results)

@@ -136,9 +136,21 @@ def test_ss_bijection_spot_checks():
 
 def test_indices_array_matches_scalar_path():
     keys = np.arange(100, dtype=np.uint64)
+    # 64-bit keys, the top bit set in the last ones.
+    wide_keys = np.array(
+        [*range(40), 2**32 - 1, 2**62 + 7, 2**63 - 1, 2**63, 2**63 + 12345, 2**64 - 1],
+        dtype=np.uint64,
+    )
     for scheme, scheme_keys in (
         (make_partitioned_uniform(uniform_params(k=3, ell=13, seed=5)), keys),
+        # The array path reduces by h - h // ell * ell: moduli from 1 up to
+        # just under 2**32, on keys of all 64 bits.
+        *(
+            (make_partitioned_uniform(uniform_params(k=3, ell=ell, b=64, seed=5)), wide_keys)
+            for ell in (1, 2**16, 2**31 + 11, 2**32 - 5)
+        ),
         (make_ss_avoiding(ss_params(k=3, s=3, seed=5)), keys),
+        (make_ss_avoiding(ss_params(k=2, s=32, seed=5)), wide_keys),
         # A custom bijection takes the per-key path; 4-bit keys only.
         (
             make_ss_avoiding(

@@ -1,7 +1,9 @@
 """The trial kernel's outputs are pinned: key streams, both hash schemes and
 the distinct-key replay must keep producing these exact counts."""
 
+import numpy as np
 import pytest
+from reference import peel_cells
 
 from ibltlab import _kernels_py
 from ibltlab._bits import (
@@ -89,3 +91,41 @@ def test_trial_ranges_add_up(shape):
         first, second = run(lo, mid), run(mid, hi)
         assert (first[0] + second[0], first[1] + second[1]) == whole
     assert run(lo, lo) == (0, 0)
+
+
+# (k, ell, n, tables): random tables peeled side by side in one batch.
+PEEL_BATCHES = [
+    (1, 12, 10, 5),
+    (2, 10, 8, 6),
+    (3, 8, 12, 6),
+    (4, 6, 10, 6),
+    # Near the peeling threshold of k = 3 (load 0.818), where rounds grow.
+    (3, 100, 245, 4),
+    # An empty batch: no tables at all, then tables with no entries.
+    (3, 5, 0, 0),
+    (2, 5, 0, 3),
+]
+
+
+@pytest.mark.parametrize("k, ell, n, tables", PEEL_BATCHES)
+def test_peel_rounds_leaves_the_reference_entries(k, ell, n, tables):
+    rng = np.random.default_rng([k, ell, n, tables])
+    m = k * ell
+    for _ in range(20):
+        # placements[t][i][j]: row of entry j of table t in block i.
+        placements = rng.integers(0, ell, size=(tables, k, n))
+        # Table t owns cells [t*m, (t+1)*m); block i of it starts at i*ell.
+        cells = (
+            placements
+            + np.arange(0, m, ell)[None, :, None]
+            + np.arange(0, tables * m, m)[:, None, None]
+        )
+        cells = cells.transpose(1, 0, 2).reshape(k, tables * n)
+        unpeeled = _kernels_py.peel_rounds(cells, tables * m)
+        assert unpeeled.dtype.kind == "i"
+        expected = [
+            t * n + j
+            for t in range(tables)
+            for j in sorted(peel_cells(ell, placements[t].tolist()))
+        ]
+        assert unpeeled.tolist() == expected

@@ -212,6 +212,33 @@ def test_trial_rate_peaks_at_the_peeling_threshold():
     assert rate(768, 768, 1) == rate(10, 768, 1) == simulate._TRIAL_RATES[-1][1]
 
 
+# (k, m, n, kernel seconds per unit of trial work): the slowest trials
+# measured near the peeling threshold of k, on one pinned vCPU of a 2-core
+# x86 VM.  At k >= 3 the rounds there pile up with the table; at k = 2
+# they do not.
+THRESHOLD_RATES = [
+    (3, 30_000, 24_554, 1.73e-7),
+    (3, 300_000, 245_050, 7.51e-7),
+    (3, 999_999, 819_287, 1.91e-6),
+    (3, 3_000_000, 2_455_407, 4.05e-6),
+    (4, 3_000_000, 2_316_840, 2.85e-6),
+    (2, 3_000_000, 1_498_500, 1.20e-7),
+]
+
+
+@pytest.mark.parametrize("k, m, n, measured", THRESHOLD_RATES)
+def test_trial_rate_covers_the_slowest_measured_at_the_threshold(k, m, n, measured):
+    assert simulate._trial_unit_s(TrialConfig(n=n, m=m, k=k, trials=1)) > measured
+
+
+def test_time_guard_refuses_one_wide_trial_at_the_threshold():
+    # This trial took 42 s.  The union bound's cost guard refuses the shape
+    # as well, but only after the time guard.
+    cfg = TrialConfig(n=2_455_407, m=3_000_000, k=3, trials=1)
+    with pytest.raises(ResourceGuardError, match="1 trials at m = 3000000"):
+        simulate.check_trials(cfg)
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_run_trials_rejects_nonpositive_workers(workers):
     with pytest.raises(ValueError):
@@ -244,7 +271,8 @@ def test_pool_is_capped_by_cpus_and_trials(
     census, monkeypatch, cpus, workers, trials, pool_size
 ):
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", _RecordingPool)
+    # run_trials imports the pool class when it starts one.
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     cfg = tiny_cfg(trials=trials, seed=5)
     report = run_trials(cfg, census=census, workers=workers)
