@@ -7,7 +7,8 @@ derived from one finalizer; the scalar ``mix64`` and the numpy
 The scalar functions are plain integer arithmetic.  Only the two vector
 functions, ``mix64_array`` and ``stream_outputs``, use numpy, and they
 import it when called, so the census, the bounds, the oracle and the table
-run without loading it.
+run without loading it.  The trial kernel's argument codes and batch size
+live here too, so ``simulate`` reads them without loading numpy.
 """
 
 import functools
@@ -32,8 +33,17 @@ SCHEME_SS_AVOIDING = 1
 KEYS_IID = 0
 KEYS_DISTINCT = 1
 
+# Cells plus entry cells (m + n*k per trial) of one batch of kernel trials.
+BATCH_CELLS = 1 << 15
+
 _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
+
+
+def batch_trials(n: int, m: int, k: int) -> int:
+    """Trials the kernel peels side by side in one batch of about
+    ``BATCH_CELLS`` cells and entry cells; at least one."""
+    return max(1, BATCH_CELLS // (n * k + m))
 
 
 def mix64(x: int) -> int:

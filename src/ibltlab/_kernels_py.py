@@ -15,11 +15,19 @@ least cell count is one.  Peeling is confluent: any order of peels ends at
 the same fixpoint, the largest stopping set, so the rounds leave exactly
 the entries a one-cell-at-a-time peeler leaves (Jiang, Mitzenmacher and
 Thaler, "Parallel Peeling Algorithms", arXiv:1302.7014).  A batch holds about
-``BATCH_CELLS`` cells and entry cells, which bounds its memory; a table
-wider than that runs one trial per batch.
+``_bits.BATCH_CELLS`` cells and entry cells, which bounds its memory; a
+table wider than that runs one trial per batch.
+
+The trial loop also meters its work W: per batch, its entry cells once;
+per peeling round, the batch's cells plus k per live entry; and
+``REPLAY_UNITS`` per key candidate a distinct-key replay draws.  W is a
+sum over batches, and a range's batches start at its first trial, so
+ranges cut at multiples of ``batch_trials`` peel the batches of one range
+from trial 0 and sum to its W.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -29,6 +37,7 @@ from ibltlab._bits import (
     PHI64,
     SCHEME_PARTITIONED,
     TRIAL_SALT,
+    batch_trials,
     mix64,
     mix64_array,
 )
@@ -39,8 +48,10 @@ from ibltlab.hashing import (
     SsAvoidingScheme,
 )
 
-# Cells plus entry cells (m + n*k per trial) of one batch of trials.
-BATCH_CELLS = 1 << 15
+# Work units per key candidate of a distinct-key replay: a scalar mix64
+# and a set lookup took 1.0-1.5 us on one pinned vCPU of a 2-core x86 VM,
+# and 100 units are 1.6 us at simulate's 16 ns per unit.
+REPLAY_UNITS = 100
 
 # Row counts in the brute-force census's table (ell per placement).
 TABLE_CELLS = 1 << 18
@@ -67,16 +78,22 @@ def count_stopping_matrices(ell: int, n: int) -> int:
     return count
 
 
-def _distinct_keys_replay(state: int, n: int, mask: int) -> list[int]:
+def _distinct_keys_replay(
+    state: int, n: int, mask: int, spare: float = math.inf
+) -> tuple[list[int], int]:
     """Sequential key draw with rejection: the stream order behind distinct keys.
 
     Per entry: draw key candidates until unseen (each rejection consumes
-    one stream output), then consume one output for the value.
+    one stream output), then consume one output for the value.  Returns
+    the keys and the replay's work, ``REPLAY_UNITS`` per candidate; once
+    that work passes ``spare`` the draw stops, with fewer than n keys.
     """
     keys: list[int] = []
     seen = set()
     ctr = 0
     for _ in range(n):
+        if REPLAY_UNITS * (ctr - len(keys)) > spare:
+            break
         while True:
             ctr += 1
             x = mix64((state + ctr * PHI64) & MASK64) & mask
@@ -85,27 +102,32 @@ def _distinct_keys_replay(state: int, n: int, mask: int) -> list[int]:
         seen.add(x)
         keys.append(x)
         ctr += 1  # value draw
-    return keys
+    return keys, REPLAY_UNITS * (ctr - len(keys))
 
 
-def peel_rounds(cells: np.ndarray, m: int) -> np.ndarray:
-    """Peel to the fixpoint in rounds; returns the indices of unpeeled entries.
+def peel_rounds(cells: np.ndarray, m: int, budget: float = math.inf) -> tuple[np.ndarray, int]:
+    """Peel to the fixpoint in rounds; returns the indices of unpeeled
+    entries and the work of the rounds, m cells plus ``cells.size`` live
+    entry cells each.
 
     ``cells`` has shape (k, entries): column e holds entry e's k cells, all
     in [0, m).  A round drops every live entry that is alone in one of its
-    cells; peeling stops after a round that drops nothing.  Each cell of a
-    live entry counts at least that entry, so the entry is alone in one of
-    its cells exactly when the least of their counts is 1.
+    cells; peeling stops after a round that drops nothing, or once the
+    work passes ``budget``.  Each cell of a live entry counts at least that
+    entry, so the entry is alone in one of its cells exactly when the
+    least of their counts is 1.
     """
     alive = np.arange(cells.shape[1])
-    while alive.size:
+    work = 0
+    while alive.size and work <= budget:
+        work += m + cells.size
         counts = np.bincount(cells.ravel(), minlength=m)
         keep = np.flatnonzero(counts[cells].min(axis=0) > 1)
         if keep.size == alive.size:
             break
         cells = cells.take(keep, axis=1)
         alive = alive[keep]
-    return alive
+    return alive, work
 
 
 def run_trials(
@@ -118,8 +140,11 @@ def run_trials(
     b: int,
     scheme: int,
     key_model: int,
-) -> tuple[int, int]:
-    """Run listing trials [t_lo, t_hi); returns (failures, size-2 residuals).
+    *,
+    budget: float = math.inf,
+) -> tuple[int, int, int]:
+    """Run listing trials [t_lo, t_hi); returns (failures, size-2
+    residuals, work).
 
     A trial draws the keys of n key-value pairs from the trial's counter
     stream (outputs 0, 2, 4, ...; the values at the odd outputs are never
@@ -128,12 +153,14 @@ def run_trials(
     trials with exactly two entries left, which at fixpoint forces their
     index tuples to coincide.
 
-    Trials run in batches; each batch's tables sit side by side in one
-    cell array, trial r of the batch owning cells [r*m, (r+1)*m).
+    Trials run in batches of ``batch_trials`` trials counted from t_lo;
+    each batch's tables sit side by side in one cell array, trial r of the
+    batch owning cells [r*m, (r+1)*m).  Once the work passes ``budget``
+    the call returns at once, with the counts of the batches it finished.
     """
     mask = (1 << b) - 1
     m = ell * k
-    batch = max(1, BATCH_CELLS // (n * k + m))
+    batch = batch_trials(n, m, k)
     base = np.uint64(mix64(seed ^ TRIAL_SALT))
     steps = np.arange(1, 2 * n, 2, dtype=np.uint64) * np.uint64(PHI64)
     np_mask = np.uint64(mask)
@@ -143,10 +170,10 @@ def run_trials(
         params = HashParams(k, ell, b, seed, HashKind.SS_AVOIDING)
         hasher = SsAvoidingScheme(params, None)
 
-    failures = 0
-    two_left = 0
+    failures = two_left = work = 0
     for lo in range(t_lo, t_hi, batch):
         trials = min(batch, t_hi - lo)
+        work += trials * n * k
         # trial_state(seed, t) for the batch's trials t = lo, lo+1, ...
         counters = np.arange(lo + 1, lo + trials + 1, dtype=np.uint64)
         states = mix64_array(base + counters * np.uint64(PHI64))
@@ -156,11 +183,18 @@ def run_trials(
             ordered = np.sort(keys, axis=1)
             repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
             for r in np.flatnonzero(repeats):
-                keys[r] = _distinct_keys_replay(int(states[r]), n, mask)
+                replayed, spent = _distinct_keys_replay(int(states[r]), n, mask, budget - work)
+                work += spent
+                if work > budget:
+                    return failures, two_left, work
+                keys[r] = replayed
         cells = hasher.indices_array(keys.ravel()).reshape(k, trials, n)
         cells += np.arange(0, trials * m, m, dtype=np.int64)[:, None]
-        unpeeled = peel_rounds(cells.reshape(k, trials * n), trials * m)
+        unpeeled, spent = peel_rounds(cells.reshape(k, trials * n), trials * m, budget - work)
+        work += spent
+        if work > budget:
+            return failures, two_left, work
         left = np.bincount(unpeeled // n, minlength=trials)
         failures += int(np.count_nonzero(left))
         two_left += int(np.count_nonzero(left == 2))
-    return failures, two_left
+    return failures, two_left, work

@@ -182,18 +182,14 @@ def cmd_simulate(args, out) -> int:
         scheme=scheme,
         key_model=key_model,
     )
-    # Every grid point is validated and checked before the header is written.
+    # Every grid point is validated and checked before any runs, and the
+    # rows are written once every point has run, so a refusal leaves
+    # stdout empty.
     configs = simulate.sweep_configs(base, m_values, args.workers)
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        [
-            "m", "ell", "n", "k", "b", "scheme", "trials", "failures",
-            "p_hat", "ci_low", "ci_high", "bound_clamped", "p2", "seed",
-        ]
-    )
+    rows = []
     for cfg in configs:
         report = simulate.run_trials(cfg, workers=args.workers)
-        writer.writerow(
+        rows.append(
             [
                 report.m,
                 report.ell,
@@ -216,6 +212,14 @@ def cmd_simulate(args, out) -> int:
                 f"m={report.m}: {report.failures}/{report.trials} failures",
                 file=sys.stderr,
             )
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(
+        [
+            "m", "ell", "n", "k", "b", "scheme", "trials", "failures",
+            "p_hat", "ci_low", "ci_high", "bound_clamped", "p2", "seed",
+        ]
+    )
+    writer.writerows(rows)
     return 0
 
 

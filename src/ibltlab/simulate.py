@@ -11,7 +11,6 @@ mix64(mix64(seed ^ SWEEP_SALT) + m*PHI64).
 """
 
 import enum
-import functools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -22,10 +21,11 @@ from ibltlab._bits import (
     MASK64,
     SCHEME_PARTITIONED,
     SCHEME_SS_AVOIDING,
+    batch_trials,
     sweep_point_seed,
 )
 from ibltlab.bounds import check_bound_cost, size2_asymptote, union_bound
-from ibltlab.census import StoppingCensus, check_cost
+from ibltlab.census import COST_GUARD_S, StoppingCensus
 from ibltlab.errors import ResourceGuardError
 from ibltlab.hashing import HashKind, HashParams
 
@@ -56,42 +56,16 @@ _CELL_BYTES = 16
 _ENTRY_BYTES = 32
 _ENTRY_CELL_BYTES = 48
 
-# Kernel seconds per unit of trial work, trials * (n*k + m) units in all,
-# against x, the load n/m over the peeling threshold of k (see
-# _trial_unit_s); trials estimated over COST_GUARD_S are refused.  Far
-# below the threshold a trial peels in a few rounds; near it the rounds
-# grow, most at x = 1, and past it the peel stops early.  Each rate is
-# about 1.6 times the slowest measured near its x on a 2-core x86 VM under
-# CPython 3.11, over k = 1, 2, 3, 4, 6 at 60, 768 and 30,000 cells, with a
-# kernel that has since become 1.5-3 times faster.  At k >= 3 the spike at
-# x = 1 grows with the table, so past _PEAK_CELLS cells the peak rate grows
-# as m**_PEAK_GROWTH (see _peak_rate).  With the current kernel, on one
-# pinned vCPU of the same VM, the slowest k = 3 trials near x = 1 took
-# 0.17 us at 30,000 cells, 0.75 us at 300,000, 1.9 us at 1e6 and 4.1 us at
-# 3e6, against peak rates of 1, 1.33, 3.1 and 6.6 us; k = 4 took 2.9 us at
-# 3e6 cells, and k = 2, whose rounds do not pile up, 0.12 us.  The
-# sequential key replay of distinct-key trials is charged on top, at
-# _REPLAY_CANDIDATE_S per key candidate it draws (see _replay_seconds): on
-# the same VM one candidate, a scalar mix64 and a set lookup, took
-# 1.1-1.5 us on one pinned vCPU.
-_PEAK_RATE = 1.0e-6
-_PEAK_CELLS = 200_000
-_PEAK_GROWTH = 0.7
-_TRIAL_RATES = (
-    (0.0, 2.5e-8),
-    (0.55, 5.0e-8),
-    (0.75, 1.0e-7),
-    (0.9, 1.8e-7),
-    (0.97, 3.4e-7),
-    (0.985, _PEAK_RATE),
-    (1.015, _PEAK_RATE),
-    (1.06, 4.0e-7),
-    (1.2, 2.6e-7),
-    (1.5, 2.3e-7),
-    (3.0, 2.0e-7),
-    (10.0, 1.2e-7),
-)
-_REPLAY_CANDIDATE_S = 1.7e-6
+# Kernel seconds per unit of trial work W (see _kernels_py.run_trials);
+# trials whose W passes COST_GUARD_S seconds' worth in each kernel process
+# are refused.  On one pinned vCPU of a 2-core x86 VM under CPython 3.11,
+# over k = 1-4, 768 to 300,000 cells and loads 0.13-2.4 times the peeling
+# threshold, a unit took 1.2-8 ns at k >= 2 and up to 30,000 cells, and
+# up to 16 ns at k >= 2 (300,000 cells, far past the threshold), the rate
+# charged here; single trials at the threshold with 3 million cells took
+# 0.8-15 ns.  At k = 1, where a trial peels in one round and drawing its
+# keys dominates, a unit took up to 24 ns.
+_WORK_UNIT_S = 1.6e-8
 
 
 @dataclass(frozen=True)
@@ -142,6 +116,7 @@ class SimReport:
     ci_high: float
     bound: float  # clamped union bound at (ell, n, k)
     p2: float  # size-2 error-floor asymptote
+    work: int  # trial work W the kernel metered
 
 
 def wilson_interval(failures: int, trials: int, z: float = _WILSON_Z) -> tuple[float, float]:
@@ -157,12 +132,35 @@ def wilson_interval(failures: int, trials: int, z: float = _WILSON_Z) -> tuple[f
     return min(max(0.0, center - half), p), max(min(1.0, center + half), p)
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, so a pinned process counts only the CPUs it is pinned to."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _kernel_processes(trials: int, workers: int) -> int:
     """Processes that run the trial kernel for ``workers`` requested: at
-    most one per CPU and one per trial.  Raises ValueError for workers < 1."""
+    most one per usable CPU and one per trial.  Raises ValueError for
+    workers < 1."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    return min(workers, os.cpu_count() or 1, trials)
+    return min(workers, _cpu_count(), trials)
+
+
+def _work_budget(processes: int) -> int:
+    """Units of trial work that ``processes`` kernel processes may spend:
+    COST_GUARD_S seconds' worth in each."""
+    return int(COST_GUARD_S * processes / _WORK_UNIT_S)
+
+
+def _work_refusal(cfg: TrialConfig, what: str, budget: int) -> ResourceGuardError:
+    return ResourceGuardError(
+        f"{cfg.trials} trials at m = {cfg.m} cells and n = {cfg.n} entries "
+        f"{what} the budget of {budget} units of trial work "
+        f"({COST_GUARD_S:g} s per kernel process)"
+    )
 
 
 def check_trial_memory(cfg: TrialConfig, workers: int = 1):
@@ -181,83 +179,19 @@ def check_trial_memory(cfg: TrialConfig, workers: int = 1):
         )
 
 
-@functools.cache
-def _peeling_threshold(k: int) -> float:
-    """Load n/m below which peeling a large random table with k >= 2 cells
-    per entry succeeds: the minimum over y > 0 of
-    y / (k (1 - e^-y)^(k-1)), 0.5 at k = 2 and 0.818 at k = 3.  The
-    function is unimodal in y, so a ternary search finds it."""
-    def load(y):
-        return y / (k * (-math.expm1(-y)) ** (k - 1))
-
-    lo, hi = 1e-9, 2.0 * k
-    for _ in range(100):
-        a, b = lo + (hi - lo) / 3, hi - (hi - lo) / 3
-        if load(a) < load(b):
-            hi = b
-        else:
-            lo = a
-    return load(lo)
-
-
-def _peak_rate(cfg: TrialConfig) -> float:
-    """The rate at the peeling threshold: ``_PEAK_RATE`` up to
-    ``_PEAK_CELLS`` cells, growing as m**_PEAK_GROWTH past them at k >= 3,
-    where the rounds at the threshold pile up with the table."""
-    if cfg.k < 3 or cfg.m <= _PEAK_CELLS:
-        return _PEAK_RATE
-    return _PEAK_RATE * (cfg.m / _PEAK_CELLS) ** _PEAK_GROWTH
-
-
-def _trial_unit_s(cfg: TrialConfig) -> float:
-    """Kernel seconds per unit of ``cfg``'s trial work, interpolated in
-    ``_TRIAL_RATES`` at its load over the peeling threshold, with its
-    peak entries at ``_peak_rate``.  A k = 1 table peels in one round at
-    any load and is charged the last rate."""
-    if cfg.k == 1:
-        return _TRIAL_RATES[-1][1]
-    x = cfg.n / cfg.m / _peeling_threshold(cfg.k)
-    peak = _peak_rate(cfg)
-    rates = [(x0, peak if r == _PEAK_RATE else r) for x0, r in _TRIAL_RATES]
-    for (x0, r0), (x1, r1) in zip(rates, rates[1:]):
-        if x < x1:
-            return r0 + (r1 - r0) * (x - x0) / (x1 - x0)
-    return rates[-1][1]
-
-
-def _replay_seconds(cfg: TrialConfig) -> float:
-    """Estimated seconds of sequential key replay in all of ``cfg``'s trials.
-
-    Under distinct keys a trial whose n vector-drawn keys repeat one, with
-    probability at most C(n, 2)/N among N = 2**b keys, draws its keys
-    again one candidate at a time, N (H_N - H_(N-n)) candidates on average.
-    That is at most N (1/L + ln(N/L)) with L = N - n + 1, about n for
-    n << N and N ln N for n = N.
-    """
-    if cfg.key_model is not KeyModel.DISTINCT_UNIFORM:
-        return 0.0
-    keys, n = 1 << cfg.b, cfg.n
-    repeats = min(1.0, n * (n - 1) / (2 * keys))
-    low = keys - n + 1
-    candidates = keys * (1 / low - math.log1p(-(n - 1) / keys))
-    return cfg.trials * repeats * candidates * _REPLAY_CANDIDATE_S
-
-
 def check_trials(cfg: TrialConfig, workers: int = 1):
-    """Decide whether ``cfg`` may run, before any trial work: raise
+    """Decide whether ``cfg`` may start, before any trial work: raise
     ValueError for workers < 1, and ResourceGuardError when its kernel
-    processes would exceed the memory guard, its trials the time guard
-    or its union bound the cost guard."""
+    processes would exceed the memory guard, its trial work W would pass
+    the work budget for certain, or its union bound would exceed the cost
+    guard.  Every trial counts its n*k entry cells and peels at least one
+    round over its m cells and n*k entry cells, so W >= trials * (m +
+    2*n*k); ``run_trials`` meters the rest as the trials run."""
     check_trial_memory(cfg, workers)
-    processes = _kernel_processes(cfg.trials, workers)
-    check_cost(
-        f"{cfg.trials} trials at m = {cfg.m} cells and n = {cfg.n} entries",
-        lambda: (
-            _trial_unit_s(cfg) * cfg.trials * (cfg.n * cfg.k + cfg.m)
-            + _replay_seconds(cfg)
-        )
-        / processes,
-    )
+    budget = _work_budget(_kernel_processes(cfg.trials, workers))
+    least = cfg.trials * (cfg.m + 2 * cfg.n * cfg.k)
+    if least > budget:
+        raise _work_refusal(cfg, f"need at least {least} units, over", budget)
     check_bound_cost(cfg.ell, cfg.n, cfg.k)
 
 
@@ -272,19 +206,23 @@ def sweep_configs(
     return configs
 
 
-def _run_range(args) -> tuple[int, int]:
+def _run_range(args) -> tuple[int, int, int]:
     from ibltlab import _kernels_py  # numpy, loaded only to run trials
 
-    seed, lo, hi, n, ell, k, b, scheme_code, key_code = args
-    return _kernels_py.run_trials(seed, lo, hi, n, ell, k, b, scheme_code, key_code)
+    *kernel_args, budget = args
+    return _kernels_py.run_trials(*kernel_args, budget=budget)
 
 
-def _trial_ranges(trials: int, processes: int) -> list[tuple[int, int]]:
-    """Split the trials into ranges, at least one per process."""
+def _trial_ranges(cfg: TrialConfig, processes: int) -> list[tuple[int, int]]:
+    """Split the trials into ranges, at least one per process, cut where
+    the kernel's batches end, so the ranges peel the batches one range
+    would and meter the same work."""
     if processes <= 1:
-        return [(0, trials)]
-    step = max(1, math.ceil(trials / (processes * 4)))
-    return [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
+        return [(0, cfg.trials)]
+    batch = batch_trials(cfg.n, cfg.m, cfg.k)
+    batches = math.ceil(cfg.trials / batch)
+    step = batch * max(1, math.ceil(batches / (processes * 4)))
+    return [(lo, min(lo + step, cfg.trials)) for lo in range(0, cfg.trials, step)]
 
 
 def run_trials(
@@ -298,36 +236,36 @@ def run_trials(
     pairs the estimate with the union bound and the floor asymptote at
     ell = m/k, and carries the count of failures that left exactly two
     entries -- those necessarily had identical index tuples.  Trials run
-    in min(workers, CPUs, trials) processes, in-process when that is 1.
-    ``check_trials`` decides, before any trial runs, whether it may run.
+    in min(workers, usable CPUs, trials) processes, in-process when that
+    is 1.  ``check_trials`` decides, before any trial runs, whether they
+    may start; the kernel then meters their work W, and ResourceGuardError
+    is raised iff W passes the budget.  A refused run stops early: each
+    kernel call returns once its own work passes the budget, and a pool
+    cancels the ranges not yet started once the work summed so far does.
     """
     check_trials(cfg, workers)
     processes = _kernel_processes(cfg.trials, workers)
-    args = [
-        (
-            cfg.seed,
-            lo,
-            hi,
-            cfg.n,
-            cfg.ell,
-            cfg.k,
-            cfg.b,
-            _SCHEME_CODES[cfg.scheme],
-            _KEY_CODES[cfg.key_model],
-        )
-        for lo, hi in _trial_ranges(cfg.trials, processes)
-    ]
+    budget = _work_budget(processes)
+    shape = (cfg.n, cfg.ell, cfg.k, cfg.b, _SCHEME_CODES[cfg.scheme], _KEY_CODES[cfg.key_model])
+    args = [(cfg.seed, lo, hi, *shape, budget) for lo, hi in _trial_ranges(cfg, processes)]
     if processes == 1:
-        results = [_run_range(a) for a in args]
+        failures, two_left, work = _run_range(args[0])
     else:
         # Imported here: concurrent.futures loads multiprocessing, which an
         # in-process run never uses.
         from concurrent.futures import ProcessPoolExecutor
 
+        failures = two_left = work = 0
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            results = list(pool.map(_run_range, args))
-    failures = sum(r[0] for r in results)
-    two_left = sum(r[1] for r in results)
+            for range_failures, range_two_left, range_work in pool.map(_run_range, args):
+                failures += range_failures
+                two_left += range_two_left
+                work += range_work
+                if work > budget:
+                    pool.shutdown(cancel_futures=True)
+                    break
+    if work > budget:
+        raise _work_refusal(cfg, "passed", budget)
     ci_low, ci_high = wilson_interval(failures, cfg.trials)
     if census is None:
         census = StoppingCensus()
@@ -348,6 +286,7 @@ def run_trials(
         ci_high=ci_high,
         bound=bound,
         p2=size2_asymptote(cfg.ell, cfg.n, cfg.k),
+        work=work,
     )
 
 

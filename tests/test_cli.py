@@ -8,6 +8,9 @@ import pytest
 
 from reference import STOPPING_COUNTS_10X10
 
+from ibltlab import simulate
+from ibltlab.simulate import TrialConfig
+
 
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
@@ -245,12 +248,14 @@ def test_simulate_guards_trial_memory(invoke_cli, grid):
 
 
 def test_simulate_guards_trial_time(invoke_cli, monkeypatch):
-    # 10**9 trials at the paper's shape would run for hours: refused
-    # before any trial runs.
+    # 10**9 trials at the paper's shape would run for hours: at least
+    # trials * (m + 2*n*k) units of work, refused before any trial runs.
     from ibltlab import _kernels_py
 
     calls = []
-    monkeypatch.setattr(_kernels_py, "run_trials", lambda *a: calls.append(a) or (0, 0))
+    monkeypatch.setattr(
+        _kernels_py, "run_trials", lambda *a, **kw: calls.append(a) or (0, 0, 0)
+    )
     code, out, err = invoke_cli(
         ["simulate", "--n", "210", "--k", "3", "--m", "768", "--trials", "1000000000"]
     )
@@ -259,40 +264,70 @@ def test_simulate_guards_trial_time(invoke_cli, monkeypatch):
 
 
 def test_simulate_time_guard_follows_the_load(invoke_cli, monkeypatch):
-    # 200k trials at the paper's shape (load 0.27) run in a few seconds and
-    # are accepted; the same work near the peeling threshold (load 0.82)
-    # is estimated at minutes and refused before any trial runs.
-    from ibltlab import _kernels_py
+    # The meter counts peeling rounds, so a trial near the peeling
+    # threshold (load 0.82 at k = 3) meters over ten times the work of one
+    # at the paper's shape (load 0.27).  With a budget between the two,
+    # the paper's shape runs and the threshold shape exits 2, printing
+    # nothing.
+    def work(n, trials=1150):
+        return simulate.run_trials(TrialConfig(n=n, m=768, k=3, trials=trials)).work
 
-    calls = []
-    monkeypatch.setattr(_kernels_py, "run_trials", lambda *a: calls.append(a) or (0, 0))
-    code, out, err = invoke_cli(
-        ["simulate", "--n", "210", "--k", "3", "--m", "768", "--trials", "200000"]
-    )
+    paper = work(210)
+    assert work(628, trials=230) * 5 > 10 * paper
+    # 200,000 trials at the paper's shape, about 174 times the work of
+    # 1,150 trials (50 kernel batches), fit in half the real budget.
+    assert 174 * paper < simulate._work_budget(1) / 2
+    monkeypatch.setattr(simulate, "_work_budget", lambda processes: 2 * paper)
+    argv = ["simulate", "--k", "3", "--m", "768", "--trials", "1150", "--n"]
+    code, out, err = invoke_cli(argv + ["210"])
     assert (code, err) == (0, "")
     assert out.startswith("m,ell,n,k,")
-    assert [a[1:4] for a in calls] == [(0, 200_000, 210)]
-    code, out, err = invoke_cli(
-        ["simulate", "--n", "628", "--k", "3", "--m", "768", "--trials", "105000"]
-    )
-    assert (code, out, len(calls)) == (2, "", 1)
-    assert "guard" in err
+    code, out, err = invoke_cli(argv + ["628"])
+    assert (code, out) == (2, "")
+    assert "guard" in err and "passed the budget" in err
 
 
 def test_simulate_guards_distinct_key_replay(invoke_cli, monkeypatch):
     # 4096 distinct keys out of 2**12 repeat in every trial's vector draw,
     # so each trial replays about 2**12 ln 2**12 key candidates one at a
-    # time: about 15 minutes in all, refused before any trial runs.
+    # time.  The meter stops the first replay that passes the budget.
     from ibltlab import _kernels_py
 
     calls = []
-    monkeypatch.setattr(_kernels_py, "run_trials", lambda *a: calls.append(a) or (0, 0))
+    kernel = _kernels_py.run_trials
+    monkeypatch.setattr(
+        _kernels_py, "run_trials", lambda *a, **kw: calls.append(a) or kernel(*a, **kw)
+    )
+    monkeypatch.setattr(simulate, "_work_budget", lambda processes: 10**6)
     code, out, err = invoke_cli(
         ["simulate", "--n", "4096", "--k", "3", "--b", "12", "--m", "48",
-         "--scheme", "ss-avoiding", "--trials", "15000"]
+         "--scheme", "ss-avoiding", "--trials", "20"]
     )
-    assert (code, out, calls) == (2, "", [])
+    assert (code, out, len(calls)) == (2, "", 1)
     assert "guard" in err
+
+
+@pytest.mark.parametrize("verbose", [[], ["--verbose"]])
+def test_simulate_sweep_stopped_by_the_meter_prints_no_rows(invoke_cli, monkeypatch, verbose):
+    # The first point fits the budget and runs; the second passes it
+    # while running.  No header or row reaches stdout, and --verbose
+    # still reports the first point on stderr.
+    base = TrialConfig(n=20, m=60, k=3, trials=1000, seed=2)
+    first, second = simulate.sweep(base, [60, 600])
+    least = base.trials * (600 + 2 * 20 * 3)
+    budget = max(first.work, least)
+    assert budget < second.work
+    monkeypatch.setattr(simulate, "_work_budget", lambda processes: budget)
+    code, out, err = invoke_cli(
+        ["simulate", "--n", "20", "--k", "3", "--sweep", "60:600:540",
+         "--trials", "1000", "--seed", "2"] + verbose
+    )
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    progress = [line for line in err.splitlines() if line.startswith("m=")]
+    expected = [f"m=60: {first.failures}/1000 failures"] if verbose else []
+    assert progress == expected
+    assert "resource guard" in err
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -1,5 +1,8 @@
 """The trial kernel's outputs are pinned: key streams, both hash schemes and
-the distinct-key replay must keep producing these exact counts."""
+the distinct-key replay must keep producing these exact counts, and the
+meter the same work."""
+
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from ibltlab._bits import (
     KEYS_IID,
     SCHEME_PARTITIONED,
     SCHEME_SS_AVOIDING,
+    batch_trials,
 )
 
 SEEDS = (0, 1, 98765)
@@ -19,12 +23,27 @@ SEEDS = (0, 1, 98765)
 @pytest.mark.parametrize(
     "scheme, key_model, n, ell, k, b, expected",
     [
-        # (failures, size-2 residuals) of trials 0..1499, one pair per seed.
-        (SCHEME_PARTITIONED, KEYS_IID, 8, 6, 3, 16, [(237, 186), (243, 190), (213, 160)]),
-        (SCHEME_PARTITIONED, KEYS_IID, 2, 2, 2, 32, [(372, 372), (383, 383), (353, 353)]),
-        (SCHEME_PARTITIONED, KEYS_DISTINCT, 8, 6, 3, 8, [(235, 185), (243, 194), (222, 180)]),
-        (SCHEME_SS_AVOIDING, KEYS_DISTINCT, 8, 8, 2, 6, [(124, 0), (136, 0), (141, 0)]),
-        (SCHEME_SS_AVOIDING, KEYS_DISTINCT, 30, 16, 3, 12, [(167, 0), (141, 0), (159, 0)]),
+        # (failures, size-2 residuals, work) of trials 0..1499, one per seed.
+        (
+            SCHEME_PARTITIONED, KEYS_IID, 8, 6, 3, 16,
+            [(237, 186, 286470), (243, 190, 286983), (213, 160, 285786)],
+        ),
+        (
+            SCHEME_PARTITIONED, KEYS_IID, 2, 2, 2, 32,
+            [(372, 372, 25488), (383, 383, 25532), (353, 353, 25412)],
+        ),
+        (
+            SCHEME_PARTITIONED, KEYS_DISTINCT, 8, 6, 3, 8,
+            [(235, 185, 416258), (243, 194, 410191), (222, 180, 390833)],
+        ),
+        (
+            SCHEME_SS_AVOIDING, KEYS_DISTINCT, 8, 8, 2, 6,
+            [(124, 0, 648948), (136, 0, 697780), (141, 0, 679546)],
+        ),
+        (
+            SCHEME_SS_AVOIDING, KEYS_DISTINCT, 30, 16, 3, 12,
+            [(167, 0, 1964348), (141, 0, 1902644), (159, 0, 2025710)],
+        ),
     ],
 )
 def test_trial_kernel_outputs_are_pinned(scheme, key_model, n, ell, k, b, expected):
@@ -54,18 +73,19 @@ SHAPES = {
     "wide-ss": (SCHEME_SS_AVOIDING, KEYS_DISTINCT, 300, 1 << 16, 1, 16, 3, 60),
 }
 
-# (failures, size-2 residuals) per seed in SEEDS, recorded from the
-# one-trial-at-a-time stack peeler that preceded the batched kernel.
+# (failures, size-2 residuals, work) per seed in SEEDS.  The counts were
+# recorded from the one-trial-at-a-time stack peeler that preceded the
+# batched kernel, the work from the kernel's meter.
 SHAPE_OUTPUTS = {
-    "iid-small-b": [(1046, 539), (1056, 552), (1041, 520)],
-    "distinct-small-b": [(39, 35), (20, 15), (33, 30)],
-    "ss-distinct-small-b": [(147, 0), (167, 0), (157, 0)],
-    "overloaded": [(393, 0), (393, 0), (393, 0)],
-    "threshold": [(292, 4), (274, 4), (284, 4)],
-    "k1": [(1458, 190), (1449, 183), (1445, 172)],
-    "k4": [(206, 20), (203, 16), (239, 13)],
-    "wide": [(41, 34), (49, 41), (47, 39)],
-    "wide-ss": [(0, 0), (0, 0), (0, 0)],
+    "iid-small-b": [(1046, 539, 1982271), (1056, 552, 1912944), (1041, 520, 1951980)],
+    "distinct-small-b": [(39, 35, 7125653), (20, 15, 7198648), (33, 30, 7078210)],
+    "ss-distinct-small-b": [(147, 0, 4108706), (167, 0, 4304194), (157, 0, 4141538)],
+    "overloaded": [(393, 0, 2293317), (393, 0, 2056476), (393, 0, 2204781)],
+    "threshold": [(292, 4, 7793922), (274, 4, 8245002), (284, 4, 7999413)],
+    "k1": [(1458, 190, 247078), (1449, 183, 247064), (1445, 172, 247115)],
+    "k4": [(206, 20, 2960832), (203, 16, 2887424), (239, 13, 2969412)],
+    "wide": [(41, 34, 6366898), (49, 41, 6686914), (47, 39, 6606910)],
+    "wide-ss": [(0, 0, 4673552), (0, 0, 4944952), (0, 0, 4734052)],
 }
 
 
@@ -89,8 +109,32 @@ def test_trial_ranges_add_up(shape):
     whole = run(lo, hi)
     for mid in (lo + 1, lo + 29, (lo + hi) // 2, hi - 1):
         first, second = run(lo, mid), run(mid, hi)
-        assert (first[0] + second[0], first[1] + second[1]) == whole
-    assert run(lo, lo) == (0, 0)
+        assert (first[0] + second[0], first[1] + second[1]) == whole[:2]
+    assert run(lo, lo) == (0, 0, 0)
+    # The work depends on how trials share batches, so ranges cut where
+    # the batches of a range from 0 end meter the same work as one range.
+    batch = batch_trials(n, ell * k, k)
+    whole = run(0, hi)
+    for mid in (batch, batch * (hi // batch)):
+        first, second = run(0, mid), run(mid, hi)
+        assert tuple(map(sum, zip(first, second))) == whole
+
+
+@pytest.mark.parametrize("shape", ["distinct-small-b", "threshold", "wide"])
+def test_kernel_stops_once_work_passes_the_budget(shape):
+    scheme, key_model, n, ell, k, b, lo, hi = SHAPES[shape]
+
+    def run(budget):
+        return _kernels_py.run_trials(
+            3, lo, min(hi, lo + 300), n, ell, k, b, scheme, key_model, budget=budget
+        )
+
+    whole = run(math.inf)
+    assert run(whole[2]) == whole
+    for budget in (0, whole[2] // 3, whole[2] - 1):
+        failures, two_left, work = run(budget)
+        assert budget < work <= whole[2]
+        assert failures <= whole[0] and two_left <= whole[1]
 
 
 # (k, ell, n, tables): random tables peeled side by side in one batch.
@@ -121,8 +165,11 @@ def test_peel_rounds_leaves_the_reference_entries(k, ell, n, tables):
             + np.arange(0, tables * m, m)[:, None, None]
         )
         cells = cells.transpose(1, 0, 2).reshape(k, tables * n)
-        unpeeled = _kernels_py.peel_rounds(cells, tables * m)
+        unpeeled, work = _kernels_py.peel_rounds(cells, tables * m)
         assert unpeeled.dtype.kind == "i"
+        # At least one round over every cell and entry cell when any
+        # entry is live.
+        assert work >= (tables * m + cells.size if cells.size else 0)
         expected = [
             t * n + j
             for t in range(tables)

@@ -145,7 +145,7 @@ def test_run_trials_guards_trial_memory():
 
 def test_trial_memory_guard_counts_the_kernel_processes(monkeypatch):
     # About 0.6 GiB of cells: one process fits the 1 GiB budget, two do not.
-    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
     cfg = TrialConfig(n=5, m=40_000_000, k=1, trials=2)
     simulate.check_trial_memory(cfg, workers=1)
     with pytest.raises(ResourceGuardError):
@@ -154,10 +154,23 @@ def test_trial_memory_guard_counts_the_kernel_processes(monkeypatch):
     simulate.check_trial_memory(dataclasses.replace(cfg, trials=1), workers=8)
 
 
+def test_kernel_processes_count_only_the_cpus_this_process_may_use(monkeypatch):
+    # Pinned to one CPU of eight, two workers share that CPU: one process.
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert simulate._kernel_processes(1000, 2) == 1
+    # Without an affinity call, every CPU counts.
+    monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
+    assert simulate._cpu_count() == 8
+    assert simulate._kernel_processes(1000, 2) == 2
+
+
 def test_refusals_come_before_any_kernel_call(monkeypatch):
     # n = 3000 at m = 15000 puts the union bound over budget.
     calls = []
-    monkeypatch.setattr(_kernels_py, "run_trials", lambda *a: calls.append(a) or (0, 0))
+    monkeypatch.setattr(
+        _kernels_py, "run_trials", lambda *a, **kw: calls.append(a) or (0, 0, 0)
+    )
     with pytest.raises(ResourceGuardError):
         run_trials(TrialConfig(n=3000, m=15000, k=3, trials=10))
     with pytest.raises(ResourceGuardError):
@@ -165,78 +178,105 @@ def test_refusals_come_before_any_kernel_call(monkeypatch):
     assert calls == []
 
 
-def test_trial_time_guard_shares_the_work_among_processes(monkeypatch):
-    # About 43 s of trial work at load 0.75: two processes fit the 30 s
-    # budget, one does not.
-    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
-    cfg = TrialConfig(n=576, m=768, k=3, trials=80_000)
-    with pytest.raises(ResourceGuardError):
-        simulate.check_trials(cfg, workers=1)
-    simulate.check_trials(cfg, workers=2)
+def test_trial_time_guard_shares_the_work_among_processes(census, monkeypatch):
+    # The work budget is COST_GUARD_S seconds' worth per kernel process:
+    # work that passes one process's budget fits two.
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
+    cfg = tiny_cfg(trials=9000, seed=5)
+    work = run_trials(cfg, census=census).work
+    monkeypatch.setattr(simulate, "COST_GUARD_S", 0.75 * work * simulate._WORK_UNIT_S)
+    with pytest.raises(ResourceGuardError, match="passed the budget"):
+        run_trials(cfg, census=census, workers=1)
+    assert run_trials(cfg, census=census, workers=2).work == work
 
 
-def test_trial_time_guard_charges_distinct_key_replay():
-    # At n = 2**b every distinct-key trial replays its key draw: the
-    # per-entry-cell work alone is estimated at 22.2 s, under the budget,
-    # and the replay puts it far over.
-    cfg = TrialConfig(n=4096, m=48, k=3, b=12, trials=15_000)
-    simulate.check_trials(cfg)
-    with pytest.raises(ResourceGuardError):
-        simulate.check_trials(dataclasses.replace(cfg, key_model=KeyModel.DISTINCT_UNIFORM))
-    # A repeat is rare at the paper's ss-avoiding shape (about 1.3e-3 of
-    # the trials at b = 24, n = 210), so its replay costs next to nothing.
-    floor = TrialConfig(
-        n=210, m=768, k=3, b=24, trials=100_000,
-        scheme=HashKind.SS_AVOIDING, key_model=KeyModel.DISTINCT_UNIFORM,
-    )
-    assert simulate._replay_seconds(floor) < 0.1
-    simulate.check_trials(floor)
+def test_work_and_refusal_do_not_depend_on_workers(census, monkeypatch):
+    # Trial ranges end where the kernel's batches end, so every worker
+    # count meters the same work, and a run is refused iff that work
+    # passes the budget.
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 4)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    cfg = TrialConfig(n=20, m=60, k=3, trials=9000, seed=5)
+    work = run_trials(cfg, census=census).work
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(simulate, "_work_budget", lambda processes: work)
+        assert run_trials(cfg, census=census, workers=workers).work == work
+        monkeypatch.setattr(simulate, "_work_budget", lambda processes: work - 1)
+        with pytest.raises(ResourceGuardError, match="passed the budget"):
+            run_trials(cfg, census=census, workers=workers)
+    assert _RecordingPool.sizes == [2, 2, 3, 3]
+
+
+def test_trial_time_guard_charges_distinct_key_replay(census):
+    # At n = 2**b every distinct-key trial draws its keys again one
+    # candidate at a time, at least n candidates of REPLAY_UNITS each.
+    # Both key models peel this overloaded table in one round.
+    cfg = TrialConfig(n=256, m=48, k=3, b=8, trials=40)
+    iid = run_trials(cfg, census=census).work
+    assert iid == cfg.trials * (cfg.m + 2 * cfg.n * cfg.k)
+    distinct = run_trials(
+        dataclasses.replace(cfg, key_model=KeyModel.DISTINCT_UNIFORM), census=census
+    ).work
+    assert distinct - iid >= cfg.trials * cfg.n * _kernels_py.REPLAY_UNITS
 
 
 def test_peeling_thresholds():
-    assert simulate._peeling_threshold(2) == pytest.approx(0.5)
-    assert simulate._peeling_threshold(3) == pytest.approx(0.8185, abs=1e-4)
-    assert simulate._peeling_threshold(4) == pytest.approx(0.7723, abs=1e-4)
+    # Large tables peel completely below the load threshold of k and
+    # fail above it: 0.818 at k = 3 and 0.772 at k = 4.
+    for k, threshold in ((3, 0.8185), (4, 0.7723)):
+        m = 12_000
+        for load, failures in ((0.9, 0), (1.1, 10)):
+            n = int(load * threshold * m)
+            got = _kernels_py.run_trials(7, 0, 10, n, m // k, k, 32, SCHEME_PARTITIONED, KEYS_IID)
+            assert got[0] == failures, (k, load)
 
 
 def test_trial_rate_peaks_at_the_peeling_threshold():
-    def rate(n, m, k):
-        return simulate._trial_unit_s(TrialConfig(n=n, m=m, k=k, trials=1))
+    # The meter counts the peeling rounds, which pile up near the peeling
+    # threshold: per trial, load 0.82 (the threshold of k = 3) meters many
+    # times the work of load 0.27 (the paper's shape), and more than load
+    # 2, past it, where peeling stops at once.
+    def work(n):
+        return _kernels_py.run_trials(0, 0, 115, n, 256, 3, 32, SCHEME_PARTITIONED, KEYS_IID)[2]
 
-    # Load 0.27, the paper's shape, against 0.82, the threshold of k = 3.
-    assert rate(210, 768, 3) < rate(629, 768, 3) / 20
-    # At k = 2 the threshold is at load 0.5.
-    assert rate(384, 768, 2) == rate(629, 768, 3) == max(r for _, r in simulate._TRIAL_RATES)
-    rates = [rate(n, 768, 3) for n in range(1, 630)]
-    assert rates == sorted(rates)
-    assert rate(768, 768, 1) == rate(10, 768, 1) == simulate._TRIAL_RATES[-1][1]
+    assert work(628) > 10 * work(210)
+    assert work(628) > 2 * work(1536)
+    works = [work(n) for n in range(10, 629, 103)]
+    assert works == sorted(works)
 
 
-# (k, m, n, kernel seconds per unit of trial work): the slowest trials
+# (k, m, n, kernel seconds per unit of metered work): the slowest trials
 # measured near the peeling threshold of k, on one pinned vCPU of a 2-core
-# x86 VM.  At k >= 3 the rounds there pile up with the table; at k = 2
-# they do not.
-THRESHOLD_RATES = [
-    (3, 30_000, 24_554, 1.73e-7),
-    (3, 300_000, 245_050, 7.51e-7),
-    (3, 999_999, 819_287, 1.91e-6),
-    (3, 3_000_000, 2_455_407, 4.05e-6),
-    (4, 3_000_000, 2_316_840, 2.85e-6),
-    (2, 3_000_000, 1_498_500, 1.20e-7),
+# x86 VM.  Their rounds pile up with the table at k >= 3, but the meter
+# counts them.
+THRESHOLD_UNIT_SECONDS = [
+    (3, 30_000, 24_554, 7.0e-9),
+    (3, 300_000, 245_050, 4.6e-9),
+    (3, 999_999, 819_287, 5.9e-9),
+    (3, 3_000_000, 2_455_407, 1.05e-8),
+    (4, 3_000_000, 2_316_840, 1.5e-8),
+    (2, 3_000_000, 1_498_500, 8.1e-10),
 ]
 
 
-@pytest.mark.parametrize("k, m, n, measured", THRESHOLD_RATES)
-def test_trial_rate_covers_the_slowest_measured_at_the_threshold(k, m, n, measured):
-    assert simulate._trial_unit_s(TrialConfig(n=n, m=m, k=k, trials=1)) > measured
+@pytest.mark.parametrize("k, m, n, measured", THRESHOLD_UNIT_SECONDS)
+def test_work_unit_covers_the_slowest_at_the_threshold(k, m, n, measured):
+    assert simulate._WORK_UNIT_S > measured
 
 
-def test_time_guard_refuses_one_wide_trial_at_the_threshold():
-    # This trial took 42 s.  The union bound's cost guard refuses the shape
-    # as well, but only after the time guard.
+def test_time_guard_refuses_one_wide_trial_at_the_threshold(monkeypatch):
+    # This trial took 42 s.  It meters about 4e9 units, past the budget,
+    # but the union bound's cost guard refuses the shape before it runs.
+    calls = []
+    monkeypatch.setattr(
+        _kernels_py, "run_trials", lambda *a, **kw: calls.append(a) or (0, 0, 0)
+    )
     cfg = TrialConfig(n=2_455_407, m=3_000_000, k=3, trials=1)
-    with pytest.raises(ResourceGuardError, match="1 trials at m = 3000000"):
-        simulate.check_trials(cfg)
+    with pytest.raises(ResourceGuardError):
+        run_trials(cfg)
+    assert calls == []
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -262,6 +302,9 @@ class _RecordingPool:
     def map(self, fn, items):
         return list(map(fn, items))
 
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
 
 @pytest.mark.parametrize(
     "cpus, workers, trials, pool_size",
@@ -270,7 +313,7 @@ class _RecordingPool:
 def test_pool_is_capped_by_cpus_and_trials(
     census, monkeypatch, cpus, workers, trials, pool_size
 ):
-    monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
     # run_trials imports the pool class when it starts one.
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
