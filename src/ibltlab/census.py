@@ -178,13 +178,14 @@ def count_stopping_bruteforce(
 
     Refuses when those ell**(n+1) row counts exceed ``guard``; the default
     1e8 admits ell <= 10**4 at n = 1, ell <= 100 at n = 3, n <= 25 at ell = 2.
+    At ell >= 2 an exponent of at least guard.bit_length() puts the power
+    past the guard, so it is refused before that power is built.
     """
     if ell < 0 or n < 0:
         raise ValueError("ell and n must be nonnegative")
-    work = ell ** (n + 1)
-    if work > guard:
+    if ell > 1 and n + 1 >= guard.bit_length() or ell ** (n + 1) > guard:
         raise ResourceGuardError(
-            f"ell**(n+1) = {work} row counts exceeds the guard of {guard}"
+            f"ell**(n+1) = {ell}**{n + 1} row counts exceeds the guard of {guard}"
         )
     if ell == 0 or n == 0:  # only the empty matrix, which stops
         return 1 if n == 0 else 0

@@ -13,11 +13,11 @@ import sys
 import traceback
 
 from ibltlab import simulate
-from ibltlab.bounds import size2_asymptote, union_bound
+from ibltlab.bounds import check_bound_cost, size2_asymptote, union_bound
 from ibltlab.census import COST_GUARD_S, StoppingCensus, check_cost, rows_cost_s
 from ibltlab.errors import ResourceGuardError
 from ibltlab.hashing import HashKind
-from ibltlab.oracle import ORACLE_GUARD, exact_failure_probability
+from ibltlab.oracle import ORACLE_GUARD, check_states, exact_failure_probability
 from ibltlab.simulate import KeyModel, TrialConfig
 
 
@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="trial processes, at least 1; capped at the CPU count and --trials",
+        help="trial processes, at least 1; capped at the CPU and kernel batch counts",
     )
     p.add_argument("--verbose", action="store_true", help="progress on stderr")
 
@@ -224,6 +224,9 @@ def cmd_simulate(args, out) -> int:
 
 
 def cmd_oracle(args, out) -> int:
+    # Both guards run before the enumeration, so a refusal costs no states.
+    check_states(args.ell, args.n, args.k, args.guard)
+    check_bound_cost(args.ell, args.n, args.k)
     exact = exact_failure_probability(args.ell, args.n, args.k, guard=args.guard)
     bound = union_bound(StoppingCensus(), args.ell, args.n, args.k).total_clamped
     writer = csv.writer(out, lineterminator="\n")

@@ -103,22 +103,28 @@ def iter_state_matrices(ell: int, n: int, k: int):
         yield StateMatrix(ell, placements)
 
 
-def exact_failure_probability(
-    ell: int, n: int, k: int, guard: int = ORACLE_GUARD
-) -> Fraction:
-    """Exact probability that listing fails, by full enumeration.
+def check_states(ell: int, n: int, k: int, guard: int = ORACLE_GUARD):
+    """Raise ValueError for a nonpositive ell, n, k or guard, and
+    ResourceGuardError when the ell**(n*k) state matrices exceed ``guard``.
 
-    Raises ValueError for a guard below 1 and ResourceGuardError when the
-    ell**(n*k) state matrices exceed ``guard``.
+    At ell >= 2 an exponent of at least guard.bit_length() puts the power
+    past the guard, so it is refused before that power is built.
     """
     if ell < 1 or n < 1 or k < 1:
         raise ValueError("ell, n and k must be positive")
     if guard < 1:
         raise ValueError(f"guard must be at least 1, got {guard}")
-    total = ell ** (n * k)
-    if total > guard:
+    if ell > 1 and n * k >= guard.bit_length() or ell ** (n * k) > guard:
         raise ResourceGuardError(
-            f"ell**(n*k) = {total} state matrices exceeds the guard of {guard}"
+            f"ell**(n*k) = {ell}**{n * k} state matrices exceeds the guard of {guard}"
         )
+
+
+def exact_failure_probability(
+    ell: int, n: int, k: int, guard: int = ORACLE_GUARD
+) -> Fraction:
+    """Exact probability that listing fails, by full enumeration, once
+    ``check_states`` lets the ell**(n*k) state matrices through."""
+    check_states(ell, n, k, guard)
     failing = sum(1 for sm in iter_state_matrices(ell, n, k) if peel_fixpoint(sm))
-    return Fraction(failing, total)
+    return Fraction(failing, ell ** (n * k))

@@ -140,15 +140,6 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _kernel_processes(trials: int, workers: int) -> int:
-    """Processes that run the trial kernel for ``workers`` requested: at
-    most one per usable CPU and one per trial.  Raises ValueError for
-    workers < 1."""
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    return min(workers, _cpu_count(), trials)
-
-
 def _work_budget(processes: int) -> int:
     """Units of trial work that ``processes`` kernel processes may spend:
     COST_GUARD_S seconds' worth in each."""
@@ -163,46 +154,54 @@ def _work_refusal(cfg: TrialConfig, what: str, budget: int) -> ResourceGuardErro
     )
 
 
-def check_trial_memory(cfg: TrialConfig, workers: int = 1):
-    """Raise ResourceGuardError when the kernel processes that run ``cfg``
-    would together take more than ``TRIAL_MEMORY_GUARD_BYTES``."""
-    processes = _kernel_processes(cfg.trials, workers)
-    per_process = (
+def plan_trials(
+    cfg: TrialConfig, workers: int = 1
+) -> tuple[int, list[tuple[int, int]], int]:
+    """Decide, before any trial work, how ``cfg`` runs: its kernel
+    processes, the trial ranges they run and the work budget they share.
+
+    Processes are at most one per usable CPU and one per kernel batch.
+    Ranges end at batch multiples, so every split meters the work of one
+    range, and each process has a range (one range when there is one
+    process).  Raises ValueError for workers < 1, and ResourceGuardError
+    when the processes would together pass the memory guard, the trial
+    work W would pass the budget for certain, or the union bound the cost
+    guard.  Every trial counts its n*k entry cells and peels at least one
+    round over its m cells and n*k entry cells, so W >= trials * (m +
+    2*n*k); ``run_trials`` meters the rest as the trials run.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    batch = batch_trials(cfg.n, cfg.m, cfg.k)
+    batches = math.ceil(cfg.trials / batch)
+    processes = min(workers, _cpu_count(), batches)
+    need = processes * (
         _CELL_BYTES * cfg.m + (_ENTRY_BYTES + _ENTRY_CELL_BYTES * cfg.k) * cfg.n
     )
-    need = processes * per_process
     if need > TRIAL_MEMORY_GUARD_BYTES:
         raise ResourceGuardError(
             f"trials at m = {cfg.m} cells and n = {cfg.n} entries need about "
             f"{need / 2**30:.3g} GiB in {processes} process(es), over the budget "
             f"of {TRIAL_MEMORY_GUARD_BYTES / 2**30:g} GiB"
         )
-
-
-def check_trials(cfg: TrialConfig, workers: int = 1):
-    """Decide whether ``cfg`` may start, before any trial work: raise
-    ValueError for workers < 1, and ResourceGuardError when its kernel
-    processes would exceed the memory guard, its trial work W would pass
-    the work budget for certain, or its union bound would exceed the cost
-    guard.  Every trial counts its n*k entry cells and peels at least one
-    round over its m cells and n*k entry cells, so W >= trials * (m +
-    2*n*k); ``run_trials`` meters the rest as the trials run."""
-    check_trial_memory(cfg, workers)
-    budget = _work_budget(_kernel_processes(cfg.trials, workers))
+    budget = _work_budget(processes)
     least = cfg.trials * (cfg.m + 2 * cfg.n * cfg.k)
     if least > budget:
         raise _work_refusal(cfg, f"need at least {least} units, over", budget)
     check_bound_cost(cfg.ell, cfg.n, cfg.k)
+    step = batch * math.ceil(batches / (processes * 4)) if processes > 1 else cfg.trials
+    ranges = [(lo, min(lo + step, cfg.trials)) for lo in range(0, cfg.trials, step)]
+    return processes, ranges, budget
 
 
 def sweep_configs(
     base: TrialConfig, m_values: list[int], workers: int = 1
 ) -> list[TrialConfig]:
     """The sweep point of each m value, with its derived seed; every point
-    is validated and checked with ``check_trials`` before any is returned."""
+    is validated and planned with ``plan_trials`` before any is returned."""
     configs = [replace(base, m=m, seed=sweep_point_seed(base.seed, m)) for m in m_values]
     for cfg in configs:
-        check_trials(cfg, workers)
+        plan_trials(cfg, workers)
     return configs
 
 
@@ -211,18 +210,6 @@ def _run_range(args) -> tuple[int, int, int]:
 
     *kernel_args, budget = args
     return _kernels_py.run_trials(*kernel_args, budget=budget)
-
-
-def _trial_ranges(cfg: TrialConfig, processes: int) -> list[tuple[int, int]]:
-    """Split the trials into ranges, at least one per process, cut where
-    the kernel's batches end, so the ranges peel the batches one range
-    would and meter the same work."""
-    if processes <= 1:
-        return [(0, cfg.trials)]
-    batch = batch_trials(cfg.n, cfg.m, cfg.k)
-    batches = math.ceil(cfg.trials / batch)
-    step = batch * max(1, math.ceil(batches / (processes * 4)))
-    return [(lo, min(lo + step, cfg.trials)) for lo in range(0, cfg.trials, step)]
 
 
 def run_trials(
@@ -236,18 +223,17 @@ def run_trials(
     pairs the estimate with the union bound and the floor asymptote at
     ell = m/k, and carries the count of failures that left exactly two
     entries -- those necessarily had identical index tuples.  Trials run
-    in min(workers, usable CPUs, trials) processes, in-process when that
-    is 1.  ``check_trials`` decides, before any trial runs, whether they
-    may start; the kernel then meters their work W, and ResourceGuardError
+    in min(workers, usable CPUs, kernel batches) processes, in-process
+    when that is 1, each with ``COST_GUARD_S`` seconds' worth of work.
+    ``plan_trials`` decides, before any trial runs, whether they may
+    start; the kernel then meters their work W, and ResourceGuardError
     is raised iff W passes the budget.  A refused run stops early: each
     kernel call returns once its own work passes the budget, and a pool
     cancels the ranges not yet started once the work summed so far does.
     """
-    check_trials(cfg, workers)
-    processes = _kernel_processes(cfg.trials, workers)
-    budget = _work_budget(processes)
+    processes, ranges, budget = plan_trials(cfg, workers)
     shape = (cfg.n, cfg.ell, cfg.k, cfg.b, _SCHEME_CODES[cfg.scheme], _KEY_CODES[cfg.key_model])
-    args = [(cfg.seed, lo, hi, *shape, budget) for lo, hi in _trial_ranges(cfg, processes)]
+    args = [(cfg.seed, lo, hi, *shape, budget) for lo, hi in ranges]
     if processes == 1:
         failures, two_left, work = _run_range(args[0])
     else:

@@ -48,3 +48,10 @@ def peel_cells(ell, placements):
             if count[ci] == 1:
                 stack.append(ci)
     return {j for j in range(n) if alive[j]}
+
+
+class Unpowered(int):
+    """An integer that fails the test if a guard raises it to a power."""
+
+    def __pow__(self, exponent):
+        raise AssertionError(f"built {int(self)}**{exponent}")

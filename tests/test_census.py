@@ -11,7 +11,7 @@ from ibltlab import (
     matrix_from_columns,
     pivots,
 )
-from reference import STOPPING_COUNTS_10X10
+from reference import STOPPING_COUNTS_10X10, Unpowered
 
 
 def count_by_literal_enumeration(ell, n):
@@ -78,6 +78,21 @@ def test_bruteforce_guard():
         count_stopping_bruteforce(3162, 2)  # 3.2e10 row counts, 1e7 matrices
     with pytest.raises(ResourceGuardError):
         count_stopping_bruteforce(3, 4, guard=80)
+
+
+def test_bruteforce_guard_refuses_without_building_the_power():
+    # 2**100001 has 30,103 digits, past CPython's limit on the digits of
+    # an integer it formats.
+    with pytest.raises(ResourceGuardError):
+        count_stopping_bruteforce(2, 10**5)
+    with pytest.raises(ResourceGuardError):
+        count_stopping_bruteforce(Unpowered(2), 10**5)
+    for guard in (1, 7, 8, 9, 80, 81):
+        for ell in range(4):
+            for n in range(5):
+                if ell ** (n + 1) > guard:
+                    with pytest.raises(ResourceGuardError):
+                        count_stopping_bruteforce(ell, n, guard)
 
 
 def test_recursion_equals_bruteforce_small(census):

@@ -8,7 +8,7 @@ import pytest
 
 from reference import STOPPING_COUNTS_10X10
 
-from ibltlab import simulate
+from ibltlab import cli, simulate
 from ibltlab.simulate import TrialConfig
 
 
@@ -174,6 +174,31 @@ def test_simulate_workers_byte_identical(invoke_cli):
     _, serial, _ = invoke_cli(base + ["--workers", "1"])
     _, parallel, _ = invoke_cli(base + ["--workers", "3"])
     assert serial == parallel
+
+
+def test_simulate_one_batch_starts_no_pool():
+    # 200 trials at this shape are one kernel batch of 273, so two workers
+    # on two CPUs run in-process: no pool starts and no pool module loads.
+    probe = (
+        "import sys; from ibltlab import cli, simulate; "
+        "simulate._cpu_count = lambda: 2; "
+        "code = cli.main(sys.argv[1:]); "
+        "print([m in sys.modules for m in ('concurrent.futures', 'multiprocessing')], "
+        "file=sys.stderr); "
+        "sys.exit(code)"
+    )
+    argv = ["simulate", "--n", "20", "--k", "3", "--m", "60", "--trials", "200"]
+    serial, parallel = (
+        subprocess.run(
+            [sys.executable, "-c", probe, *argv, "--workers", workers],
+            capture_output=True,
+            text=True,
+        )
+        for workers in ("1", "2")
+    )
+    assert (serial.returncode, parallel.returncode) == (0, 0)
+    assert serial.stdout == parallel.stdout != ""
+    assert parallel.stderr == "[False, False]\n"
 
 
 def test_simulate_sweep_grid(invoke_cli):
@@ -381,6 +406,26 @@ def test_oracle_guard_exit_code(invoke_cli):
     code, _, err = invoke_cli(["oracle", "10", "4", "2"])
     assert code == 2
     assert "guard" in err
+
+
+def test_oracle_guard_refuses_past_the_digit_limit(invoke_cli):
+    code, out, err = invoke_cli(["oracle", "2", "3000", "3000"])
+    assert (code, out) == (2, "")
+    assert "2**9000000 state matrices" in err
+
+
+def test_oracle_bound_guard_refuses_before_enumerating(invoke_cli, monkeypatch):
+    # Its one state of 20000 blocks took 19 s to build before the union
+    # bound's cost guard refused the input.
+    calls = []
+    monkeypatch.setattr(cli, "exact_failure_probability", lambda *a, **kw: calls.append(a))
+    code, out, err = invoke_cli(["oracle", "1", "20000", "20000"])
+    assert (code, out, calls) == (2, "", [])
+    assert "union bound" in err
+    # Usage errors still come first.
+    for argv in (["1", "20000", "20000", "--guard", "0"], ["0", "20000", "20000"]):
+        assert invoke_cli(["oracle", *argv])[:2] == (1, "")
+    assert calls == []
 
 
 @pytest.mark.parametrize("guard", ["0", "-1"])

@@ -14,7 +14,7 @@ from ibltlab import (
     iter_state_matrices,
     peel_fixpoint,
 )
-from reference import peel_cells
+from reference import Unpowered, peel_cells
 
 
 def test_single_column_always_peels():
@@ -68,6 +68,27 @@ def test_guard():
         exact_failure_probability(10, 4, 2)  # 10**8 state matrices
     with pytest.raises(ResourceGuardError):
         exact_failure_probability(2, 2, 2, guard=10)
+
+
+def test_guard_refuses_without_building_the_power():
+    # 2**9000000 has 2.7 million digits: formatting it into the message
+    # raised ValueError past CPython's limit on the digits of an integer.
+    with pytest.raises(ResourceGuardError, match=r"2\*\*9000000"):
+        exact_failure_probability(2, 3000, 3000)
+    # 10**400000000 would take 166 MB and minutes to build.
+    with pytest.raises(ResourceGuardError):
+        exact_failure_probability(Unpowered(10), 20000, 20000)
+
+
+def test_guard_refuses_exactly_the_states_past_it():
+    for guard in range(1, 70):
+        for ell in range(1, 5):
+            for states in range(1, 8):
+                if ell**states > guard:
+                    with pytest.raises(ResourceGuardError):
+                        ibltlab.oracle.check_states(ell, states, 1, guard)
+                else:
+                    ibltlab.oracle.check_states(ell, states, 1, guard)
 
 
 @pytest.mark.parametrize("guard", [0, -1])

@@ -147,22 +147,23 @@ def test_trial_memory_guard_counts_the_kernel_processes(monkeypatch):
     # About 0.6 GiB of cells: one process fits the 1 GiB budget, two do not.
     monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
     cfg = TrialConfig(n=5, m=40_000_000, k=1, trials=2)
-    simulate.check_trial_memory(cfg, workers=1)
-    with pytest.raises(ResourceGuardError):
-        simulate.check_trial_memory(cfg, workers=2)
+    assert simulate.plan_trials(cfg, workers=1)[0] == 1
+    with pytest.raises(ResourceGuardError, match="in 2 process"):
+        simulate.plan_trials(cfg, workers=2)
     # A single trial runs in one process, whatever was asked for.
-    simulate.check_trial_memory(dataclasses.replace(cfg, trials=1), workers=8)
+    assert simulate.plan_trials(dataclasses.replace(cfg, trials=1), workers=8)[0] == 1
 
 
 def test_kernel_processes_count_only_the_cpus_this_process_may_use(monkeypatch):
     # Pinned to one CPU of eight, two workers share that CPU: one process.
+    cfg = TrialConfig(n=20, m=60, k=3, trials=1000)  # four kernel batches
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert simulate._kernel_processes(1000, 2) == 1
+    assert simulate.plan_trials(cfg, workers=2)[0] == 1
     # Without an affinity call, every CPU counts.
     monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
     assert simulate._cpu_count() == 8
-    assert simulate._kernel_processes(1000, 2) == 2
+    assert simulate.plan_trials(cfg, workers=2)[0] == 2
 
 
 def test_refusals_come_before_any_kernel_call(monkeypatch):
@@ -308,9 +309,10 @@ class _RecordingPool:
 
 @pytest.mark.parametrize(
     "cpus, workers, trials, pool_size",
-    [(4, 10**6, 9000, 4), (4, 3, 9000, 3), (64, 10**6, 5, 5), (1, 8, 9000, None)],
+    # tiny_cfg peels 4096 trials per kernel batch: 9000 trials are 3 batches.
+    [(4, 10**6, 9000, 3), (4, 3, 9000, 3), (64, 10**6, 5, None), (1, 8, 9000, None)],
 )
-def test_pool_is_capped_by_cpus_and_trials(
+def test_pool_is_capped_by_cpus_and_batches(
     census, monkeypatch, cpus, workers, trials, pool_size
 ):
     monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
@@ -321,6 +323,20 @@ def test_pool_is_capped_by_cpus_and_trials(
     report = run_trials(cfg, census=census, workers=workers)
     assert _RecordingPool.sizes == ([] if pool_size is None else [pool_size])
     assert report == run_trials(cfg, census=census, workers=1)
+
+
+def test_every_process_has_a_trial_range(monkeypatch):
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 64)
+    for trials in (1, 272, 273, 274, 1000, 4 * 273 * 64, 10**5):
+        cfg = TrialConfig(n=20, m=60, k=3, trials=trials)  # 273 trials a batch
+        for workers in (1, 2, 3, 64):
+            processes, ranges, _ = simulate.plan_trials(cfg, workers)
+            assert processes == min(workers, -(-trials // 273))
+            assert len(ranges) >= processes
+            assert (len(ranges) == 1) == (processes == 1)
+            assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+            assert ranges[-1][1] == trials
+            assert all(hi % 273 == 0 for _, hi in ranges[:-1])
 
 
 def test_config_is_frozen():
