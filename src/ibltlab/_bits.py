@@ -64,20 +64,18 @@ def stream_output(state: int, j: int) -> int:
 
 def trial_state(seed: int, trial: int) -> int:
     """Root state of the random stream for one simulation trial."""
-    base = mix64(seed ^ TRIAL_SALT)
-    return mix64((base + (trial + 1) * PHI64) & MASK64)
+    return stream_output(mix64(seed ^ TRIAL_SALT), trial)
 
 
 def lane_keys(seed: int, k: int) -> tuple[int, ...]:
     """Per-subtable keys that turn one mixer into k independent keyed hashes."""
     base = mix64(seed ^ LANE_SALT)
-    return tuple(mix64((base + (i + 1) * PHI64) & MASK64) for i in range(k))
+    return tuple(stream_output(base, i) for i in range(k))
 
 
 def sweep_point_seed(seed: int, m: int) -> int:
     """Derived seed for the sweep point with m total cells."""
-    base = mix64(seed ^ SWEEP_SALT)
-    return mix64((base + m * PHI64) & MASK64)
+    return stream_output(mix64(seed ^ SWEEP_SALT), m - 1)
 
 
 @functools.cache

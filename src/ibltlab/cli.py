@@ -162,15 +162,6 @@ def _parse_sweep(spec: str) -> list[int]:
 
 
 def cmd_simulate(args, out) -> int:
-    scheme = HashKind(args.scheme)
-    if args.key_model is None:
-        key_model = (
-            KeyModel.DISTINCT_UNIFORM
-            if scheme is HashKind.SS_AVOIDING
-            else KeyModel.IID_UNIFORM
-        )
-    else:
-        key_model = KeyModel(args.key_model)
     m_values = [args.m] if args.m is not None else _parse_sweep(args.sweep)
     base = TrialConfig(
         n=args.n,
@@ -179,25 +170,24 @@ def cmd_simulate(args, out) -> int:
         b=args.b,
         trials=args.trials,
         seed=args.seed,
-        scheme=scheme,
-        key_model=key_model,
+        scheme=HashKind(args.scheme),
+        key_model=KeyModel(args.key_model) if args.key_model else None,
     )
-    # Every grid point is validated and checked before any runs, and the
-    # rows are written once every point has run, so a refusal leaves
+    # The sweep validates and checks every grid point before any runs, and
+    # the rows are written once every point has run, so a refusal leaves
     # stdout empty.
-    configs = simulate.sweep_configs(base, m_values, args.workers)
     rows = []
-    for cfg in configs:
-        report = simulate.run_trials(cfg, workers=args.workers)
+    for report in simulate.sweep(base, m_values, workers=args.workers):
+        cfg = report.config
         rows.append(
             [
-                report.m,
-                report.ell,
-                report.n,
-                report.k,
-                report.b,
-                report.scheme.value,
-                report.trials,
+                cfg.m,
+                cfg.ell,
+                cfg.n,
+                cfg.k,
+                cfg.b,
+                cfg.scheme.value,
+                cfg.trials,
                 report.failures,
                 _fmt(report.p_hat),
                 _fmt(report.ci_low),
@@ -209,7 +199,7 @@ def cmd_simulate(args, out) -> int:
         )
         if args.verbose:
             print(
-                f"m={report.m}: {report.failures}/{report.trials} failures",
+                f"m={cfg.m}: {report.failures}/{cfg.trials} failures",
                 file=sys.stderr,
             )
     writer = csv.writer(out, lineterminator="\n")

@@ -13,6 +13,7 @@ mix64(mix64(seed ^ SWEEP_SALT) + m*PHI64).
 import enum
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 from ibltlab._bits import (
@@ -77,9 +78,17 @@ class TrialConfig:
     trials: int = 100_000
     seed: int = 0
     scheme: HashKind = HashKind.PARTITIONED_UNIFORM
-    key_model: KeyModel = KeyModel.IID_UNIFORM
+    # None picks the scheme's key model: distinct under ss-avoiding, else iid.
+    key_model: KeyModel | None = None
 
     def __post_init__(self):
+        if self.key_model is None:
+            model = (
+                KeyModel.DISTINCT_UNIFORM
+                if self.scheme is HashKind.SS_AVOIDING
+                else KeyModel.IID_UNIFORM
+            )
+            object.__setattr__(self, "key_model", model)
         if self.n < 1 or self.m < 1 or self.k < 1 or self.trials < 1:
             raise ValueError("n, m, k and trials must be positive")
         if self.m % self.k != 0:
@@ -101,14 +110,7 @@ class TrialConfig:
 
 @dataclass(frozen=True)
 class SimReport:
-    m: int
-    ell: int
-    n: int
-    k: int
-    b: int
-    scheme: HashKind
-    seed: int
-    trials: int
+    config: TrialConfig
     failures: int
     size2_residual_failures: int
     p_hat: float
@@ -194,17 +196,6 @@ def plan_trials(
     return processes, ranges, budget
 
 
-def sweep_configs(
-    base: TrialConfig, m_values: list[int], workers: int = 1
-) -> list[TrialConfig]:
-    """The sweep point of each m value, with its derived seed; every point
-    is validated and planned with ``plan_trials`` before any is returned."""
-    configs = [replace(base, m=m, seed=sweep_point_seed(base.seed, m)) for m in m_values]
-    for cfg in configs:
-        plan_trials(cfg, workers)
-    return configs
-
-
 def _run_range(args) -> tuple[int, int, int]:
     from ibltlab import _kernels_py  # numpy, loaded only to run trials
 
@@ -220,8 +211,8 @@ def run_trials(
     """Estimate the listing failure probability for one configuration.
 
     A trial fails when listing leaves any entry unrecovered.  The report
-    pairs the estimate with the union bound and the floor asymptote at
-    ell = m/k, and carries the count of failures that left exactly two
+    carries ``cfg``, pairs the estimate with the union bound and the floor
+    asymptote at ell = m/k, and counts the failures that left exactly two
     entries -- those necessarily had identical index tuples.  Trials run
     in min(workers, usable CPUs, kernel batches) processes, in-process
     when that is 1, each with ``COST_GUARD_S`` seconds' worth of work.
@@ -257,14 +248,7 @@ def run_trials(
         census = StoppingCensus()
     bound = union_bound(census, cfg.ell, cfg.n, cfg.k).total_clamped
     return SimReport(
-        m=cfg.m,
-        ell=cfg.ell,
-        n=cfg.n,
-        k=cfg.k,
-        b=cfg.b,
-        scheme=cfg.scheme,
-        seed=cfg.seed,
-        trials=cfg.trials,
+        config=cfg,
         failures=failures,
         size2_residual_failures=two_left,
         p_hat=failures / cfg.trials,
@@ -281,10 +265,16 @@ def sweep(
     m_values: list[int],
     census: StoppingCensus | None = None,
     workers: int = 1,
-) -> list[SimReport]:
-    """Run one report per m value, each with its derived seed, after every
-    point has been checked."""
-    configs = sweep_configs(base, m_values, workers)
+) -> Iterator[SimReport]:
+    """One report per m value, each point run with its derived seed.
+
+    Every point is validated and planned with ``plan_trials`` when this is
+    called, so a bad or refused point raises before any trial runs; the
+    returned iterator then runs the points in order, one ``run_trials``
+    call each, and yields each report as its point finishes."""
+    configs = [replace(base, m=m, seed=sweep_point_seed(base.seed, m)) for m in m_values]
+    for cfg in configs:
+        plan_trials(cfg, workers)
     if census is None:
         census = StoppingCensus()
-    return [run_trials(cfg, census=census, workers=workers) for cfg in configs]
+    return (run_trials(cfg, census=census, workers=workers) for cfg in configs)

@@ -415,17 +415,27 @@ def test_oracle_guard_refuses_past_the_digit_limit(invoke_cli):
 
 
 def test_oracle_bound_guard_refuses_before_enumerating(invoke_cli, monkeypatch):
-    # Its one state of 20000 blocks took 19 s to build before the union
-    # bound's cost guard refused the input.
+    # One state of 10**5 placements passes the state guard; the union
+    # bound's cost guard refuses it (estimated at over a minute).
     calls = []
     monkeypatch.setattr(cli, "exact_failure_probability", lambda *a, **kw: calls.append(a))
-    code, out, err = invoke_cli(["oracle", "1", "20000", "20000"])
+    code, out, err = invoke_cli(["oracle", "1", "100000", "1"])
     assert (code, out, calls) == (2, "", [])
     assert "union bound" in err
     # Usage errors still come first.
-    for argv in (["1", "20000", "20000", "--guard", "0"], ["0", "20000", "20000"]):
+    for argv in (["1", "100000", "1", "--guard", "0"], ["0", "100000", "1"]):
         assert invoke_cli(["oracle", *argv])[:2] == (1, "")
     assert calls == []
+
+
+def test_oracle_guard_counts_the_placements_at_ell_one(invoke_cli, monkeypatch):
+    # One state of 1.31e8 placements would take about a minute and 5 GB to
+    # build; the union bound's cost guard sees no terms at n = 1.
+    calls = []
+    monkeypatch.setattr(cli, "exact_failure_probability", lambda *a, **kw: calls.append(a))
+    code, out, err = invoke_cli(["oracle", "1", "1", "131000000"])
+    assert (code, out, calls) == (2, "", [])
+    assert "placements" in err
 
 
 @pytest.mark.parametrize("guard", ["0", "-1"])

@@ -14,6 +14,7 @@ from ibltlab import (
     iter_state_matrices,
     peel_fixpoint,
 )
+from ibltlab.oracle import ORACLE_GUARD
 from reference import Unpowered, peel_cells
 
 
@@ -81,14 +82,28 @@ def test_guard_refuses_without_building_the_power():
 
 
 def test_guard_refuses_exactly_the_states_past_it():
+    # n*k placements fill each state; they decide only at ell = 1.
     for guard in range(1, 70):
         for ell in range(1, 5):
             for states in range(1, 8):
-                if ell**states > guard:
+                if ell**states > guard or states > guard:
                     with pytest.raises(ResourceGuardError):
                         ibltlab.oracle.check_states(ell, states, 1, guard)
                 else:
                     ibltlab.oracle.check_states(ell, states, 1, guard)
+
+
+def test_guard_counts_the_placements_of_the_one_state_at_ell_one(monkeypatch):
+    # 1**(n*k) is one state, but it holds n*k placements: at n*k = 1.31e8
+    # about 60 s and 5 GB to build.
+    with pytest.raises(ResourceGuardError, match="placements"):
+        ibltlab.oracle.check_states(1, 1, ORACLE_GUARD + 1)
+    ibltlab.oracle.check_states(1, 1, ORACLE_GUARD)
+    built = []
+    monkeypatch.setattr(ibltlab.oracle, "StateMatrix", lambda *a: built.append(a))
+    with pytest.raises(ResourceGuardError, match="placements"):
+        exact_failure_probability(1, 1, ORACLE_GUARD + 1)
+    assert built == []
 
 
 @pytest.mark.parametrize("guard", [0, -1])

@@ -66,8 +66,8 @@ def test_phat_respects_bound_on_sweep(census):
 
 def test_sweeps_are_reproducible(census):
     base = TrialConfig(n=10, m=30, k=3, trials=2000, seed=21)
-    first = sweep(base, [30, 60], census=census)
-    second = sweep(base, [30, 60], census=census)
+    first = list(sweep(base, [30, 60], census=census))
+    second = list(sweep(base, [30, 60], census=census))
     assert first == second
 
 
@@ -103,7 +103,7 @@ def test_distinct_keys_with_conventional_scheme(census):
     report = run_trials(
         tiny_cfg(key_model=KeyModel.DISTINCT_UNIFORM, seed=13), census=census
     )
-    assert report.trials == 20_000
+    assert report.config.trials == 20_000
 
 
 def test_config_validation():
@@ -119,7 +119,10 @@ def test_config_validation():
         TrialConfig(n=5, m=4, k=2, b=2, key_model=KeyModel.DISTINCT_UNIFORM)
     # ss-avoiding: needs distinct keys, b = s*k and m/k = 2**s
     with pytest.raises(ValueError):
-        TrialConfig(n=2, m=8, k=2, b=4, scheme=HashKind.SS_AVOIDING)
+        TrialConfig(
+            n=2, m=8, k=2, b=4,
+            scheme=HashKind.SS_AVOIDING, key_model=KeyModel.IID_UNIFORM,
+        )
     with pytest.raises(ValueError):
         TrialConfig(
             n=2, m=8, k=2, b=5,
@@ -135,6 +138,18 @@ def test_config_validation():
         scheme=HashKind.SS_AVOIDING, key_model=KeyModel.DISTINCT_UNIFORM,
     )
     assert ok.ell == 4
+
+
+def test_key_model_defaults_to_the_schemes():
+    ss = TrialConfig(n=2, m=8, k=2, b=4, scheme=HashKind.SS_AVOIDING)
+    assert ss.key_model is KeyModel.DISTINCT_UNIFORM
+    assert ss == TrialConfig(
+        n=2, m=8, k=2, b=4,
+        scheme=HashKind.SS_AVOIDING, key_model=KeyModel.DISTINCT_UNIFORM,
+    )
+    assert tiny_cfg().key_model is KeyModel.IID_UNIFORM
+    # Derived configs keep the resolved model.
+    assert dataclasses.replace(ss, seed=5).key_model is KeyModel.DISTINCT_UNIFORM
 
 
 def test_run_trials_guards_trial_memory():
@@ -177,6 +192,21 @@ def test_refusals_come_before_any_kernel_call(monkeypatch):
     with pytest.raises(ResourceGuardError):
         sweep(TrialConfig(n=3000, m=30, k=3, trials=10), [30, 15000])
     assert calls == []
+
+
+def test_sweep_checks_every_point_at_call_time_and_runs_when_iterated(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        _kernels_py, "run_trials", lambda *a, **kw: calls.append(a) or (0, 0, 0)
+    )
+    base = TrialConfig(n=3000, m=30, k=3, trials=10)
+    with pytest.raises(ResourceGuardError):
+        sweep(base, [30, 15000])  # the second point's bound is over budget
+    assert calls == []
+    reports = sweep(base, [30, 60])
+    assert calls == []
+    assert [report.config.m for report in reports] == [30, 60]
+    assert len(calls) == 2
 
 
 def test_trial_time_guard_shares_the_work_among_processes(census, monkeypatch):
