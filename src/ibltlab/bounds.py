@@ -9,8 +9,10 @@ Terms are evaluated as exact-integer numerator/denominator pairs and
 converted by one correctly-rounded true division each, so small cases come
 out bit-exact (the i=2 term IS the floor asymptote) while huge mixed-scale
 terms -- C(210,105) alone is ~1e61 and the ratio underflows a double --
-still land on the correctly rounded product.  Totals above float range
-degrade to inf; the clamped total is then 1.
+still land on the correctly rounded product.  A term provably at least
+2**1024 is recorded as inf without building its power count**k, the bulk
+of the work at large n and small ell.  Totals above float range degrade
+to inf; the clamped total is then 1.
 """
 
 import math
@@ -37,6 +39,15 @@ def _ratio_term(numerator: int, denominator: int) -> float:
         return numerator / denominator
     except OverflowError:
         return math.inf
+
+
+def _past_float_range(subsets: int, count: int, k: int, denominator: int) -> bool:
+    """Whether subsets * count**k / denominator is at least 2**1024, so it
+    overflows a double, decided without building count**k: with count cut
+    to its top 64 bits the quotient can only shrink, by a factor of at most
+    (1 - 2**-63)**k."""
+    cut = max(count.bit_length() - 64, 0)
+    return (subsets * (count >> cut) ** k) << (k * cut) >= denominator << 1024
 
 
 def check_bound_cost(ell: int, n: int, k: int):
@@ -70,7 +81,10 @@ def union_bound(census: StoppingCensus, ell: int, n: int, k: int) -> BoundBreakd
     denominator = ell ** (2 * k)
     subsets = math.comb(n, 2)  # C(n, i), advanced exactly to C(n, i+1)
     for i in range(2, n + 1):
-        terms.append((i, _ratio_term(subsets * counts[i] ** k, denominator)))
+        if _past_float_range(subsets, counts[i], k, denominator):
+            terms.append((i, math.inf))
+        else:
+            terms.append((i, _ratio_term(subsets * counts[i] ** k, denominator)))
         subsets = subsets * (n - i) // (i + 1)
         denominator *= ell_k
     try:

@@ -15,6 +15,12 @@ the tuple of the k partitions, which makes it exact, not approximate:
 states with equal tuples peel alike.  Of the 531,441 states at ell = 3,
 n = 4, k = 3 only 2,744 tuples differ (Stanley, *Enumerative
 Combinatorics* Vol. 1, ch. 3, on the set-partition lattice).
+
+A ``StateMatrix`` built by a caller is checked: ell >= 1, blocks of one
+length, rows in ``range(ell)``.  The states ``iter_state_matrices`` yields
+skip that check, because their blocks are drawn from ``range(ell)`` with
+one length by construction; re-checking the n*k rows of every state costs
+more than peeling it.
 """
 
 import functools
@@ -27,7 +33,7 @@ from ibltlab.errors import ResourceGuardError
 ORACLE_GUARD = 10_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateMatrix:
     """k blocks of ell rows; placements[i][j] = row of entry j in block i."""
 
@@ -35,7 +41,12 @@ class StateMatrix:
     placements: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.ell < 1:
+            raise ValueError(f"ell must be at least 1, got {self.ell}")
+        n = self.n
         for block in self.placements:
+            if len(block) != n:
+                raise ValueError(f"a block of {len(block)} entries beside one of {n}")
             for r in block:
                 if not 0 <= r < self.ell:
                     raise ValueError(f"row index {r} out of range [0, {self.ell})")
@@ -47,6 +58,20 @@ class StateMatrix:
     @property
     def n(self) -> int:
         return len(self.placements[0]) if self.placements else 0
+
+
+_new_state = object.__new__
+_set_ell = StateMatrix.ell.__set__
+_set_placements = StateMatrix.placements.__set__
+
+
+def _enumerated_state(ell: int, placements) -> StateMatrix:
+    """A StateMatrix without ``__post_init__``: for ``iter_state_matrices``,
+    whose blocks are equal-length tuples drawn from ``range(ell)``."""
+    sm = _new_state(StateMatrix)
+    _set_ell(sm, ell)
+    _set_placements(sm, placements)
+    return sm
 
 
 # Bounded memos: the ell**n blocks and the tuples of partitions (at most
@@ -83,8 +108,9 @@ def _residual(partitions: tuple[tuple[int, ...], ...], n: int) -> int:
 def peel_fixpoint(sm: StateMatrix) -> set[int]:
     """Columns surviving peeling, as a new set on every call; empty iff no
     stopping sub-matrix exists."""
-    n = sm.n
-    alive = _residual(tuple(map(_row_masks, sm.placements)), n)
+    placements = sm.placements
+    n = len(placements[0]) if placements else 0
+    alive = _residual(tuple(map(_row_masks, placements)), n)
     return {j for j in range(n) if alive >> j & 1} if alive else set()
 
 
@@ -100,7 +126,7 @@ def iter_state_matrices(ell: int, n: int, k: int):
     # streams them, so it lists nothing.
     tuples = zip(blocks) if k == 1 else itertools.product(list(blocks), repeat=k)
     for placements in tuples:
-        yield StateMatrix(ell, placements)
+        yield _enumerated_state(ell, placements)
 
 
 def check_states(ell: int, n: int, k: int, guard: int = ORACLE_GUARD):
@@ -132,5 +158,5 @@ def exact_failure_probability(
     """Exact probability that listing fails, by full enumeration, once
     ``check_states`` lets the ell**(n*k) state matrices through."""
     check_states(ell, n, k, guard)
-    failing = sum(1 for sm in iter_state_matrices(ell, n, k) if peel_fixpoint(sm))
+    failing = sum(map(bool, map(peel_fixpoint, iter_state_matrices(ell, n, k))))
     return Fraction(failing, ell ** (n * k))

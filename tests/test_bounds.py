@@ -11,7 +11,8 @@ from ibltlab import (
     stopping_set_probability,
     union_bound,
 )
-from ibltlab.bounds import check_bound_cost
+import ibltlab.bounds
+from ibltlab.bounds import _ratio_term, check_bound_cost
 
 
 def test_single_term_bound_is_exact(census):
@@ -123,3 +124,30 @@ def test_peeling_region_bound_blows_up(census):
     breakdown = union_bound(census, 10, 100, 3)
     assert breakdown.total > 1.0
     assert breakdown.total_clamped == 1.0
+
+
+def test_terms_past_float_range_match_the_plain_quotients(census):
+    # Terms i = 339..861 pass float range; the bound skips their powers.
+    ell, n, k = 2, 1200, 3
+    counts = census.row(ell, n)
+    plain = tuple(
+        (i, _ratio_term(math.comb(n, i) * counts[i] ** k, ell ** (i * k)))
+        for i in range(2, n + 1)
+    )
+    breakdown = union_bound(census, ell, n, k)
+    assert breakdown.terms == plain
+    assert sum(value == math.inf for _, value in plain) == 523
+
+
+def test_overflowing_terms_are_not_divided(census, monkeypatch):
+    # The 523 terms past float range (i = 339..861) are recorded as inf
+    # before their power is built, so none reaches the division.
+    results = []
+    ratio_term = ibltlab.bounds._ratio_term
+    monkeypatch.setattr(
+        ibltlab.bounds, "_ratio_term", lambda *a: results.append(ratio_term(*a)) or results[-1]
+    )
+    breakdown = union_bound(census, 2, 1200, 3)
+    assert sum(value == math.inf for _, value in breakdown.terms) == 523
+    assert len(results) == 1199 - 523
+    assert math.inf not in results

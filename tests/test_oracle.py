@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -16,6 +17,8 @@ from ibltlab import (
 )
 from ibltlab.oracle import ORACLE_GUARD
 from reference import Unpowered, peel_cells
+
+ORDER_SHAPES = [(1, 3, 2), (3, 1, 2), (3, 2, 1), (2, 3, 2), (3, 2, 3), (2, 1, 4)]
 
 
 def test_single_column_always_peels():
@@ -100,7 +103,7 @@ def test_guard_counts_the_placements_of_the_one_state_at_ell_one(monkeypatch):
         ibltlab.oracle.check_states(1, 1, ORACLE_GUARD + 1)
     ibltlab.oracle.check_states(1, 1, ORACLE_GUARD)
     built = []
-    monkeypatch.setattr(ibltlab.oracle, "StateMatrix", lambda *a: built.append(a))
+    monkeypatch.setattr(ibltlab.oracle, "iter_state_matrices", lambda *a: built.append(a) or [])
     with pytest.raises(ResourceGuardError, match="placements"):
         exact_failure_probability(1, 1, ORACLE_GUARD + 1)
     assert built == []
@@ -144,11 +147,29 @@ def test_peel_fixpoint_returns_a_fresh_set():
     assert peel_fixpoint(StateMatrix(3, ((0, 1, 2), (0, 1, 2)))) == set()
 
 
-@pytest.mark.parametrize("ell,n,k", [(1, 3, 2), (3, 1, 2), (3, 2, 1), (2, 3, 2), (3, 2, 3), (2, 1, 4)])
+@pytest.mark.parametrize("ell,n,k", ORDER_SHAPES)
 def test_enumeration_order_is_mixed_radix(ell, n, k):
     digits = itertools.product(range(ell), repeat=n * k)
     expected = [tuple(d[i * n : (i + 1) * n] for i in range(k)) for d in digits]
     assert [sm.placements for sm in iter_state_matrices(ell, n, k)] == expected
+
+
+@pytest.mark.parametrize("ell,n,k", ORDER_SHAPES)
+def test_enumerated_states_equal_checked_ones(ell, n, k):
+    # Enumerated states skip the row check; each must still be the state
+    # the checking constructor builds from its placements.
+    for sm in iter_state_matrices(ell, n, k):
+        checked = StateMatrix(ell, sm.placements)
+        assert sm == checked and hash(sm) == hash(checked)
+        assert (sm.ell, sm.n, sm.k) == (ell, n, k)
+
+
+def test_enumerated_states_are_frozen():
+    sm = next(iter_state_matrices(2, 2, 2))
+    for field, value in (("ell", 3), ("placements", ((1, 1), (1, 1)))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sm, field, value)
+    assert sm == StateMatrix(2, ((0, 0), (0, 0)))
 
 
 @pytest.mark.parametrize("ell,n,k", [(1, 2, 3), (2, 3, 2), (3, 3, 2), (4, 2, 2)])
@@ -238,5 +259,14 @@ def test_listing_matches_oracle_on_real_scheme():
 def test_state_matrix_validation():
     with pytest.raises(ValueError):
         StateMatrix(2, ((0, 2),))
+    with pytest.raises(ValueError, match="out of range"):
+        StateMatrix(2, ((0, -1), (1, 1)))
+    # Entry 1 would have no row in block 1, and peeling would miss it.
+    with pytest.raises(ValueError, match="entries"):
+        StateMatrix(3, ((0, 0), (1,)))
+    with pytest.raises(ValueError, match="entries"):
+        StateMatrix(3, ((0,), (1, 2)))
+    with pytest.raises(ValueError, match="ell"):
+        StateMatrix(0, ((),))
     with pytest.raises(ValueError):
         exact_failure_probability(0, 1, 1)
