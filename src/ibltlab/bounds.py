@@ -11,14 +11,15 @@ out bit-exact (the i=2 term IS the floor asymptote) while huge mixed-scale
 terms -- C(210,105) alone is ~1e61 and the ratio underflows a double --
 still land on the correctly rounded product.  A term provably at least
 2**1024 is recorded as inf without building its power count**k, the bulk
-of the work at large n and small ell.  Totals above float range degrade
-to inf; the clamped total is then 1.
+of the work at large n and small ell; the cost guard charges no power for
+a term that a census-free lower bound already shows to be that large.
+Totals above float range degrade to inf; the clamped total is then 1.
 """
 
 import math
 from dataclasses import dataclass
 
-from ibltlab.census import StoppingCensus, check_cost, rows_cost_s
+from ibltlab.census import COST_GUARD_S, StoppingCensus, check_cost, rows_cost_s
 
 
 @dataclass(frozen=True)
@@ -50,17 +51,54 @@ def _past_float_range(subsets: int, count: int, k: int, denominator: int) -> boo
     return (subsets * (count >> cut) ** k) << (k * cut) >= denominator << 1024
 
 
+# Bits by which a term's lower bound must pass 2**1024 before the cost
+# guard takes the term as past float range.  At the n and k the guard
+# admits, the rounding of the logs in ``_provably_past_float_range`` and
+# the 64-bit cut of ``_past_float_range``, a factor (1 - 2**-63)**k,
+# together come to far less than one bit.
+_PAST_RANGE_MARGIN_BITS = 1.0
+
+
+def _provably_past_float_range(ell: int, n: int, k: int, i: int) -> bool:
+    """Whether term i of the union bound is at least 2**1024, shown by a
+    lower bound that needs no census count.
+
+    An i-set fails to stop in a block only if some row holds exactly one
+    of its entries; a union bound over the ell rows gives
+    count(ell,i)/ell**i >= 1 - i*(1-1/ell)**(i-1), so term i is at least
+    C(n,i) * (1 - i*(1-1/ell)**(i-1))**k.  Its log must pass 1024 bits by
+    ``_PAST_RANGE_MARGIN_BITS``.  It is used only where
+    i*(1-1/ell)**(i-1) <= 1/2, which keeps the rounding of the log small.
+    Every term this accepts, ``_past_float_range`` accepts too."""
+    single = i * (1 - 1 / ell) ** (i - 1)
+    if single > 0.5:
+        return False
+    log_subsets = math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+    bits = (log_subsets + k * math.log1p(-single)) / math.log(2)
+    return bits >= 1024 + _PAST_RANGE_MARGIN_BITS
+
+
 def check_bound_cost(ell: int, n: int, k: int):
     """Raise ResourceGuardError when ``union_bound(_, ell, n, k)`` is
     estimated to exceed ``COST_GUARD_S``.
 
-    Besides the census row, the n terms take a power count(ell,i)**k of up
-    to k*n*log2(ell) bits each.  The rates were fitted on a 2-core x86 VM
-    under CPython 3.11.
+    Besides the census row, a term takes a power count(ell,i)**k of up to
+    b = k*n*log2(ell) bits, unless ``_provably_past_float_range`` shows it
+    is inf; ``union_bound`` then builds no power, and the term costs about
+    n + b bit operations.  The terms are walked only when the census row
+    is under budget, which bounds n by about 4e5.  The rates were fitted
+    on a 2-core x86 VM under CPython 3.11.
     """
     def estimate():
-        bits = float(k * n * max(1, ell.bit_length()))
-        return rows_cost_s(ell, ell, n) + 2e-11 * n * bits**1.5
+        seconds = rows_cost_s(ell, ell, n)
+        if seconds <= COST_GUARD_S:
+            bits = float(k * n * max(1, ell.bit_length()))
+            inf_terms = sum(
+                _provably_past_float_range(ell, n, k, i) for i in range(2, n + 1)
+            )
+            seconds += 2e-11 * (n - 1 - inf_terms) * bits**1.5
+            seconds += 2e-10 * inf_terms * (n + bits)
+        return seconds
 
     check_cost(f"the union bound at ell={ell}, n={n}, k={k}", estimate)
 

@@ -10,15 +10,12 @@ of worker count.
 import argparse
 import csv
 import sys
-import traceback
 
-from ibltlab import simulate
 from ibltlab.bounds import check_bound_cost, size2_asymptote, union_bound
 from ibltlab.census import COST_GUARD_S, StoppingCensus, check_cost, rows_cost_s
 from ibltlab.errors import ResourceGuardError
-from ibltlab.hashing import HashKind
+from ibltlab.hashing import HashKind, KeyModel
 from ibltlab.oracle import ORACLE_GUARD, check_states, exact_failure_probability
-from ibltlab.simulate import KeyModel, TrialConfig
 
 
 # Seconds to store and write one ztable cell: `ztable 200000 1` takes 1.9 s
@@ -151,19 +148,21 @@ def cmd_bound(args, out) -> int:
     return 0
 
 
-def _parse_sweep(spec: str) -> list[int]:
+def _parse_sweep(spec: str) -> range:
     try:
         start, stop, step = (int(part) for part in spec.split(":"))
     except ValueError:
         raise ValueError(f"--sweep expects start:stop:step, got {spec!r}") from None
     if step < 1 or stop < start:
         raise ValueError(f"bad sweep grid {spec!r}")
-    return list(range(start, stop + 1, step))
+    return range(start, stop + 1, step)
 
 
 def cmd_simulate(args, out) -> int:
+    from ibltlab import simulate  # the trial machinery, loaded by this command only
+
     m_values = [args.m] if args.m is not None else _parse_sweep(args.sweep)
-    base = TrialConfig(
+    base = simulate.TrialConfig(
         n=args.n,
         m=m_values[0],
         k=args.k,
@@ -258,6 +257,8 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         return 0
     except Exception:
+        import traceback
+
         traceback.print_exc()
         return 3
 

@@ -41,6 +41,14 @@ class HashKind(enum.Enum):
     SS_AVOIDING = "ss-avoiding"
 
 
+class KeyModel(enum.Enum):
+    """How simulated keys are drawn: iid uniform (repeats allowed) or
+    distinct uniform."""
+
+    IID_UNIFORM = "iid"
+    DISTINCT_UNIFORM = "distinct"
+
+
 @dataclass(frozen=True)
 class HashParams:
     """Shape of a hash scheme: k subtables of ell cells, b-bit keys."""

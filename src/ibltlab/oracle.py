@@ -26,9 +26,12 @@ more than peeling it.
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from ibltlab.errors import ResourceGuardError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 ORACLE_GUARD = 10_000_000
 
@@ -154,9 +157,11 @@ def check_states(ell: int, n: int, k: int, guard: int = ORACLE_GUARD):
 
 def exact_failure_probability(
     ell: int, n: int, k: int, guard: int = ORACLE_GUARD
-) -> Fraction:
+) -> "Fraction":
     """Exact probability that listing fails, by full enumeration, once
     ``check_states`` lets the ell**(n*k) state matrices through."""
+    from fractions import Fraction  # with decimal, loaded only when an oracle runs
+
     check_states(ell, n, k, guard)
     failing = sum(map(bool, map(peel_fixpoint, iter_state_matrices(ell, n, k))))
     return Fraction(failing, ell ** (n * k))

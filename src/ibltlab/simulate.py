@@ -10,10 +10,9 @@ result.  Sweep points at m cells run with the derived seed
 mix64(mix64(seed ^ SWEEP_SALT) + m*PHI64).
 """
 
-import enum
 import math
 import os
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
 from ibltlab._bits import (
@@ -28,13 +27,7 @@ from ibltlab._bits import (
 from ibltlab.bounds import check_bound_cost, size2_asymptote, union_bound
 from ibltlab.census import COST_GUARD_S, StoppingCensus
 from ibltlab.errors import ResourceGuardError
-from ibltlab.hashing import HashKind, HashParams
-
-
-class KeyModel(enum.Enum):
-    IID_UNIFORM = "iid"
-    DISTINCT_UNIFORM = "distinct"
-
+from ibltlab.hashing import HashKind, HashParams, KeyModel
 
 _SCHEME_CODES = {
     HashKind.PARTITIONED_UNIFORM: SCHEME_PARTITIONED,
@@ -56,6 +49,10 @@ TRIAL_MEMORY_GUARD_BYTES = 1 << 30
 _CELL_BYTES = 16
 _ENTRY_BYTES = 32
 _ENTRY_CELL_BYTES = 48
+
+# Sweeps over more m values than this are refused before any point is
+# built; ``sweep`` builds and plans every point when it is called.
+SWEEP_POINT_GUARD = 10**4
 
 # Kernel seconds per unit of trial work W (see _kernels_py.run_trials);
 # trials whose W passes COST_GUARD_S seconds' worth in each kernel process
@@ -262,16 +259,23 @@ def run_trials(
 
 def sweep(
     base: TrialConfig,
-    m_values: list[int],
+    m_values: Sequence[int],
     census: StoppingCensus | None = None,
     workers: int = 1,
 ) -> Iterator[SimReport]:
     """One report per m value, each point run with its derived seed.
 
-    Every point is validated and planned with ``plan_trials`` when this is
-    called, so a bad or refused point raises before any trial runs; the
-    returned iterator then runs the points in order, one ``run_trials``
-    call each, and yields each report as its point finishes."""
+    A grid of more than ``SWEEP_POINT_GUARD`` points raises
+    ResourceGuardError before any point is built.  Every point is then
+    validated and planned with ``plan_trials`` when this is called, so a
+    bad or refused point raises before any trial runs; the returned
+    iterator then runs the points in order, one ``run_trials`` call each,
+    and yields each report as its point finishes."""
+    # A slice, not len(): the length of a range can pass sys.maxsize.
+    if m_values[SWEEP_POINT_GUARD : SWEEP_POINT_GUARD + 1]:
+        raise ResourceGuardError(
+            f"sweeps of more than {SWEEP_POINT_GUARD} points exceed the guard"
+        )
     configs = [replace(base, m=m, seed=sweep_point_seed(base.seed, m)) for m in m_values]
     for cfg in configs:
         plan_trials(cfg, workers)

@@ -12,7 +12,12 @@ from ibltlab import (
     union_bound,
 )
 import ibltlab.bounds
-from ibltlab.bounds import _ratio_term, check_bound_cost
+from ibltlab.bounds import (
+    _past_float_range,
+    _provably_past_float_range,
+    _ratio_term,
+    check_bound_cost,
+)
 
 
 def test_single_term_bound_is_exact(census):
@@ -113,10 +118,43 @@ def test_validation():
 
 def test_bound_cost_charges_no_binomials():
     # union_bound advances C(n, i) by one multiply and divide per term, so
-    # the cost guard charges nothing for binomials; at ell=2, n=15000 the
-    # powers alone are estimated at about 8 s (3 to 4 s measured on a
-    # 2-core x86 VM).
+    # the cost guard charges no binomial beyond that step; at ell=2,
+    # n=15000 the estimate is about 0.64 s (0.3 s measured on a 2-core x86
+    # VM).
     check_bound_cost(2, 15000, 3)
+
+
+@pytest.mark.parametrize("ell", range(1, 9))
+def test_cost_guard_skips_only_terms_past_float_range(census, ell):
+    # The cost guard charges no power for a term its census-free lower
+    # bound puts past float range; union_bound must then skip the term too.
+    skipped = 0
+    for n in (2, 40, 1030, 1100, 3000):
+        counts = census.row(ell, n)
+        for k in range(1, 5):
+            subsets = math.comb(n, 2)
+            for i in range(2, n + 1):
+                if _provably_past_float_range(ell, n, k, i):
+                    skipped += 1
+                    assert _past_float_range(subsets, counts[i], k, ell ** (i * k)), (n, k, i)
+                subsets = subsets * (n - i) // (i + 1)
+    assert skipped > 0
+
+
+def test_cost_guard_sees_the_overflowing_terms():
+    # At (2, 1200, 3) the lower bound shows all 523 terms that union_bound
+    # records as inf (i = 339..861), the outermost by 0.3 bits.
+    shown = [i for i in range(2, 1201) if _provably_past_float_range(2, 1200, 3, i)]
+    assert shown == list(range(339, 862))
+
+
+def test_bound_cost_skips_the_powers_of_overflowing_terms():
+    # ell = 2, n = 30000 runs in about 1 s (2-core x86 VM); charging the
+    # powers of its terms past float range estimated it at 46.6 s.
+    check_bound_cost(2, 30000, 3)
+    # The census row alone refuses ell = 1 far past that.
+    with pytest.raises(ResourceGuardError, match="estimated"):
+        check_bound_cost(1, 1_000_000, 1)
 
 
 def test_peeling_region_bound_blows_up(census):

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import os
 import subprocess
 import sys
 
@@ -84,6 +85,17 @@ def test_bound_total_past_float_range_is_inf(invoke_cli):
     assert (row["bound_raw"], row["bound_clamped"]) == ("inf", "1.0")
 
 
+def test_bound_with_most_terms_past_float_range_runs(invoke_cli):
+    # The cost guard charges no power for the terms its lower bound puts
+    # past float range; it refused this input at an estimated 46.6 s, and
+    # it runs in about 1 s on a 2-core x86 VM.
+    code, out, err = invoke_cli(["bound", "--ell", "2", "--n", "30000", "--k", "3"])
+    assert (code, err) == (0, "")
+    header, rows = parse_csv(out)
+    row = dict(zip(header, rows[0]))
+    assert (row["bound_raw"], row["bound_clamped"]) == ("inf", "1.0")
+
+
 def test_bound_accepts_total_cells(invoke_cli):
     code_ell, out_ell, _ = invoke_cli(["bound", "--ell", "4", "--n", "2", "--k", "3"])
     code_m, out_m, _ = invoke_cli(["bound", "--m", "12", "--n", "2", "--k", "3"])
@@ -125,7 +137,7 @@ def test_bound_breakdown_bytes_are_pinned(invoke_cli):
     "argv",
     [
         ["--ell", "5000", "--n", "3000", "--k", "3"],  # census row
-        ["--ell", "2", "--n", "40000", "--k", "3"],  # powers, at large n
+        ["--ell", "1048576", "--n", "1000", "--k", "100"],  # powers of finite terms
         ["--ell", "3", "--n", "5", "--k", "10000000000"],  # powers
         ["--ell", "2", "--n", "1" + "0" * 400, "--k", "3"],  # beyond float range
     ],
@@ -272,6 +284,20 @@ def test_simulate_guards_trial_memory(invoke_cli, grid):
     assert "guard" in err
 
 
+@pytest.mark.parametrize("stop", ["4000000000", "1" + "0" * 30])
+def test_simulate_refuses_a_sweep_of_too_many_points(capped_python, stop):
+    # The grid stays a range: listing its 4e9 points would exhaust memory
+    # (MemoryError and exit 3 under the cap), and its length can pass
+    # sys.maxsize.
+    script = "import sys; from ibltlab.cli import main; sys.exit(main(sys.argv[1:]))"
+    result = capped_python(
+        script, "simulate", "--n", "5", "--k", "1", "--b", "64", "--trials", "1",
+        "--sweep", f"30:{stop}:1",
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert "guard" in result.stderr
+
+
 def test_simulate_guards_trial_time(invoke_cli, monkeypatch):
     # 10**9 trials at the paper's shape would run for hours: at least
     # trials * (m + 2*n*k) units of work, refused before any trial runs.
@@ -415,15 +441,16 @@ def test_oracle_guard_refuses_past_the_digit_limit(invoke_cli):
 
 
 def test_oracle_bound_guard_refuses_before_enumerating(invoke_cli, monkeypatch):
-    # One state of 10**5 placements passes the state guard; the union
-    # bound's cost guard refuses it (estimated at over a minute).
+    # One state of 10**6 placements passes the state guard; the union
+    # bound's cost guard refuses it (its census row alone is estimated at
+    # over three minutes).
     calls = []
     monkeypatch.setattr(cli, "exact_failure_probability", lambda *a, **kw: calls.append(a))
-    code, out, err = invoke_cli(["oracle", "1", "100000", "1"])
+    code, out, err = invoke_cli(["oracle", "1", "1000000", "1"])
     assert (code, out, calls) == (2, "", [])
     assert "union bound" in err
     # Usage errors still come first.
-    for argv in (["1", "100000", "1", "--guard", "0"], ["0", "100000", "1"]):
+    for argv in (["1", "1000000", "1", "--guard", "0"], ["0", "1000000", "1"]):
         assert invoke_cli(["oracle", *argv])[:2] == (1, "")
     assert calls == []
 
@@ -462,6 +489,31 @@ def test_csv_floats_roundtrip(invoke_cli):
     row = dict(zip(header, rows[0]))
     for column in ("bound_raw", "bound_clamped", "p2"):
         assert repr(float(row[column])) == row[column]
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="digests of CPython 3.11's argparse layout"
+)
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--help"], "db647667ba977daabc79f6642db032b767ff6f77e37736df2a1afede6a01da0b"),
+        (
+            ["simulate", "--help"],
+            "e3744dfe35a83cd2e776610ccd4ccd9a8fbf8e70a1d441d182237d608870cce6",
+        ),
+    ],
+)
+def test_help_text_is_pinned(argv, digest):
+    # The scheme and key-model choices come from the enums in hashing, so
+    # the parser is built without loading simulate; the help stays the same.
+    out = subprocess.run(
+        [sys.executable, "-m", "ibltlab", *argv],
+        capture_output=True,
+        env={**os.environ, "COLUMNS": "80"},
+        check=True,
+    )
+    assert hashlib.sha256(out.stdout).hexdigest() == digest
 
 
 def test_module_entry_point():

@@ -209,6 +209,35 @@ def test_sweep_checks_every_point_at_call_time_and_runs_when_iterated(monkeypatc
     assert len(calls) == 2
 
 
+def test_sweep_guard_counts_points_before_building_any(monkeypatch):
+    planned = []
+    monkeypatch.setattr(simulate, "plan_trials", lambda cfg, workers: planned.append(cfg))
+    base = TrialConfig(n=5, m=30, k=1, b=64, trials=1)
+    guard = simulate.SWEEP_POINT_GUARD
+    with pytest.raises(ResourceGuardError, match="guard"):
+        sweep(base, range(30, 31 + guard))
+    assert planned == []
+    sweep(base, range(30, 30 + guard))
+    assert len(planned) == guard
+
+
+def test_sweep_guard_refuses_huge_grids_without_building_them(capped_python):
+    # 4e9 points, or more than sys.maxsize: building one config per point
+    # would exhaust memory, so the interpreter's address space is capped.
+    script = """
+from ibltlab import ResourceGuardError, TrialConfig, sweep
+base = TrialConfig(n=5, m=30, k=1, b=64, trials=1)
+for stop in (4_000_000_000, 10**30):
+    try:
+        sweep(base, range(30, stop + 1))
+    except ResourceGuardError as exc:
+        print("refused:", exc)
+"""
+    result = capped_python(script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count("refused:") == 2
+
+
 def test_trial_time_guard_shares_the_work_among_processes(census, monkeypatch):
     # The work budget is COST_GUARD_S seconds' worth per kernel process:
     # work that passes one process's budget fits two.
