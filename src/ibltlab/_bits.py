@@ -4,10 +4,9 @@ Everything downstream (hash lanes, per-trial key streams, sweep seeds) is
 derived from one finalizer; the scalar ``mix64`` and the numpy
 ``mix64_array`` compute it bit for bit alike.
 
-The scalar functions are plain integer arithmetic.  Only the two vector
-functions, ``mix64_array`` and ``stream_outputs``, use numpy, and they
-import it when called, so the census, the bounds, the oracle and the table
-run without loading it.  The trial kernel's argument codes and batch size
+The scalar functions are plain integer arithmetic.  Only the vector
+function ``mix64_array`` uses numpy, and it imports it when called, so the
+census, the bounds, the oracle and the table run without loading it.  The trial kernel's argument codes and batch size
 live here too, so ``simulate`` reads them without loading numpy.
 """
 
@@ -98,11 +97,3 @@ def mix64_array(x: "np.ndarray") -> "np.ndarray":
     x *= mul2
     x ^= x >> shift3
     return x
-
-
-def stream_outputs(state: int, count: int) -> "np.ndarray":
-    """First ``count`` outputs of the counter stream rooted at ``state``."""
-    import numpy as np
-
-    steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(PHI64)
-    return mix64_array(np.uint64(state) + steps)

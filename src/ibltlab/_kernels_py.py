@@ -168,7 +168,7 @@ def run_trials(
         hasher = PartitionedUniformScheme(HashParams(k, ell, b, seed))
     else:
         params = HashParams(k, ell, b, seed, HashKind.SS_AVOIDING)
-        hasher = SsAvoidingScheme(params, None)
+        hasher = SsAvoidingScheme(params)
 
     failures = two_left = work = 0
     for lo in range(t_lo, t_hi, batch):

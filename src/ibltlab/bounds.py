@@ -126,7 +126,7 @@ def union_bound(census: StoppingCensus, ell: int, n: int, k: int) -> BoundBreakd
         subsets = subsets * (n - i) // (i + 1)
         denominator *= ell_k
     try:
-        total = math.fsum(sorted(value for _, value in terms))
+        total = math.fsum(value for _, value in terms)
     except OverflowError:  # finite terms summing past float range
         total = math.inf
     return BoundBreakdown(ell, n, k, tuple(terms), total, min(total, 1.0))

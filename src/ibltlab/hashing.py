@@ -14,6 +14,9 @@ Two families are provided:
   into k consecutive s-bit fields, so two distinct keys can never agree on
   the full index tuple.  Requires b = s*k and ell = 2**s.
 
+Each scheme class checks its parameters when built: ``params.kind`` must
+name it, and a custom bijection is spot-checked.  The factories
+``make_partitioned_uniform`` and ``make_ss_avoiding`` are the two classes.
 Schemes are immutable after construction and safe to share across workers;
 evaluation is a pure function of (scheme, key).  ``indices`` is plain
 integer arithmetic, one step per subtable over (first cell, lane key or
@@ -86,6 +89,8 @@ class PartitionedUniformScheme:
     """
 
     def __init__(self, params: HashParams):
+        if params.kind is not HashKind.PARTITIONED_UNIFORM:
+            raise ValueError(f"params.kind is {params.kind}, expected PARTITIONED_UNIFORM")
         self.params = params
         self.k = params.k
         self.ell = params.ell
@@ -129,9 +134,29 @@ class SsAvoidingScheme:
     Field i (counting from the most significant end) addresses subtable i,
     so the global index is q_i + i * 2**s.  Tuple injectivity follows from
     the bijection: distinct keys always differ in at least one field.
+
+    ``params.kind`` must be SS_AVOIDING.  ``bijection`` must permute b-bit
+    values; None means the identity map.  A custom bijection gets a
+    deterministic spot-check (distinct outputs in range over a key sample)
+    -- cheap insurance, not a proof.
     """
 
-    def __init__(self, params: HashParams, bijection: Callable[[int], int] | None):
+    def __init__(self, params: HashParams, bijection: Callable[[int], int] | None = None):
+        if params.kind is not HashKind.SS_AVOIDING:
+            raise ValueError(f"params.kind is {params.kind}, expected SS_AVOIDING")
+        if bijection is not None:
+            limit = 1 << params.b
+            sample = range(limit) if limit <= 512 else (
+                (mix64(i) % limit) for i in range(512)
+            )
+            seen = {}
+            for x in sample:
+                y = bijection(x)
+                if not 0 <= y < limit:
+                    raise ValueError(f"bijection({x}) = {y} is not a {params.b}-bit value")
+                if y in seen and seen[y] != x:
+                    raise ValueError(f"bijection collides: {seen[y]} and {x} -> {y}")
+                seen[y] = x
         self.params = params
         self.k = params.k
         self.ell = params.ell
@@ -139,7 +164,6 @@ class SsAvoidingScheme:
         self.m = params.m
         self.s = params.b // params.k
         self._bijection = bijection
-        self.is_identity = bijection is None
         # (first cell, field shift) of each subtable.
         self._subtables = tuple(
             (i * self.ell, self.s * (self.k - 1 - i)) for i in range(self.k)
@@ -198,35 +222,5 @@ class ExplicitScheme:
         return self._mapping[key]
 
 
-def make_partitioned_uniform(params: HashParams) -> PartitionedUniformScheme:
-    """Build the conventional scheme; params.kind must agree."""
-    if params.kind is not HashKind.PARTITIONED_UNIFORM:
-        raise ValueError(f"params.kind is {params.kind}, expected PARTITIONED_UNIFORM")
-    return PartitionedUniformScheme(params)
-
-
-def make_ss_avoiding(
-    params: HashParams, bijection: Callable[[int], int] | None = None
-) -> SsAvoidingScheme:
-    """Build the collision-avoiding scheme.
-
-    ``bijection`` must permute b-bit values; None means the identity map.
-    A custom bijection gets a deterministic spot-check (distinct outputs in
-    range over a key sample) -- cheap insurance, not a proof.
-    """
-    if params.kind is not HashKind.SS_AVOIDING:
-        raise ValueError(f"params.kind is {params.kind}, expected SS_AVOIDING")
-    if bijection is not None:
-        limit = 1 << params.b
-        sample = range(limit) if limit <= 512 else (
-            (mix64(i) % limit) for i in range(512)
-        )
-        seen = {}
-        for x in sample:
-            y = bijection(x)
-            if not 0 <= y < limit:
-                raise ValueError(f"bijection({x}) = {y} is not a {params.b}-bit value")
-            if y in seen and seen[y] != x:
-                raise ValueError(f"bijection collides: {seen[y]} and {x} -> {y}")
-            seen[y] = x
-    return SsAvoidingScheme(params, bijection)
+make_partitioned_uniform = PartitionedUniformScheme
+make_ss_avoiding = SsAvoidingScheme

@@ -5,8 +5,6 @@ from ibltlab._bits import (
     lane_keys,
     mix64,
     mix64_array,
-    stream_output,
-    stream_outputs,
     sweep_point_seed,
     trial_state,
 )
@@ -30,13 +28,6 @@ def test_vectorized_mix_matches_scalar():
     got = mix64_array(values)
     for x, y in zip(values, got):
         assert mix64(int(x)) == int(y)
-
-
-def test_stream_outputs_match_scalar_rule():
-    state = trial_state(42, 7)
-    outs = stream_outputs(state, 16)
-    for j in range(16):
-        assert int(outs[j]) == stream_output(state, j)
 
 
 def test_streams_are_salted_apart():

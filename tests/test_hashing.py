@@ -5,6 +5,8 @@ from ibltlab import (
     ExplicitScheme,
     HashKind,
     HashParams,
+    PartitionedUniformScheme,
+    SsAvoidingScheme,
     make_partitioned_uniform,
     make_ss_avoiding,
 )
@@ -61,10 +63,20 @@ def test_invalid_params_rejected():
 
 
 def test_kind_mismatch_rejected():
-    with pytest.raises(ValueError):
-        make_ss_avoiding(uniform_params())
-    with pytest.raises(ValueError):
-        make_partitioned_uniform(ss_params(k=2, s=3))
+    for build in (
+        lambda: make_ss_avoiding(uniform_params()),
+        lambda: make_partitioned_uniform(ss_params(k=2, s=3)),
+        lambda: SsAvoidingScheme(uniform_params(), None),
+        lambda: PartitionedUniformScheme(ss_params(k=2, s=3)),
+    ):
+        with pytest.raises(ValueError, match="params.kind"):
+            build()
+
+
+def test_factories_are_the_scheme_classes():
+    # One home for the checks: the factories are the classes, not wrappers.
+    assert make_partitioned_uniform is PartitionedUniformScheme
+    assert make_ss_avoiding is SsAvoidingScheme
 
 
 def test_ss_shape_constraints():
@@ -132,6 +144,8 @@ def test_ss_bijection_spot_checks():
         make_ss_avoiding(ss_params(k=2, s=2), bijection=lambda x: 0)
     with pytest.raises(ValueError):
         make_ss_avoiding(ss_params(k=2, s=2), bijection=lambda x: x + 16)
+    with pytest.raises(ValueError, match="collides"):
+        SsAvoidingScheme(ss_params(k=2, s=2), lambda x: 0)
 
 
 def test_indices_array_matches_scalar_path():
