@@ -17,13 +17,12 @@ Totals above float range degrade to inf; the clamped total is then 1.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ibltlab.census import COST_GUARD_S, StoppingCensus, check_cost, rows_cost_s
 
 
-@dataclass(frozen=True)
-class BoundBreakdown:
+class BoundBreakdown(NamedTuple):
     ell: int
     n: int
     k: int

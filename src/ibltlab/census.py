@@ -13,11 +13,12 @@ the rows forced to weight 1 gives the closed form
 ``StoppingCensus`` evaluates it one row at a time: for fixed ell, summand
 c moves from column n-1 to column n by the exact integer step
 
-    t_c <- t_c * n * (ell-c) // (n-c)
+    t_c <- t_c * (n * (ell-c)) // (n-c)
 
-and summand c = n enters at column n.  Everything is exact integer
-arithmetic; the alternating sum cancels huge terms and would be destroyed
-by floating point.
+(the small factor n*(ell-c) is formed first, so the big summand takes
+one multiplication), and summand c = n enters at column n.  Everything
+is exact integer arithmetic; the alternating sum cancels huge terms and
+would be destroyed by floating point.
 
 Two independent computations hold the closed form in the tests: the
 paper's pivot recurrence, as the partition identity
@@ -84,7 +85,7 @@ def _stopping_row(ell: int, n_max: int) -> list[int]:
     entering = 1
     for n in range(1, n_max + 1):
         for c, term in enumerate(terms):
-            terms[c] = term * n * (ell - c) // (n - c)
+            terms[c] = term * (n * (ell - c)) // (n - c)
         if n <= ell:
             entering *= n - 1 - ell
             terms.append(entering)

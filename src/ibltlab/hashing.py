@@ -30,7 +30,7 @@ numpy divides by a scalar several times faster than it takes a remainder.
 
 import enum
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from ibltlab._bits import lane_keys, mix64, mix64_array
@@ -52,29 +52,33 @@ class KeyModel(enum.Enum):
     DISTINCT_UNIFORM = "distinct"
 
 
-@dataclass(frozen=True)
-class HashParams:
-    """Shape of a hash scheme: k subtables of ell cells, b-bit keys."""
+class HashParams(namedtuple("HashParams", "k ell b seed kind")):
+    """Shape of a hash scheme: k subtables of ell cells, b-bit keys.
 
-    k: int
-    ell: int
-    b: int
-    seed: int = 0
-    kind: HashKind = HashKind.PARTITIONED_UNIFORM
+    An immutable record, compared and hashed by value, whose constructor
+    checks the shape; ``_make`` and ``_replace`` go through that check too.
+    """
 
-    def __post_init__(self):
-        if self.k < 1 or self.ell < 1 or self.b < 1:
+    __slots__ = ()
+
+    def __new__(cls, k, ell, b, seed=0, kind=HashKind.PARTITIONED_UNIFORM):
+        if k < 1 or ell < 1 or b < 1:
             raise ValueError("k, ell and b must be positive")
-        if self.b > 64:
+        if b > 64:
             raise ValueError("keys wider than 64 bits are not supported")
-        if self.kind is HashKind.SS_AVOIDING:
-            if self.b % self.k != 0:
+        if kind is HashKind.SS_AVOIDING:
+            if b % k != 0:
                 raise ValueError("ss-avoiding needs b = s*k for integer s")
-            s = self.b // self.k
-            if self.ell != 1 << s:
+            s = b // k
+            if ell != 1 << s:
                 raise ValueError(
-                    f"ss-avoiding needs ell = 2**(b/k) = {1 << s}, got {self.ell}"
+                    f"ss-avoiding needs ell = 2**(b/k) = {1 << s}, got {ell}"
                 )
+        return super().__new__(cls, k, ell, b, seed, kind)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def m(self) -> int:

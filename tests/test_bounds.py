@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ibltlab import (
+    BoundBreakdown,
     ResourceGuardError,
     is_stopping_matrix,
     size2_asymptote,
@@ -31,6 +32,19 @@ def test_raw_bound_can_exceed_one(census):
     breakdown = union_bound(census, 2, 3, 1)
     assert breakdown.total == 1.75  # 3*(2/4) + 1*(2/8)
     assert breakdown.total_clamped == 1.0
+
+
+def test_breakdown_is_an_immutable_record(census):
+    ell, n, k = 140, 210, 3
+    breakdown = union_bound(census, ell, n, k)
+    assert BoundBreakdown._fields == ("ell", "n", "k", "terms", "total", "total_clamped")
+    assert breakdown[:3] == (ell, n, k)
+    assert breakdown.terms[0][0] == 2 and len(breakdown.terms) == n - 1
+    assert breakdown.term(2).hex() == size2_asymptote(ell, n, k).hex()
+    for name in ("total", "terms", "no_such_field"):
+        with pytest.raises(AttributeError):
+            setattr(breakdown, name, 0.0)
+    assert breakdown == union_bound(census, ell, n, k)
 
 
 def test_single_entry_bound_is_empty_sum(census):

@@ -455,6 +455,24 @@ def test_oracle_bound_guard_refuses_before_enumerating(invoke_cli, monkeypatch):
     assert calls == []
 
 
+def test_oracle_enumerates_through_the_cli_name(invoke_cli, monkeypatch):
+    # perfbench's tracer times the enumeration by replacing
+    # cli.exact_failure_probability, so `oracle` must call it there, once.
+    argv = ["oracle", "3", "2", "2"]
+    unpatched = invoke_cli(argv)
+    assert unpatched[0] == 0
+    calls = []
+    enumerate_states = cli.exact_failure_probability
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return enumerate_states(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "exact_failure_probability", counted)
+    assert invoke_cli(argv) == unpatched
+    assert len(calls) == 1
+
+
 def test_oracle_guard_counts_the_placements_at_ell_one(invoke_cli, monkeypatch):
     # One state of 1.31e8 placements would take about a minute and 5 GB to
     # build; the union bound's cost guard sees no terms at n = 1.

@@ -54,12 +54,28 @@ def test_indices_stay_inside_their_subtable():
                 assert i * scheme.ell <= idx < (i + 1) * scheme.ell
 
 
+def _constructions(params, changes):
+    """Every way to build ``params`` with ``changes`` applied: by keyword,
+    by position, by ``_make`` and by ``_replace``."""
+    fields = {**params._asdict(), **changes}
+    return (
+        lambda: HashParams(**fields),
+        lambda: HashParams(*fields.values()),
+        lambda: HashParams._make(fields.values()),
+        lambda: params._replace(**changes),
+    )
+
+
 def test_invalid_params_rejected():
-    for bad in (dict(k=0, ell=4, b=8), dict(k=2, ell=0, b=8), dict(k=2, ell=4, b=0)):
-        with pytest.raises(ValueError):
-            HashParams(**bad)
-    with pytest.raises(ValueError):
-        HashParams(k=1, ell=4, b=65)
+    for changes, message in (
+        (dict(k=0), "must be positive"),
+        (dict(ell=0), "must be positive"),
+        (dict(b=0), "must be positive"),
+        (dict(b=65), "wider than 64 bits"),
+    ):
+        for build in _constructions(uniform_params(k=2, ell=4, b=8), changes):
+            with pytest.raises(ValueError, match=message):
+                build()
 
 
 def test_kind_mismatch_rejected():
@@ -80,10 +96,33 @@ def test_factories_are_the_scheme_classes():
 
 
 def test_ss_shape_constraints():
-    with pytest.raises(ValueError):
-        HashParams(k=3, ell=8, b=8, kind=HashKind.SS_AVOIDING)  # b not s*k
-    with pytest.raises(ValueError):
-        HashParams(k=3, ell=7, b=9, kind=HashKind.SS_AVOIDING)  # ell not 2**s
+    for params, changes, message in (
+        (ss_params(k=3, s=3), dict(b=8), r"b = s\*k"),  # b not s*k
+        (ss_params(k=3, s=3), dict(ell=7), r"ell = 2\*\*\(b/k\) = 8"),  # ell not 2**s
+        (uniform_params(k=3, ell=16, b=9), dict(kind=HashKind.SS_AVOIDING), "got 16"),
+    ):
+        for build in _constructions(params, changes):
+            with pytest.raises(ValueError, match=message):
+                build()
+
+
+def test_hash_params_is_an_immutable_value_record():
+    positional = HashParams(3, 16, 32, 7, HashKind.PARTITIONED_UNIFORM)
+    keyword = HashParams(k=3, ell=16, b=32, seed=7)
+    assert (keyword.k, keyword.ell, keyword.b, keyword.seed, keyword.kind) == (
+        3, 16, 32, 7, HashKind.PARTITIONED_UNIFORM,
+    )
+    assert positional == keyword and hash(positional) == hash(keyword)
+    defaults = HashParams(3, 16, 32)
+    assert (defaults.seed, defaults.kind, defaults.m) == (0, HashKind.PARTITIONED_UNIFORM, 48)
+    assert defaults != keyword
+    assert len({positional, keyword, defaults}) == 2
+    assert keyword._replace(seed=0) == defaults
+    assert type(keyword._replace(seed=0)) is HashParams
+    for name in ("k", "seed", "kind", "m", "no_such_field"):
+        with pytest.raises(AttributeError):
+            setattr(keyword, name, 1)
+    assert keyword == positional
 
 
 def test_per_subtable_uniformity_chi_square():

@@ -47,20 +47,30 @@ def test_importing_the_package_loads_no_submodule():
 
 
 def test_analysis_commands_load_neither_simulation_nor_table():
+    # `bound` and `ztable` need neither the oracle nor `dataclasses` (with
+    # the `inspect`, `ast` and `dis` it imports); `oracle` loads its module
+    # and `fractions`, and nothing of the simulation or the table.
     script = """
 import contextlib, io, sys
 import ibltlab.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = ibltlab.cli.main(sys.argv[1:])
-unwanted = ("ibltlab.simulate", "ibltlab.table", "fractions", "traceback", "numpy")
-print(code, [m for m in unwanted if m in sys.modules])
+watched = (
+    "ibltlab.simulate", "ibltlab.table", "ibltlab.oracle", "dataclasses",
+    "fractions", "traceback", "numpy",
+)
+print(code, *[m for m in watched if m in sys.modules])
 """
     for argv in (
         ["bound", "--n", "210", "--k", "3", "--breakdown", "--m", "420"],
         ["bound", "--ell", "2", "--n", "1100", "--k", "3"],
         ["ztable", "10", "10"],
     ):
-        assert _python(script, *argv) == "0 []\n", argv
+        assert _python(script, *argv) == "0\n", argv
+    code, *loaded = _python(script, "oracle", "2", "2", "2").split()
+    assert code == "0"
+    assert {"ibltlab.oracle", "fractions"} <= set(loaded)
+    assert not {"ibltlab.simulate", "ibltlab.table", "traceback", "numpy"} & set(loaded)
 
 
 def test_names_and_submodules_resolve_after_a_bare_import():
