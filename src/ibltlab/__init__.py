@@ -10,11 +10,11 @@ Submodules load on first use: ``import ibltlab`` runs none of them, and a
 package-level name (``ibltlab.union_bound``) or submodule
 (``ibltlab.census``) imports its module the first time it is read
 (PEP 562).  So each CLI command loads only what it runs: ``ztable``
-and ``bound`` load ``cli``, ``census``, ``bounds``, ``hashing``,
-``_bits`` and ``errors``, but neither ``oracle`` nor ``dataclasses``;
-``oracle`` adds ``oracle``, with ``dataclasses`` and ``fractions`` for
-its exact result; ``simulate`` adds ``simulate``, and numpy with
-``_kernels_py`` once its trials run.
+and ``bound`` load ``cli``, ``census``, ``bounds`` and ``errors``, but
+neither ``hashing``, ``oracle`` nor ``dataclasses``; ``oracle`` adds
+``oracle``, with ``dataclasses`` and ``fractions`` for its exact result;
+``simulate`` adds ``simulate`` with ``hashing`` and ``_bits``, and numpy
+with ``_kernels_py`` once its trials run.
 """
 
 from importlib import import_module

@@ -35,8 +35,8 @@ KEYS_DISTINCT = 1
 # Cells plus entry cells (m + n*k per trial) of one batch of kernel trials.
 BATCH_CELLS = 1 << 15
 
-_MUL1 = 0xBF58476D1CE4E5B9
-_MUL2 = 0x94D049BB133111EB
+MUL1 = 0xBF58476D1CE4E5B9
+MUL2 = 0x94D049BB133111EB
 
 
 def batch_trials(n: int, m: int, k: int) -> int:
@@ -49,9 +49,9 @@ def mix64(x: int) -> int:
     """Splitmix64 finalizer: a fast 64-bit bijection with strong avalanche."""
     x &= MASK64
     x ^= x >> 30
-    x = (x * _MUL1) & MASK64
+    x = (x * MUL1) & MASK64
     x ^= x >> 27
-    x = (x * _MUL2) & MASK64
+    x = (x * MUL2) & MASK64
     x ^= x >> 31
     return x
 
@@ -82,7 +82,7 @@ def _mix64_constants() -> tuple:
     """mix64's shifts and multipliers as numpy scalars, built once."""
     import numpy as np
 
-    return tuple(np.uint64(c) for c in (30, _MUL1, 27, _MUL2, 31))
+    return tuple(np.uint64(c) for c in (30, MUL1, 27, MUL2, 31))
 
 
 def mix64_array(x: "np.ndarray") -> "np.ndarray":

@@ -14,8 +14,12 @@ import sys
 from ibltlab.bounds import size2_asymptote, union_bound
 from ibltlab.census import COST_GUARD_S, StoppingCensus, check_cost, rows_cost_s
 from ibltlab.errors import ResourceGuardError
-from ibltlab.hashing import HashKind, KeyModel
 
+
+# The values of hashing.HashKind and hashing.KeyModel, written out so that
+# building the parser loads neither hashing nor _bits; a test keeps them equal.
+SCHEMES = ("partitioned-uniform", "ss-avoiding")
+KEY_MODELS = ("iid", "distinct")
 
 # Seconds to store and write one ztable cell: `ztable 200000 1` takes 1.9 s
 # on a 2-core x86 VM.
@@ -64,12 +68,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--scheme",
-        choices=[kind.value for kind in HashKind],
-        default=HashKind.PARTITIONED_UNIFORM.value,
+        choices=SCHEMES,
+        default=SCHEMES[0],
     )
     p.add_argument(
         "--key-model",
-        choices=[model.value for model in KeyModel],
+        choices=KEY_MODELS,
         default=None,
         help="defaults to iid, or distinct under the ss-avoiding scheme",
     )
@@ -168,8 +172,8 @@ def cmd_simulate(args, out) -> int:
         b=args.b,
         trials=args.trials,
         seed=args.seed,
-        scheme=HashKind(args.scheme),
-        key_model=KeyModel(args.key_model) if args.key_model else None,
+        scheme=simulate.HashKind(args.scheme),
+        key_model=simulate.KeyModel(args.key_model) if args.key_model else None,
     )
     # The sweep validates and checks every grid point before any runs, and
     # the rows are written once every point has run, so a refusal leaves

@@ -19,8 +19,16 @@ name it, and a custom bijection is spot-checked.  The factories
 ``make_partitioned_uniform`` and ``make_ss_avoiding`` are the two classes.
 Schemes are immutable after construction and safe to share across workers;
 evaluation is a pure function of (scheme, key).  ``indices`` is plain
-integer arithmetic, one step per subtable over (first cell, lane key or
-field shift) pairs built with the scheme; only the vectorized
+integer arithmetic.  The ss-avoiding scheme takes one field shift per
+subtable.  The partitioned scheme mixes all k lanes in one pass over a
+single int (SIMD within a register; Lamport, CACM 1975): lane i holds
+``key ^ lane_i`` in its own 128-bit slot, and the mix64 finalizer runs
+once on the packed int.  Each shift right by s < 64 is masked to the low
+64 bits of every slot, which drops the bits it moves down from the slot
+above (they land at bit 128 - s), and each multiply is cut back to those
+64 bits; a 64x64-bit product fits in 128 bits, so no carry crosses into
+the next slot.  Every index is bit for bit
+``i*ell + mix64(key ^ lane_i) % ell``.  Only the vectorized
 ``indices_array`` uses numpy, which it imports when called.  A scheme
 builds its numpy constants once, on its first ``indices_array`` call.  The
 partitioned scheme's ``indices_array`` reduces modulo ell as
@@ -33,7 +41,7 @@ import functools
 from collections import namedtuple
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from ibltlab._bits import lane_keys, mix64, mix64_array
+from ibltlab._bits import MASK64, MUL1, MUL2, lane_keys, mix64, mix64_array
 
 if TYPE_CHECKING:
     import numpy as np
@@ -85,6 +93,10 @@ class HashParams(namedtuple("HashParams", "k ell b seed kind")):
         return self.k * self.ell
 
 
+# Bits per lane of the packed hash in PartitionedUniformScheme.indices.
+_SLOT = 128
+
+
 class PartitionedUniformScheme:
     """k keyed mixers, one per subtable, each reduced modulo ell.
 
@@ -101,14 +113,28 @@ class PartitionedUniformScheme:
         self.b = params.b
         self.m = params.m
         self._lanes = lane_keys(params.seed, params.k)
-        # (first cell, lane key) of each subtable.
-        self._subtables = tuple(zip(range(0, self.m, self.ell), self._lanes))
+        # Lane i owns bits [128*i, 128*i + 128) of one packed int; see the
+        # module docstring.  `ones` has a 1 at the bottom of every slot, and
+        # `m64` the low 64 bits of every slot set.
+        ones = sum(1 << _SLOT * i for i in range(self.k))
+        packed_lanes = sum(lane << _SLOT * i for i, lane in enumerate(self._lanes))
+        self._packed = (ones, packed_lanes, MASK64 * ones)
+        # (first cell, slot shift) of each subtable.
+        self._slots = tuple((i * self.ell, _SLOT * i) for i in range(self.k))
 
     def indices(self, key: int) -> tuple[int, ...]:
+        # mix64(key ^ lane) of every lane in one pass over the packed int.
+        ones, packed_lanes, m64 = self._packed
+        x = (key & MASK64) * ones ^ packed_lanes
+        x ^= x >> 30 & m64
+        x = x * MUL1 & m64
+        x ^= x >> 27 & m64
+        x = x * MUL2 & m64
+        x ^= x >> 31 & m64
         ell = self.ell
         cells = []
-        for offset, lane in self._subtables:
-            cells.append(offset + mix64(key ^ lane) % ell)
+        for offset, shift in self._slots:
+            cells.append(offset + (x >> shift & MASK64) % ell)
         return tuple(cells)
 
     @functools.cached_property

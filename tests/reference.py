@@ -1,6 +1,8 @@
 """Frozen reference values, and plain reference implementations, shared by
 the unit and acceptance tests."""
 
+from ibltlab._bits import lane_keys, mix64
+
 # Exact stopping-matrix counts for subtable sizes 1..10 (rows) and column
 # counts 1..10 (columns).  Every value has been cross-checked against
 # literal brute-force enumeration of all ell**n column-weight-one matrices.
@@ -16,6 +18,13 @@ STOPPING_COUNTS_10X10 = [
     [0, 9, 9, 225, 729, 9369, 56961, 573057, 4794633, 46341081],
     [0, 10, 10, 280, 910, 13060, 80650, 892720, 7753510, 81163900],
 ]
+
+
+def partitioned_indices(params, key):
+    """The partitioned-uniform contract, one lane at a time: cell
+    ``i*ell + mix64(key ^ lane_i) % ell`` of subtable i."""
+    lanes = lane_keys(params.seed, params.k)
+    return tuple(i * params.ell + mix64(key ^ lane) % params.ell for i, lane in enumerate(lanes))
 
 
 def peel_cells(ell, placements):

@@ -523,8 +523,8 @@ def test_csv_floats_roundtrip(invoke_cli):
     ],
 )
 def test_help_text_is_pinned(argv, digest):
-    # The scheme and key-model choices come from the enums in hashing, so
-    # the parser is built without loading simulate; the help stays the same.
+    # The scheme and key-model choices are literals in cli, so the parser
+    # is built without loading hashing or simulate; the help stays the same.
     out = subprocess.run(
         [sys.executable, "-m", "ibltlab", *argv],
         capture_output=True,
@@ -532,6 +532,14 @@ def test_help_text_is_pinned(argv, digest):
         check=True,
     )
     assert hashlib.sha256(out.stdout).hexdigest() == digest
+
+
+def test_literal_choices_are_the_enum_values():
+    # cli spells the choices out so that `bound` and `ztable` never load
+    # hashing; they must still name every member, default first.
+    assert sorted(cli.SCHEMES) == sorted(kind.value for kind in simulate.HashKind)
+    assert sorted(cli.KEY_MODELS) == sorted(model.value for model in simulate.KeyModel)
+    assert cli.SCHEMES[0] == simulate.HashKind.PARTITIONED_UNIFORM.value
 
 
 def test_module_entry_point():

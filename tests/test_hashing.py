@@ -1,5 +1,9 @@
+import random
+
 import numpy as np
 import pytest
+
+from reference import partitioned_indices
 
 from ibltlab import (
     ExplicitScheme,
@@ -226,11 +230,41 @@ def test_explicit_scheme_mapping():
         ExplicitScheme(ell=4, k=2, mapping={1: (0,)})
 
 
+@pytest.mark.parametrize("b", [32, 64])
+def test_packed_indices_match_the_per_lane_formula(b):
+    # Every lane is mixed in its own 128-bit slot of one int; each must
+    # equal the lane hashed alone.  Keys past b bits, past 64 bits and
+    # negative pin how the key is masked to 64 bits first.
+    rng = random.Random(f"packed lanes {b}")
+    keys = [0, 1, 2**b - 1, 2**64 - 1, -1, 2**64 + 5]
+    keys += [rng.getrandbits(b) for _ in range(200)]
+    for k in range(1, 9):
+        for ell in (1, 2, 3, 1000, 2**31 + 11):
+            params = HashParams(k=k, ell=ell, b=b, seed=k * ell)
+            scheme = make_partitioned_uniform(params)
+            for key in keys:
+                assert scheme.indices(key) == partitioned_indices(params, key), (k, ell, key)
+
+
 def test_indices_are_pinned():
     uniform = make_partitioned_uniform(HashParams(k=3, ell=1000, b=32, seed=5))
     assert uniform.indices(0) == (198, 1586, 2449)
     assert uniform.indices(1) == (303, 1797, 2561)
     assert uniform.indices(0xDEADBEEF) == (740, 1603, 2962)
+    for k, pinned in (
+        (1, [(470,), (13,), (653,)]),
+        (2, [(470, 1337), (13, 1679), (653, 1332)]),
+        (
+            5,
+            [
+                (470, 1337, 2523, 3182, 4818),
+                (13, 1679, 2853, 3303, 4344),
+                (653, 1332, 2422, 3664, 4781),
+            ],
+        ),
+    ):
+        wide = make_partitioned_uniform(HashParams(k=k, ell=1000, b=64, seed=9))
+        assert [wide.indices(key) for key in (0, 0xDEADBEEF, 2**64 - 1)] == pinned
     fields = make_ss_avoiding(HashParams(k=3, ell=256, b=24, kind=HashKind.SS_AVOIDING))
     assert fields.indices(0) == (0, 256, 512)
     assert fields.indices(1) == (0, 256, 513)

@@ -47,8 +47,9 @@ def test_importing_the_package_loads_no_submodule():
 
 
 def test_analysis_commands_load_neither_simulation_nor_table():
-    # `bound` and `ztable` need neither the oracle nor `dataclasses` (with
-    # the `inspect`, `ast` and `dis` it imports); `oracle` loads its module
+    # `bound` and `ztable` need neither the oracle, the hash schemes nor
+    # `dataclasses` (with the `inspect`, `ast` and `dis` it imports); the
+    # parser's `simulate` choices are literals.  `oracle` loads its module
     # and `fractions`, and nothing of the simulation or the table.
     script = """
 import contextlib, io, sys
@@ -56,8 +57,8 @@ import ibltlab.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = ibltlab.cli.main(sys.argv[1:])
 watched = (
-    "ibltlab.simulate", "ibltlab.table", "ibltlab.oracle", "dataclasses",
-    "fractions", "traceback", "numpy",
+    "ibltlab.simulate", "ibltlab.table", "ibltlab.oracle", "ibltlab.hashing",
+    "ibltlab._bits", "dataclasses", "fractions", "traceback", "numpy",
 )
 print(code, *[m for m in watched if m in sys.modules])
 """
