@@ -6,8 +6,10 @@ derived from one finalizer; the scalar ``mix64`` and the numpy
 
 The scalar functions are plain integer arithmetic.  Only the vector
 function ``mix64_array`` uses numpy, and it imports it when called, so the
-census, the bounds, the oracle and the table run without loading it.  The trial kernel's argument codes and batch size
-live here too, so ``simulate`` reads them without loading numpy.
+census, the bounds, the oracle and the table run without loading it.  The
+trial kernel's batch size lives here too, so ``simulate`` reads it without
+loading numpy.  The kernel's scheme and key-model codes are the values of
+``hashing.HashKind`` and ``hashing.KeyModel``, written once, here.
 """
 
 import functools
@@ -26,11 +28,11 @@ LANE_SALT = 0x85EBCA77C2B2AE63
 TRIAL_SALT = 0xC2B2AE3D27D4EB4F
 SWEEP_SALT = 0x165667B19E3779F9
 
-# Integer codes of the trial kernel's arguments.
-SCHEME_PARTITIONED = 0
-SCHEME_SS_AVOIDING = 1
-KEYS_IID = 0
-KEYS_DISTINCT = 1
+# The trial kernel's scheme and key-model codes: the HashKind and KeyModel values.
+SCHEME_PARTITIONED = "partitioned-uniform"
+SCHEME_SS_AVOIDING = "ss-avoiding"
+KEYS_IID = "iid"
+KEYS_DISTINCT = "distinct"
 
 # Cells plus entry cells (m + n*k per trial) of one batch of kernel trials.
 BATCH_CELLS = 1 << 15
@@ -46,7 +48,7 @@ def batch_trials(n: int, m: int, k: int) -> int:
 
 
 def mix64(x: int) -> int:
-    """Splitmix64 finalizer: a fast 64-bit bijection with strong avalanche."""
+    """Splitmix64 finalizer: a fast invertible 64-bit mix with strong avalanche."""
     x &= MASK64
     x ^= x >> 30
     x = (x * MUL1) & MASK64

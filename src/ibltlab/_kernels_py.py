@@ -35,7 +35,6 @@ from ibltlab._bits import (
     KEYS_DISTINCT,
     MASK64,
     PHI64,
-    SCHEME_PARTITIONED,
     TRIAL_SALT,
     batch_trials,
     mix64,
@@ -138,8 +137,8 @@ def run_trials(
     ell: int,
     k: int,
     b: int,
-    scheme: int,
-    key_model: int,
+    scheme: str,
+    key_model: str,
     *,
     budget: float = math.inf,
 ) -> tuple[int, int, int]:
@@ -164,11 +163,11 @@ def run_trials(
     base = np.uint64(mix64(seed ^ TRIAL_SALT))
     steps = np.arange(1, 2 * n, 2, dtype=np.uint64) * np.uint64(PHI64)
     np_mask = np.uint64(mask)
-    if scheme == SCHEME_PARTITIONED:
-        hasher = PartitionedUniformScheme(HashParams(k, ell, b, seed))
-    else:
-        params = HashParams(k, ell, b, seed, HashKind.SS_AVOIDING)
+    params = HashParams(k, ell, b, seed, HashKind(scheme))
+    if params.kind is HashKind.SS_AVOIDING:
         hasher = SsAvoidingScheme(params)
+    else:
+        hasher = PartitionedUniformScheme(params)
 
     failures = two_left = work = 0
     for lo in range(t_lo, t_hi, batch):

@@ -10,20 +10,19 @@ Two families are provided:
   mixer, reduced modulo the subtable size.  This is the conventional
   construction: for uniform random keys every coordinate is uniform over
   its subtable and coordinates are independent across subtables.
-* collision-avoiding ("ss-avoiding") -- a bijection of the key is split
-  into k consecutive s-bit fields, so two distinct keys can never agree on
-  the full index tuple.  Requires b = s*k and ell = 2**s.
+* collision-avoiding ("ss-avoiding") -- the key is split into k
+  consecutive s-bit fields, so two distinct keys can never agree on the
+  full index tuple.  Requires b = s*k and ell = 2**s.
 
-Each scheme class checks its parameters when built: ``params.kind`` must
-name it, and a custom bijection is spot-checked.  The factories
-``make_partitioned_uniform`` and ``make_ss_avoiding`` are the two classes.
-Schemes are immutable after construction and safe to share across workers;
-evaluation is a pure function of (scheme, key).  ``indices`` is plain
-integer arithmetic.  The ss-avoiding scheme takes one field shift per
-subtable.  The partitioned scheme mixes all k lanes in one pass over a
-single int (SIMD within a register; Lamport, CACM 1975): lane i holds
-``key ^ lane_i`` in its own 128-bit slot, and the mix64 finalizer runs
-once on the packed int.  Each shift right by s < 64 is masked to the low
+Each scheme class checks when built that ``params.kind`` names it.  The
+factories ``make_partitioned_uniform`` and ``make_ss_avoiding`` are the
+two classes.  Schemes are immutable after construction and safe to share
+across workers; evaluation is a pure function of (scheme, key).
+``indices`` is plain integer arithmetic.  The ss-avoiding scheme takes one
+field shift per subtable.  The partitioned scheme mixes all k lanes in one
+pass over a single int (SIMD within a register; Lamport, CACM 1975): lane
+i holds ``key ^ lane_i`` in its own 128-bit slot, and the mix64 finalizer
+runs once on the packed int.  Each shift right by s < 64 is masked to the low
 64 bits of every slot, which drops the bits it moves down from the slot
 above (they land at bit 128 - s), and each multiply is cut back to those
 64 bits; a 64x64-bit product fits in 128 bits, so no carry crosses into
@@ -39,25 +38,35 @@ numpy divides by a scalar several times faster than it takes a remainder.
 import enum
 import functools
 from collections import namedtuple
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from ibltlab._bits import MASK64, MUL1, MUL2, lane_keys, mix64, mix64_array
+from ibltlab._bits import (
+    KEYS_DISTINCT,
+    KEYS_IID,
+    MASK64,
+    MUL1,
+    MUL2,
+    SCHEME_PARTITIONED,
+    SCHEME_SS_AVOIDING,
+    lane_keys,
+    mix64_array,
+)
 
 if TYPE_CHECKING:
     import numpy as np
 
 
 class HashKind(enum.Enum):
-    PARTITIONED_UNIFORM = "partitioned-uniform"
-    SS_AVOIDING = "ss-avoiding"
+    PARTITIONED_UNIFORM = SCHEME_PARTITIONED
+    SS_AVOIDING = SCHEME_SS_AVOIDING
 
 
 class KeyModel(enum.Enum):
     """How simulated keys are drawn: iid uniform (repeats allowed) or
     distinct uniform."""
 
-    IID_UNIFORM = "iid"
-    DISTINCT_UNIFORM = "distinct"
+    IID_UNIFORM = KEYS_IID
+    DISTINCT_UNIFORM = KEYS_DISTINCT
 
 
 class HashParams(namedtuple("HashParams", "k ell b seed kind")):
@@ -159,52 +168,34 @@ class PartitionedUniformScheme:
 
 
 class SsAvoidingScheme:
-    """Bijection output split into k fields of s bits, most significant first.
+    """The key split into k fields of s bits, most significant first.
 
     Field i (counting from the most significant end) addresses subtable i,
-    so the global index is q_i + i * 2**s.  Tuple injectivity follows from
-    the bijection: distinct keys always differ in at least one field.
+    so the global index is q_i + i * 2**s.  Distinct b-bit keys differ in
+    at least one field, so no two share their index tuple.
 
-    ``params.kind`` must be SS_AVOIDING.  ``bijection`` must permute b-bit
-    values; None means the identity map.  A custom bijection gets a
-    deterministic spot-check (distinct outputs in range over a key sample)
-    -- cheap insurance, not a proof.
+    ``params.kind`` must be SS_AVOIDING.
     """
 
-    def __init__(self, params: HashParams, bijection: Callable[[int], int] | None = None):
+    def __init__(self, params: HashParams):
         if params.kind is not HashKind.SS_AVOIDING:
             raise ValueError(f"params.kind is {params.kind}, expected SS_AVOIDING")
-        if bijection is not None:
-            limit = 1 << params.b
-            sample = range(limit) if limit <= 512 else (
-                (mix64(i) % limit) for i in range(512)
-            )
-            seen = {}
-            for x in sample:
-                y = bijection(x)
-                if not 0 <= y < limit:
-                    raise ValueError(f"bijection({x}) = {y} is not a {params.b}-bit value")
-                if y in seen and seen[y] != x:
-                    raise ValueError(f"bijection collides: {seen[y]} and {x} -> {y}")
-                seen[y] = x
         self.params = params
         self.k = params.k
         self.ell = params.ell
         self.b = params.b
         self.m = params.m
         self.s = params.b // params.k
-        self._bijection = bijection
         # (first cell, field shift) of each subtable.
         self._subtables = tuple(
             (i * self.ell, self.s * (self.k - 1 - i)) for i in range(self.k)
         )
 
     def indices(self, key: int) -> tuple[int, ...]:
-        y = key if self._bijection is None else self._bijection(key)
         mask = self.ell - 1
         cells = []
         for offset, shift in self._subtables:
-            cells.append(offset + ((y >> shift) & mask))
+            cells.append(offset + ((key >> shift) & mask))
         return tuple(cells)
 
     @functools.cached_property
@@ -221,11 +212,7 @@ class SsAvoidingScheme:
         import numpy as np
 
         shifts, offsets, mask = self._array_constants
-        if self._bijection is None:
-            y = keys.astype(np.uint64, copy=False)
-        else:
-            y = np.array([self._bijection(int(x)) for x in keys], dtype=np.uint64)
-        fields = y[None, :] >> shifts
+        fields = keys.astype(np.uint64, copy=False)[None, :] >> shifts
         fields &= mask
         fields += offsets
         return fields.view(np.int64)

@@ -15,25 +15,11 @@ import os
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
-from ibltlab._bits import (
-    KEYS_DISTINCT,
-    KEYS_IID,
-    MASK64,
-    SCHEME_PARTITIONED,
-    SCHEME_SS_AVOIDING,
-    batch_trials,
-    sweep_point_seed,
-)
+from ibltlab._bits import MASK64, batch_trials, sweep_point_seed
 from ibltlab.bounds import check_bound_cost, size2_asymptote, union_bound
 from ibltlab.census import COST_GUARD_S, StoppingCensus
 from ibltlab.errors import ResourceGuardError
 from ibltlab.hashing import HashKind, HashParams, KeyModel
-
-_SCHEME_CODES = {
-    HashKind.PARTITIONED_UNIFORM: SCHEME_PARTITIONED,
-    HashKind.SS_AVOIDING: SCHEME_SS_AVOIDING,
-}
-_KEY_CODES = {KeyModel.IID_UNIFORM: KEYS_IID, KeyModel.DISTINCT_UNIFORM: KEYS_DISTINCT}
 
 # 97.5th normal percentile: two-sided 95% score interval.
 _WILSON_Z = 1.959963984540054
@@ -220,7 +206,7 @@ def run_trials(
     cancels the ranges not yet started once the work summed so far does.
     """
     processes, ranges, budget = plan_trials(cfg, workers)
-    shape = (cfg.n, cfg.ell, cfg.k, cfg.b, _SCHEME_CODES[cfg.scheme], _KEY_CODES[cfg.key_model])
+    shape = (cfg.n, cfg.ell, cfg.k, cfg.b, cfg.scheme.value, cfg.key_model.value)
     args = [(cfg.seed, lo, hi, *shape, budget) for lo, hi in ranges]
     if processes == 1:
         failures, two_left, work = _run_range(args[0])

@@ -66,12 +66,11 @@ class Iblt:
     (arXiv:1101.2245).  Under the partitioned-uniform scheme most such
     cells stay in the residual, but a key sum that happens to be a key
     hashing to its cell passes, so a listed pair is then likely, not
-    certain.  Under the ss-avoiding scheme with the identity bijection the
-    test rejects no cell holding an odd number of keys: keys that share a
-    cell agree on that subtable's field, so their XOR does too and hashes
-    back to the cell, and listing may return pairs that were never
-    inserted.  ``get`` may then return ABSENT for a stored key or FOUND
-    with a wrong value.
+    certain.  Under the ss-avoiding scheme the test rejects no cell
+    holding an odd number of keys: keys that share a cell agree on that
+    subtable's field, so their XOR does too and hashes back to the cell,
+    and listing may return pairs that were never inserted.  ``get`` may
+    then return ABSENT for a stored key or FOUND with a wrong value.
     """
 
     def __init__(self, scheme):

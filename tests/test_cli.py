@@ -44,6 +44,13 @@ def test_ztable_full_rectangle(invoke_cli):
         assert int(z_s) == STOPPING_COUNTS_10X10[int(ell_s) - 1][int(n_s) - 1]
 
 
+@pytest.mark.parametrize("lmax, nmax", [("0", "3"), ("3", "-1")])
+def test_ztable_rejects_nonpositive_sizes(invoke_cli, lmax, nmax):
+    code, out, err = invoke_cli(["ztable", lmax, nmax])
+    assert (code, out) == (1, "")
+    assert "lmax and nmax must be positive" in err
+
+
 def test_ztable_guard_exit_code(invoke_cli):
     code, out, err = invoke_cli(["ztable", "1000", "1000"])
     assert (code, out) == (2, "")
@@ -251,11 +258,20 @@ def test_simulate_ss_scheme_defaults_to_distinct_keys(invoke_cli):
 
 
 def test_simulate_rejects_bad_config(invoke_cli):
-    code, _, err = invoke_cli(
-        ["simulate", "--n", "5", "--k", "3", "--m", "10", "--trials", "10"]
-    )
-    assert code == 1
-    assert "divisible" in err
+    for flags, message in (
+        (["--m", "10"], "divisible"),
+        (["--sweep", "30:40"], "expects start:stop:step"),
+        (["--sweep", "a:b:c"], "expects start:stop:step"),
+        (["--sweep", "40:30:5"], "bad sweep grid"),
+        (["--sweep", "30:60:0"], "bad sweep grid"),
+        (["--m", "30", "--seed", "-1"], "64-bit"),
+        (["--m", "30", "--seed", str(2**64)], "64-bit"),
+    ):
+        code, out, err = invoke_cli(
+            ["simulate", "--n", "5", "--k", "3", "--trials", "10", *flags]
+        )
+        assert (code, out) == (1, ""), flags
+        assert message in err, flags
 
 
 def test_simulate_checks_every_sweep_point_first(invoke_cli):

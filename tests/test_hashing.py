@@ -86,7 +86,7 @@ def test_kind_mismatch_rejected():
     for build in (
         lambda: make_ss_avoiding(uniform_params()),
         lambda: make_partitioned_uniform(ss_params(k=2, s=3)),
-        lambda: SsAvoidingScheme(uniform_params(), None),
+        lambda: SsAvoidingScheme(uniform_params()),
         lambda: PartitionedUniformScheme(ss_params(k=2, s=3)),
     ):
         with pytest.raises(ValueError, match="params.kind"):
@@ -175,22 +175,6 @@ def test_ss_single_table_is_identity():
         assert scheme.indices(key) == (key,)
 
 
-def test_ss_custom_bijection():
-    # x -> 5x + 3 mod 16 is a permutation of 4-bit values.
-    scheme = make_ss_avoiding(ss_params(k=2, s=2), bijection=lambda x: (5 * x + 3) % 16)
-    y = (5 * 9 + 3) % 16
-    assert scheme.indices(9) == (y >> 2, (y & 3) + 4)
-
-
-def test_ss_bijection_spot_checks():
-    with pytest.raises(ValueError):
-        make_ss_avoiding(ss_params(k=2, s=2), bijection=lambda x: 0)
-    with pytest.raises(ValueError):
-        make_ss_avoiding(ss_params(k=2, s=2), bijection=lambda x: x + 16)
-    with pytest.raises(ValueError, match="collides"):
-        SsAvoidingScheme(ss_params(k=2, s=2), lambda x: 0)
-
-
 def test_indices_array_matches_scalar_path():
     keys = np.arange(100, dtype=np.uint64)
     # 64-bit keys, the top bit set in the last ones.
@@ -208,13 +192,6 @@ def test_indices_array_matches_scalar_path():
         ),
         (make_ss_avoiding(ss_params(k=3, s=3, seed=5)), keys),
         (make_ss_avoiding(ss_params(k=2, s=32, seed=5)), wide_keys),
-        # A custom bijection takes the per-key path; 4-bit keys only.
-        (
-            make_ss_avoiding(
-                ss_params(k=2, s=2), bijection=lambda x: (5 * x + 3) % 16
-            ),
-            keys[:16],
-        ),
     ):
         arr = scheme.indices_array(scheme_keys)
         assert arr.shape == (scheme.k, len(scheme_keys))

@@ -45,6 +45,16 @@ SEEDS = (0, 1, 98765)
             [(167, 0, 1964348), (141, 0, 1902644), (159, 0, 2025710)],
         ),
     ],
+    # The ids spell the scheme and key model as the integer codes the kernel
+    # once took (0 partitioned or iid, 1 ss-avoiding or distinct), so each
+    # pinned case keeps the name it was recorded under.
+    ids=[
+        "0-0-8-6-3-16-expected0",
+        "0-0-2-2-2-32-expected1",
+        "0-1-8-6-3-8-expected2",
+        "1-1-8-8-2-6-expected3",
+        "1-1-30-16-3-12-expected4",
+    ],
 )
 def test_trial_kernel_outputs_are_pinned(scheme, key_model, n, ell, k, b, expected):
     got = [

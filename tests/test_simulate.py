@@ -194,6 +194,21 @@ def test_refusals_come_before_any_kernel_call(monkeypatch):
     assert calls == []
 
 
+def test_kernel_takes_the_enum_values_of_scheme_and_key_model(monkeypatch):
+    # Arguments 7 and 8 of a kernel call are the config's HashKind and
+    # KeyModel values; perfbench's tracer reads argument 7.
+    calls = []
+    monkeypatch.setattr(
+        _kernels_py, "run_trials", lambda *a, **kw: calls.append(a) or (0, 0, 0)
+    )
+    run_trials(TrialConfig(n=2, m=30, k=3, trials=10))
+    run_trials(TrialConfig(n=2, m=8, k=2, b=4, trials=10, scheme=HashKind.SS_AVOIDING))
+    assert [call[7:9] for call in calls] == [
+        ("partitioned-uniform", "iid"),
+        ("ss-avoiding", "distinct"),
+    ]
+
+
 def test_sweep_checks_every_point_at_call_time_and_runs_when_iterated(monkeypatch):
     calls = []
     monkeypatch.setattr(
