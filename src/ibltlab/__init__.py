@@ -12,7 +12,7 @@ package-level name (``ibltlab.union_bound``) or submodule
 (PEP 562).  So each CLI command loads only what it runs: ``ztable``
 and ``bound`` load ``cli``, ``census``, ``bounds`` and ``errors``, but
 neither ``hashing``, ``oracle`` nor ``dataclasses``; ``oracle`` adds
-``oracle``, with ``dataclasses`` and ``fractions`` for its exact result;
+``oracle``, with ``fractions`` for its exact result;
 ``simulate`` adds ``simulate`` with ``hashing`` and ``_bits``, and numpy
 with ``_kernels_py`` once its trials run.
 """

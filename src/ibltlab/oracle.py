@@ -10,22 +10,26 @@ the fast paths are checked against.
 
 Peeling sees only which entries share a row in each block, never the row
 indices themselves: a block enters it as the set partition it induces on
-the entries, one bit mask per occupied row.  So the peel is memoised on
-the tuple of the k partitions, which makes it exact, not approximate:
-states with equal tuples peel alike.  Of the 531,441 states at ell = 3,
-n = 4, k = 3 only 2,744 tuples differ (Stanley, *Enumerative
-Combinatorics* Vol. 1, ch. 3, on the set-partition lattice).
+the entries.  Each block maps to one integer that names that partition,
+each part a bit mask in the n-bit slot of its least entry, and the peel
+is memoised on the tuple of the k codes, which makes it exact, not
+approximate: states with equal tuples peel alike.  Of the 531,441 states
+at ell = 3, n = 4, k = 3 only 2,744 tuples differ (Stanley, *Enumerative
+Combinatorics* Vol. 1, ch. 3, on the set-partition lattice).  The memos
+are dicts, so a hit never leaves C, and each is emptied when it reaches
+its cap, which bounds its memory.
 
-A ``StateMatrix`` built by a caller is checked: ell >= 1, blocks of one
-length, rows in ``range(ell)``.  The states ``iter_state_matrices`` yields
-skip that check, because their blocks are drawn from ``range(ell)`` with
-one length by construction; re-checking the n*k rows of every state costs
-more than peeling it.
+A ``StateMatrix`` built by a caller, or by its ``_make`` and
+``_replace``, is checked: ell >= 1, blocks of one length, rows in
+``range(ell)``.  The states ``iter_state_matrices`` yields are built in C
+by ``tuple.__new__`` and skip that check, because their blocks are drawn
+from ``range(ell)`` with one length by construction; re-checking the n*k
+rows of every state costs more than peeling it.
 """
 
-import functools
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
+from functools import partial
 from typing import TYPE_CHECKING
 
 from ibltlab.errors import ResourceGuardError
@@ -36,23 +40,30 @@ if TYPE_CHECKING:
 ORACLE_GUARD = 10_000_000
 
 
-@dataclass(frozen=True, slots=True)
-class StateMatrix:
-    """k blocks of ell rows; placements[i][j] = row of entry j in block i."""
+class StateMatrix(namedtuple("StateMatrix", "ell placements")):
+    """k blocks of ell rows; placements[i][j] = row of entry j in block i.
 
-    ell: int
-    placements: tuple[tuple[int, ...], ...]
+    An immutable record, compared and hashed by value, whose constructor
+    checks the rows; ``_make`` and ``_replace`` go through that check too.
+    """
 
-    def __post_init__(self):
-        if self.ell < 1:
-            raise ValueError(f"ell must be at least 1, got {self.ell}")
-        n = self.n
-        for block in self.placements:
+    __slots__ = ()
+
+    def __new__(cls, ell, placements):
+        if ell < 1:
+            raise ValueError(f"ell must be at least 1, got {ell}")
+        n = len(placements[0]) if placements else 0
+        for block in placements:
             if len(block) != n:
                 raise ValueError(f"a block of {len(block)} entries beside one of {n}")
             for r in block:
-                if not 0 <= r < self.ell:
-                    raise ValueError(f"row index {r} out of range [0, {self.ell})")
+                if not 0 <= r < ell:
+                    raise ValueError(f"row index {r} out of range [0, {ell})")
+        return super().__new__(cls, ell, placements)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def k(self) -> int:
@@ -63,62 +74,83 @@ class StateMatrix:
         return len(self.placements[0]) if self.placements else 0
 
 
-_new_state = object.__new__
-_set_ell = StateMatrix.ell.__set__
-_set_placements = StateMatrix.placements.__set__
+class _Memo(dict):
+    """A dict that fills a missing key with ``build(key)``, first emptying
+    itself once it holds ``cap`` keys: a hit never leaves C, and memory
+    stays bounded however many keys a shape has."""
+
+    def __init__(self, build, cap: int):
+        super().__init__()
+        self.build = build
+        self.cap = cap
+
+    def __missing__(self, key):
+        if len(self) >= self.cap:
+            self.clear()
+        value = self[key] = self.build(key)
+        return value
 
 
-def _enumerated_state(ell: int, placements) -> StateMatrix:
-    """A StateMatrix without ``__post_init__``: for ``iter_state_matrices``,
-    whose blocks are equal-length tuples drawn from ``range(ell)``."""
-    sm = _new_state(StateMatrix)
-    _set_ell(sm, ell)
-    _set_placements(sm, placements)
-    return sm
-
-
-# Bounded memos: the ell**n blocks and the tuples of partitions (at most
-# Bell(n)**k) of most shapes under the guard fit; a full _residual holds
-# about 11 MiB.
-@functools.lru_cache(maxsize=1 << 12)
-def _row_masks(block: tuple[int, ...]) -> tuple[int, ...]:
-    """The set partition ``block`` induces on the entries: one bit mask per
-    occupied row, ordered by each row's first entry, so that blocks which
-    group the entries alike give equal tuples."""
-    masks: dict[int, int] = {}
+def _partition_code(block: tuple[int, ...]) -> int:
+    """The set partition ``block`` induces on its n entries, as one int:
+    entry j sets bit n*i + j, where i is the first entry in j's row.  So
+    each part is a bit mask in the n-bit slot of its least entry, and
+    blocks that group the entries alike, and only those, get equal codes."""
+    n = len(block)
+    first = block.index
+    code = 0
     for j, r in enumerate(block):
-        masks[r] = masks.get(r, 0) | 1 << j
-    return tuple(masks.values())
+        code |= 1 << first(r) * n + j
+    return code
 
 
-@functools.lru_cache(maxsize=1 << 15)
-def _residual(partitions: tuple[tuple[int, ...], ...], n: int) -> int:
-    """Bit mask of the entries left when every row that holds exactly one
-    live entry is peeled until none does."""
-    alive = (1 << n) - 1
+def _residual(key: tuple[int, ...]) -> frozenset[int]:
+    """The entries left when every row that holds exactly one live entry is
+    peeled until none does; ``key`` is the k partition codes, then n."""
+    *codes, n = key
+    alive = full = (1 << n) - 1
+    rows = []
+    for code in codes:
+        while code:
+            if code & full:
+                rows.append(code & full)
+            code >>= n
     peeled = True
     while peeled:
         peeled = False
-        for rows in partitions:
-            for row in rows:
-                live = row & alive
-                if live and not live & (live - 1):
-                    alive ^= live
-                    peeled = True
-    return alive
+        for row in rows:
+            live = row & alive
+            if live and not live & (live - 1):
+                alive ^= live
+                peeled = True
+    return _entry_sets[alive]
+
+
+def _entry_set(alive: int) -> frozenset[int]:
+    return frozenset(j for j in range(alive.bit_length()) if alive >> j & 1)
+
+
+# The ell**n blocks and the tuples of partitions (at most Bell(n)**k) of
+# most shapes under the guard fit.  Residuals share one frozenset per mask,
+# so the full memos hold about 3.5 MiB at ell = 2, n = 7, k = 3.
+_codes = _Memo(_partition_code, 1 << 12)
+_residuals = _Memo(_residual, 1 << 15)
+_entry_sets = _Memo(_entry_set, 1 << 12)
+
+
+def _peel(placements) -> frozenset[int]:
+    n = len(placements[0]) if placements else 0
+    return _residuals[(*map(_codes.__getitem__, placements), n)]
 
 
 def peel_fixpoint(sm: StateMatrix) -> set[int]:
     """Columns surviving peeling, as a new set on every call; empty iff no
     stopping sub-matrix exists."""
-    placements = sm.placements
-    n = len(placements[0]) if placements else 0
-    alive = _residual(tuple(map(_row_masks, placements)), n)
-    return {j for j in range(n) if alive >> j & 1} if alive else set()
+    return set(_peel(sm.placements))
 
 
 def contains_stopping_submatrix(sm: StateMatrix) -> bool:
-    return bool(peel_fixpoint(sm))
+    return bool(_peel(sm.placements))
 
 
 def iter_state_matrices(ell: int, n: int, k: int):
@@ -128,8 +160,7 @@ def iter_state_matrices(ell: int, n: int, k: int):
     # For k >= 2 the ell**n <= sqrt(states) blocks are listed once; k = 1
     # streams them, so it lists nothing.
     tuples = zip(blocks) if k == 1 else itertools.product(list(blocks), repeat=k)
-    for placements in tuples:
-        yield _enumerated_state(ell, placements)
+    return map(partial(tuple.__new__, StateMatrix), zip(itertools.repeat(ell), tuples))
 
 
 def check_states(ell: int, n: int, k: int, guard: int = ORACLE_GUARD):

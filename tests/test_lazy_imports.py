@@ -50,7 +50,8 @@ def test_analysis_commands_load_neither_simulation_nor_table():
     # `bound` and `ztable` need neither the oracle, the hash schemes nor
     # `dataclasses` (with the `inspect`, `ast` and `dis` it imports); the
     # parser's `simulate` choices are literals.  `oracle` loads its module
-    # and `fractions`, and nothing of the simulation or the table.
+    # and `fractions`, and nothing of the simulation or the table; its
+    # states are named tuples, so it needs no `dataclasses` either.
     script = """
 import contextlib, io, sys
 import ibltlab.cli
@@ -71,7 +72,9 @@ print(code, *[m for m in watched if m in sys.modules])
     code, *loaded = _python(script, "oracle", "2", "2", "2").split()
     assert code == "0"
     assert {"ibltlab.oracle", "fractions"} <= set(loaded)
-    assert not {"ibltlab.simulate", "ibltlab.table", "traceback", "numpy"} & set(loaded)
+    assert not {
+        "ibltlab.simulate", "ibltlab.table", "dataclasses", "traceback", "numpy"
+    } & set(loaded)
 
 
 def test_names_and_submodules_resolve_after_a_bare_import():

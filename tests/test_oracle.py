@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -167,9 +166,52 @@ def test_enumerated_states_equal_checked_ones(ell, n, k):
 def test_enumerated_states_are_frozen():
     sm = next(iter_state_matrices(2, 2, 2))
     for field, value in (("ell", 3), ("placements", ((1, 1), (1, 1)))):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(sm, field, value)
     assert sm == StateMatrix(2, ((0, 0), (0, 0)))
+
+
+def test_make_and_replace_run_the_checks():
+    sm = StateMatrix(ell=2, placements=((0, 1), (1, 1)))
+    assert sm == StateMatrix(2, ((0, 1), (1, 1)))
+    assert StateMatrix._make((2, ((0, 1),))) == StateMatrix(2, ((0, 1),))
+    assert sm._replace(ell=3).ell == 3
+    with pytest.raises(ValueError, match="out of range"):
+        StateMatrix._make((2, ((0, 2),)))
+    with pytest.raises(ValueError, match="out of range"):
+        sm._replace(placements=((0, 2),))
+    with pytest.raises(ValueError, match="ell"):
+        sm._replace(ell=0)
+    with pytest.raises(ValueError, match="entries"):
+        sm._replace(placements=((0, 1), (1,)))
+
+
+def test_partition_codes_name_the_grouping():
+    # Two blocks get one code iff they group their entries alike, across
+    # every ell: the reference is the set of row masks, in no order.
+    for n in range(1, 6):
+        pairs = set()
+        for ell in range(1, 5):
+            for block in itertools.product(range(ell), repeat=n):
+                masks = {}
+                for j, r in enumerate(block):
+                    masks[r] = masks.get(r, 0) | 1 << j
+                pairs.add((tuple(sorted(masks.values())), ibltlab.oracle._partition_code(block)))
+        groupings, codes = zip(*pairs)
+        assert len(set(groupings)) == len(set(codes)) == len(pairs), n
+
+
+def test_capped_memos_peel_exactly_and_stay_under_their_caps(monkeypatch):
+    memos = (ibltlab.oracle._codes, ibltlab.oracle._residuals, ibltlab.oracle._entry_sets)
+    for memo, cap in zip(memos, (4, 8, 2)):
+        memo.clear()
+        monkeypatch.setattr(memo, "cap", cap)
+    for ell, n, k in ((3, 3, 2), (2, 4, 3), (4, 3, 1), (1, 3, 2)):
+        for sm in iter_state_matrices(ell, n, k):
+            residual = peel_cells(ell, sm.placements)
+            assert peel_fixpoint(sm) == residual, sm
+            assert contains_stopping_submatrix(sm) == bool(residual), sm
+            assert all(len(memo) <= memo.cap for memo in memos)
 
 
 @pytest.mark.parametrize("ell,n,k", [(1, 2, 3), (2, 3, 2), (3, 3, 2), (4, 2, 2)])
