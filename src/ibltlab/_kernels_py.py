@@ -33,12 +33,12 @@ import numpy as np
 
 from ibltlab._bits import (
     KEYS_DISTINCT,
-    MASK64,
     PHI64,
     TRIAL_SALT,
     batch_trials,
     mix64,
     mix64_array,
+    stream_output,
 )
 from ibltlab.hashing import (
     HashKind,
@@ -94,8 +94,8 @@ def _distinct_keys_replay(
         if REPLAY_UNITS * (ctr - len(keys)) > spare:
             break
         while True:
+            x = stream_output(state, ctr) & mask
             ctr += 1
-            x = mix64((state + ctr * PHI64) & MASK64) & mask
             if x not in seen:
                 break
         seen.add(x)

@@ -36,7 +36,7 @@ force that tests the row counts of every matrix, one by one
 import math
 from typing import Callable, Iterable, Sequence
 
-from ibltlab.errors import ResourceGuardError
+from ibltlab.errors import ResourceGuardError, check_power
 
 BRUTE_FORCE_GUARD = 10**8
 
@@ -179,15 +179,12 @@ def count_stopping_bruteforce(
 
     Refuses when those ell**(n+1) row counts exceed ``guard``; the default
     1e8 admits ell <= 10**4 at n = 1, ell <= 100 at n = 3, n <= 25 at ell = 2.
-    At ell >= 2 an exponent of at least guard.bit_length() puts the power
-    past the guard, so it is refused before that power is built.
+    ``check_power`` refuses them without building their count, and raises
+    ValueError for a guard below 1.
     """
     if ell < 0 or n < 0:
         raise ValueError("ell and n must be nonnegative")
-    if ell > 1 and n + 1 >= guard.bit_length() or ell ** (n + 1) > guard:
-        raise ResourceGuardError(
-            f"ell**(n+1) = {ell}**{n + 1} row counts exceeds the guard of {guard}"
-        )
+    check_power(ell, n + 1, guard, f"ell**(n+1) = {ell}**{n + 1} row counts")
     if ell == 0 or n == 0:  # only the empty matrix, which stops
         return 1 if n == 0 else 0
     if ell == 1:

@@ -26,10 +26,6 @@ KEY_MODELS = ("iid", "distinct")
 _ZTABLE_CELL_S = 1e-5
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))  # shortest string that parses back to the same double
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors are exit code 1, not argparse's 2
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -42,6 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ztable", help="exact stopping-matrix counts on a rectangle")
     p.add_argument("lmax", type=int, help="largest subtable size")
     p.add_argument("nmax", type=int, help="largest column count")
+    p.set_defaults(run=cmd_ztable)
 
     p = sub.add_parser(
         "bound",
@@ -56,6 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of entries")
     p.add_argument("--k", type=int, required=True, help="number of hash functions")
     p.add_argument("--breakdown", action="store_true", help="emit one row per subset size")
+    p.set_defaults(run=cmd_bound)
 
     p = sub.add_parser("simulate", help="Monte Carlo listing-failure estimation")
     p.add_argument("--n", type=int, required=True)
@@ -84,17 +82,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="trial processes, at least 1; capped at the CPU and kernel batch counts",
     )
     p.add_argument("--verbose", action="store_true", help="progress on stderr")
+    p.set_defaults(run=cmd_simulate)
 
     p = sub.add_parser("oracle", help="exact failure probability by enumeration")
     p.add_argument("ell", type=int)
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     p.add_argument("--guard", type=int)
+    p.set_defaults(run=cmd_oracle)
 
     return parser
 
 
-def cmd_ztable(args, out) -> int:
+def cmd_ztable(args):
     if args.lmax < 1 or args.nmax < 1:
         raise ValueError("lmax and nmax must be positive")
     check_cost(
@@ -112,16 +112,16 @@ def cmd_ztable(args, out) -> int:
             f"{digits}-digit limit on printing an integer"
         )
     census = StoppingCensus()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["ell", "n", "z"])
-    for ell in range(1, args.lmax + 1):
-        row = census.row(ell, args.nmax)
-        for n in range(1, args.nmax + 1):
-            writer.writerow([ell, n, row[n]])
-    return 0
+    # Lazy, so a large table streams as it is written.
+    rows = (
+        [ell, n, z]
+        for ell in range(1, args.lmax + 1)
+        for n, z in enumerate(census.row(ell, args.nmax)[1:], start=1)
+    )
+    return ["ell", "n", "z"], rows
 
 
-def cmd_bound(args, out) -> int:
+def cmd_bound(args):
     if args.n < 1 or args.k < 1:
         raise ValueError("n and k must be positive")
     if args.ell is not None:
@@ -132,23 +132,18 @@ def cmd_bound(args, out) -> int:
         ell = args.m // args.k
     breakdown = union_bound(StoppingCensus(), ell, args.n, args.k)
     p2 = size2_asymptote(ell, args.n, args.k)
-    writer = csv.writer(out, lineterminator="\n")
+    header = ["ell", "n", "k", "bound_raw", "bound_clamped", "p2"]
     summary = [
         ell,
         args.n,
         args.k,
-        _fmt(breakdown.total),
-        _fmt(breakdown.total_clamped),
-        _fmt(p2),
+        breakdown.total,
+        breakdown.total_clamped,
+        p2,
     ]
     if args.breakdown:
-        writer.writerow(["ell", "n", "k", "bound_raw", "bound_clamped", "p2", "i", "term"])
-        for i, term in breakdown.terms:
-            writer.writerow(summary + [i, _fmt(term)])
-    else:
-        writer.writerow(["ell", "n", "k", "bound_raw", "bound_clamped", "p2"])
-        writer.writerow(summary)
-    return 0
+        return header + ["i", "term"], [summary + [i, term] for i, term in breakdown.terms]
+    return header, [summary]
 
 
 def _parse_sweep(spec: str) -> range:
@@ -161,7 +156,7 @@ def _parse_sweep(spec: str) -> range:
     return range(start, stop + 1, step)
 
 
-def cmd_simulate(args, out) -> int:
+def cmd_simulate(args):
     from ibltlab import simulate  # the trial machinery, loaded by this command only
 
     m_values = [args.m] if args.m is not None else _parse_sweep(args.sweep)
@@ -175,9 +170,6 @@ def cmd_simulate(args, out) -> int:
         scheme=simulate.HashKind(args.scheme),
         key_model=simulate.KeyModel(args.key_model) if args.key_model else None,
     )
-    # The sweep validates and checks every grid point before any runs, and
-    # the rows are written once every point has run, so a refusal leaves
-    # stdout empty.
     rows = []
     for report in simulate.sweep(base, m_values, workers=args.workers):
         cfg = report.config
@@ -191,11 +183,11 @@ def cmd_simulate(args, out) -> int:
                 cfg.scheme.value,
                 cfg.trials,
                 report.failures,
-                _fmt(report.p_hat),
-                _fmt(report.ci_low),
-                _fmt(report.ci_high),
-                _fmt(report.bound),
-                _fmt(report.p2),
+                report.p_hat,
+                report.ci_low,
+                report.ci_high,
+                report.bound,
+                report.p2,
                 args.seed,
             ]
         )
@@ -204,15 +196,11 @@ def cmd_simulate(args, out) -> int:
                 f"m={cfg.m}: {report.failures}/{cfg.trials} failures",
                 file=sys.stderr,
             )
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        [
-            "m", "ell", "n", "k", "b", "scheme", "trials", "failures",
-            "p_hat", "ci_low", "ci_high", "bound_clamped", "p2", "seed",
-        ]
-    )
-    writer.writerows(rows)
-    return 0
+    header = [
+        "m", "ell", "n", "k", "b", "scheme", "trials", "failures",
+        "p_hat", "ci_low", "ci_high", "bound_clamped", "p2", "seed",
+    ]
+    return header, rows
 
 
 # A module-level name that forwards to the oracle, so `ztable` and `bound`
@@ -224,7 +212,7 @@ def exact_failure_probability(ell: int, n: int, k: int, guard: int):
     return oracle.exact_failure_probability(ell, n, k, guard=guard)
 
 
-def cmd_oracle(args, out) -> int:
+def cmd_oracle(args):
     from ibltlab.oracle import ORACLE_GUARD, check_states
 
     guard = ORACLE_GUARD if args.guard is None else args.guard
@@ -233,36 +221,30 @@ def cmd_oracle(args, out) -> int:
     check_states(args.ell, args.n, args.k, guard)
     bound = union_bound(StoppingCensus(), args.ell, args.n, args.k).total_clamped
     exact = exact_failure_probability(args.ell, args.n, args.k, guard=guard)
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["ell", "n", "k", "exact_num", "exact_den", "exact_float", "bound_clamped"]
-    )
-    writer.writerow(
-        [
-            args.ell,
-            args.n,
-            args.k,
-            exact.numerator,
-            exact.denominator,
-            _fmt(float(exact)),
-            _fmt(bound),
-        ]
-    )
-    return 0
-
-
-_COMMANDS = {
-    "ztable": cmd_ztable,
-    "bound": cmd_bound,
-    "simulate": cmd_simulate,
-    "oracle": cmd_oracle,
-}
+    header = ["ell", "n", "k", "exact_num", "exact_den", "exact_float", "bound_clamped"]
+    row = [
+        args.ell,
+        args.n,
+        args.k,
+        exact.numerator,
+        exact.denominator,
+        float(exact),
+        bound,
+    ]
+    return header, [row]
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, sys.stdout)
+        # Each command checks its inputs and guards, and computes its rows
+        # (ztable's lazily, once nothing in them can refuse), before any
+        # output, so a bad input or a refusal leaves stdout empty.
+        header, rows = args.run(args)
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return 0
     except ResourceGuardError as exc:
         print(f"ibltlab: resource guard: {exc}", file=sys.stderr)
         return 2

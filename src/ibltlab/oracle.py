@@ -32,7 +32,7 @@ from collections import namedtuple
 from functools import partial
 from typing import TYPE_CHECKING
 
-from ibltlab.errors import ResourceGuardError
+from ibltlab.errors import ResourceGuardError, check_power
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -166,20 +166,13 @@ def iter_state_matrices(ell: int, n: int, k: int):
 def check_states(ell: int, n: int, k: int, guard: int = ORACLE_GUARD):
     """Raise ValueError for a nonpositive ell, n, k or guard, and
     ResourceGuardError when the ell**(n*k) state matrices, or the n*k
-    placements of one state, exceed ``guard``.
-
-    At ell >= 2 an exponent of at least guard.bit_length() puts the power
-    past the guard, so it is refused before that power is built.  The
-    placements only decide at ell = 1, where the one state holds them all.
+    placements of one state, exceed ``guard``; ``check_power`` refuses
+    the states without building their count.  The placements only decide
+    at ell = 1, where the one state holds them all.
     """
     if ell < 1 or n < 1 or k < 1:
         raise ValueError("ell, n and k must be positive")
-    if guard < 1:
-        raise ValueError(f"guard must be at least 1, got {guard}")
-    if ell > 1 and n * k >= guard.bit_length() or ell ** (n * k) > guard:
-        raise ResourceGuardError(
-            f"ell**(n*k) = {ell}**{n * k} state matrices exceeds the guard of {guard}"
-        )
+    check_power(ell, n * k, guard, f"ell**(n*k) = {ell}**{n * k} state matrices")
     if n * k > guard:
         raise ResourceGuardError(
             f"n*k = {n * k} placements of a state exceed the guard of {guard}"

@@ -104,14 +104,16 @@ class SimReport:
     work: int  # trial work W the kernel metered
 
 
-def wilson_interval(failures: int, trials: int, z: float = _WILSON_Z) -> tuple[float, float]:
+def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
     """95% score interval for a binomial proportion; exact-count friendly."""
     if trials < 1:
         raise ValueError("trials must be positive")
+    if not 0 <= failures <= trials:
+        raise ValueError(f"failures must be in [0, {trials}], got {failures}")
     p = failures / trials
-    zz = z * z / trials
+    zz = _WILSON_Z * _WILSON_Z / trials
     center = (p + zz / 2) / (1 + zz)
-    half = z * math.sqrt(p * (1 - p) / trials + zz / (4 * trials)) / (1 + zz)
+    half = _WILSON_Z * math.sqrt(p * (1 - p) / trials + zz / (4 * trials)) / (1 + zz)
     # The score interval always contains the point estimate; pin that down
     # against rounding at the extremes.
     return min(max(0.0, center - half), p), max(min(1.0, center + half), p)

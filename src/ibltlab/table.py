@@ -7,12 +7,10 @@ table of a union is the cellwise combination of the tables.
 """
 
 import enum
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     count: int
     key_sum: int
     value_sum: int
@@ -39,8 +37,7 @@ class ListingStatus(enum.Enum):
     PARTIAL = "partial"
 
 
-@dataclass(frozen=True)
-class ListingResult:
+class ListingResult(NamedTuple):
     entries: frozenset
     status: ListingStatus
     residual_cells: int

@@ -95,6 +95,20 @@ def test_bruteforce_guard_refuses_without_building_the_power():
                         count_stopping_bruteforce(ell, n, guard)
 
 
+@pytest.mark.parametrize("ell, n, guard", [(3, 2, 0), (3, 2, -1), (0, 0, 0)])
+def test_bruteforce_guard_below_one_is_a_bad_input(ell, n, guard):
+    # A guard below 1 is a bad input, as it is for the oracle, not a budget
+    # that the inputs overrun.
+    with pytest.raises(ValueError, match="guard must be at least 1"):
+        count_stopping_bruteforce(ell, n, guard)
+
+
+def test_bruteforce_guard_message():
+    with pytest.raises(ResourceGuardError) as exc:
+        count_stopping_bruteforce(3, 4, guard=80)
+    assert str(exc.value) == "ell**(n+1) = 3**5 row counts exceeds the guard of 80"
+
+
 def test_recursion_equals_bruteforce_small(census):
     shapes = [(ell, n) for ell in range(1, 6) for n in range(1, 6)]
     # Columns past the kernel's table, which at ell = 600 holds none.

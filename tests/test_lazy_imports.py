@@ -77,6 +77,23 @@ print(code, *[m for m in watched if m in sys.modules])
     } & set(loaded)
 
 
+def test_table_round_trip_loads_no_dataclasses():
+    # The table's records are named tuples, so a table and its hash scheme
+    # need no `dataclasses` (with the `inspect`, `ast` and `dis` it imports).
+    script = """
+import sys
+from ibltlab import HashParams, Iblt, make_partitioned_uniform
+table = Iblt(make_partitioned_uniform(HashParams(k=3, ell=10, b=32, seed=7)))
+table.insert(0xCAFE, 0xF00D)
+assert table.get(0xCAFE).value == 0xF00D and table.cell(0).count in (0, 1)
+result = table.list_entries()
+assert result.complete and result.entries == {(0xCAFE, 0xF00D)}
+table.delete(0xCAFE, 0xF00D)
+print("dataclasses" in sys.modules)
+"""
+    assert _python(script) == "False\n"
+
+
 def test_names_and_submodules_resolve_after_a_bare_import():
     script = """
 import importlib, pkgutil, sys

@@ -507,3 +507,6 @@ def test_wilson_interval_properties():
     assert low == 0.0 and high > 0.0
     with pytest.raises(ValueError):
         wilson_interval(0, 0)
+    for failures in (-1, 11):
+        with pytest.raises(ValueError, match=rf"failures must be in \[0, 10\], got {failures}$"):
+            wilson_interval(failures, 10)
