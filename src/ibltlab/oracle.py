@@ -95,13 +95,19 @@ def _partition_code(block: tuple[int, ...]) -> int:
     """The set partition ``block`` induces on its n entries, as one int:
     entry j sets bit n*i + j, where i is the first entry in j's row.  So
     each part is a bit mask in the n-bit slot of its least entry, and
-    blocks that group the entries alike, and only those, get equal codes."""
+    blocks that group the entries alike, and only those, get equal codes.
+
+    The bits are set as digits of a bytearray, least significant first,
+    and parsed once: setting them in an int would copy the growing int on
+    every entry, O(n**2) at ell = 1."""
+    if not block:
+        return 0
     n = len(block)
-    first = block.index
-    code = 0
-    for j, r in enumerate(block):
-        code |= 1 << first(r) * n + j
-    return code
+    firsts = list(map(block.index, block))
+    digits = bytearray(b"0") * (n * max(firsts) + n)
+    for j, i in enumerate(firsts):
+        digits[n * i + j] = 49  # ord("1")
+    return int(digits[::-1], 2)
 
 
 def _residual(key: tuple[int, ...]) -> frozenset[int]:
@@ -127,7 +133,9 @@ def _residual(key: tuple[int, ...]) -> frozenset[int]:
 
 
 def _entry_set(alive: int) -> frozenset[int]:
-    return frozenset(j for j in range(alive.bit_length()) if alive >> j & 1)
+    # Read the bits from one binary string: testing ``alive >> j & 1`` for
+    # each j would shift the whole mask every time, O(n**2) at ell = 1.
+    return frozenset(itertools.compress(itertools.count(), map("1".__eq__, bin(alive)[:1:-1])))
 
 
 # The ell**n blocks and the tuples of partitions (at most Bell(n)**k) of

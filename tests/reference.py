@@ -2,6 +2,7 @@
 the unit and acceptance tests."""
 
 from ibltlab._bits import lane_keys, mix64
+from ibltlab.table import GetStatus, ListingStatus
 
 # Exact stopping-matrix counts for subtable sizes 1..10 (rows) and column
 # counts 1..10 (columns).  Every value has been cross-checked against
@@ -57,6 +58,59 @@ def peel_cells(ell, placements):
             if count[ci] == 1:
                 stack.append(ci)
     return {j for j in range(n) if alive[j]}
+
+
+class ThreeListTable:
+    """An IBLT in its first layout: a count list, a key-sum list and a
+    value-sum list, updated one field at a time.  ``Iblt`` must match it
+    cell for cell, and result for result, as tuples."""
+
+    def __init__(self, scheme):
+        self.scheme = scheme
+        self.counts = [0] * scheme.m
+        self.key_sums = [0] * scheme.m
+        self.value_sums = [0] * scheme.m
+
+    def update(self, x, y, sign):
+        """Insert (x, y) with sign 1, delete it with sign -1."""
+        mask = (1 << self.scheme.b) - 1
+        if not 0 <= x <= mask or not 0 <= y <= mask:
+            raise ValueError(f"key/value must be {self.scheme.b}-bit values")
+        for c in self.scheme.indices(x):
+            self.counts[c] += sign
+            self.key_sums[c] ^= x
+            self.value_sums[c] ^= y
+
+    def cells(self):
+        return list(zip(self.counts, self.key_sums, self.value_sums))
+
+    def nonzero_cells(self):
+        return sum(map(any, self.cells()))
+
+    def get(self, x):
+        cells = self.scheme.indices(x)
+        if any(self.counts[c] == 0 for c in cells):
+            return (GetStatus.ABSENT, None)
+        for c in cells:
+            if self.counts[c] == 1 and self.key_sums[c] == x:
+                return (GetStatus.FOUND, self.value_sums[c])
+        return (GetStatus.INCONCLUSIVE, None)
+
+    def list_entries_inplace(self):
+        """Peel count-1 cells, last in first out, as ``Iblt`` does."""
+        entries = set()
+        stack = [c for c, count in enumerate(self.counts) if count == 1]
+        while stack:
+            c = stack.pop()
+            x, y = self.key_sums[c], self.value_sums[c]
+            if self.counts[c] != 1 or c not in self.scheme.indices(x):
+                continue
+            entries.add((x, y))
+            self.update(x, y, -1)
+            stack.extend(ci for ci in self.scheme.indices(x) if self.counts[ci] == 1)
+        residual = self.nonzero_cells()
+        status = ListingStatus.COMPLETE if residual == 0 else ListingStatus.PARTIAL
+        return (frozenset(entries), status, residual)
 
 
 class Unpowered(int):

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import random
@@ -14,6 +15,7 @@ from ibltlab import (
     make_partitioned_uniform,
     make_ss_avoiding,
 )
+from reference import ThreeListTable
 
 
 def small_scheme(seed=0):
@@ -261,12 +263,90 @@ def test_tables_combine_cellwise():
         assert cab.value_sum == ca.value_sum ^ cb.value_sum
 
 
+def _assert_same_table(t, ref, keys):
+    assert t.cells() == ref.cells()
+    assert t.nonzero_cells() == ref.nonzero_cells()
+    assert t.is_empty() == (ref.nonzero_cells() == 0)
+    for x in keys:
+        assert t.get(x) == ref.get(x)
+
+
+@pytest.mark.parametrize("b", [1, 7, 32, 64])
+@pytest.mark.parametrize("k", [1, 3, 4])
+def test_packed_cells_match_the_three_list_layout(k, b):
+    # Random streams of inserts, member deletes and non-member deletes; at
+    # b = 64 each packed key/value word is 128 bits.
+    rng = random.Random(f"{k} {b}")
+    scheme = make_partitioned_uniform(HashParams(k=k, ell=7, b=b, seed=b))
+    t, ref = Iblt(scheme), ThreeListTable(scheme)
+    stored, keys = [], set()
+    snapshot, ref_snapshot = t.copy(), ref.cells()
+    for step in range(400):
+        roll = rng.random()
+        if roll < 0.3 and stored:
+            x, y = stored.pop(rng.randrange(len(stored)))
+            sign = -1
+        else:
+            x, y = rng.getrandbits(b), rng.getrandbits(b)
+            sign = -1 if roll < 0.4 else 1  # a non-member delete, or an insert
+            if sign == 1:
+                stored.append((x, y))
+        (t.insert if sign == 1 else t.delete)(x, y)
+        ref.update(x, y, sign)
+        keys.add(x)
+        if step % 20 == 19:
+            _assert_same_table(t, ref, keys)
+            assert (t == snapshot) == (ref.cells() == ref_snapshot)
+            assert t == t.copy()
+            snapshot, ref_snapshot = t.copy(), ref.cells()
+            assert t.list_entries() == copy.deepcopy(ref).list_entries_inplace()
+    assert t.list_entries_inplace() == ref.list_entries_inplace()
+    _assert_same_table(t, ref, keys)
+
+
+@pytest.mark.parametrize("scheme", [
+    *(make_partitioned_uniform(HashParams(k=3, ell=4, b=b, seed=2)) for b in (7, 64)),
+    make_ss_avoiding(HashParams(k=3, ell=4, b=6, kind=HashKind.SS_AVOIDING)),
+], ids=["partitioned-7", "partitioned-64", "ss-avoiding-6"])
+def test_get_never_finds_a_key_outside_the_width(scheme):
+    # A negative key or one of b + 1 bits is never stored, so get must not
+    # return FOUND for it, even where it hashes to the cells of a stored key
+    # (x - 2**64 under the partitioned scheme, x | 2**b at b = 64 and under
+    # the field-split scheme).
+    b = scheme.b
+    t, ref = Iblt(scheme), ThreeListTable(scheme)
+    rng = random.Random(b)
+    stored = sorted({rng.getrandbits(b) for _ in range(3)})
+    for x in stored:
+        t.insert(x, x ^ 1)
+        ref.update(x, x ^ 1, 1)
+    aliased = 0
+    for x in stored:
+        for alias in (x | 1 << b, x - (1 << b), x - (1 << 64), -1, ~x):
+            got = t.get(alias)
+            assert got.status is not GetStatus.FOUND
+            assert got == ref.get(alias)
+            if t.get(x).status is GetStatus.FOUND and scheme.indices(alias) == scheme.indices(x):
+                aliased += got.status is GetStatus.INCONCLUSIVE
+    assert aliased
+
+
 def test_width_validation():
-    t = Iblt(small_scheme())
-    with pytest.raises(ValueError):
-        t.insert(1 << 16, 0)
-    with pytest.raises(ValueError):
-        t.insert(0, 1 << 16)
+    # A negative or (b + 1)-bit key or value is refused before any cell
+    # changes, with the reference's message.
+    for b in (1, 7, 32, 64):
+        scheme = make_partitioned_uniform(HashParams(k=3, ell=5, b=b, seed=1))
+        t, ref = Iblt(scheme), ThreeListTable(scheme)
+        t.insert(1, 1)
+        before = t.copy()
+        for x, y in ((1 << b, 0), (0, 1 << b), (-1, 0), (0, -1), (-1, 1 << b)):
+            for op, sign in ((t.insert, 1), (t.delete, -1)):
+                with pytest.raises(ValueError) as got:
+                    op(x, y)
+                with pytest.raises(ValueError) as expected:
+                    ref.update(x, y, sign)
+                assert str(got.value) == str(expected.value) == f"key/value must be {b}-bit values"
+                assert t == before
 
 
 def _churn_digest(scheme, n, seed):
