@@ -171,20 +171,18 @@ class StoppingCensus:
         }
 
 
-def count_stopping_bruteforce(
-    ell: int, n: int, guard: int = BRUTE_FORCE_GUARD
-) -> int:
+def count_stopping_bruteforce(ell: int, n: int) -> int:
     """Independent oracle: test the ell row counts of each of the ell**n
     matrices (``_kernels_py.count_stopping_matrices``) and count stoppers.
 
-    Refuses when those ell**(n+1) row counts exceed ``guard``; the default
-    1e8 admits ell <= 10**4 at n = 1, ell <= 100 at n = 3, n <= 25 at ell = 2.
-    ``check_power`` refuses them without building their count, and raises
-    ValueError for a guard below 1.
+    Refuses when those ell**(n+1) row counts exceed the fixed
+    ``BRUTE_FORCE_GUARD`` of 1e8, which admits ell <= 10**4 at n = 1,
+    ell <= 100 at n = 3 and n <= 25 at ell = 2.  ``check_power`` refuses
+    them without building their count.
     """
     if ell < 0 or n < 0:
         raise ValueError("ell and n must be nonnegative")
-    check_power(ell, n + 1, guard, f"ell**(n+1) = {ell}**{n + 1} row counts")
+    check_power(ell, n + 1, BRUTE_FORCE_GUARD, f"ell**(n+1) = {ell}**{n + 1} row counts")
     if ell == 0 or n == 0:  # only the empty matrix, which stops
         return 1 if n == 0 else 0
     if ell == 1:

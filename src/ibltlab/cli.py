@@ -88,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ell", type=int)
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
-    p.add_argument("--guard", type=int)
     p.set_defaults(run=cmd_oracle)
 
     return parser
@@ -122,11 +121,11 @@ def cmd_ztable(args):
 
 
 def cmd_bound(args):
-    if args.n < 1 or args.k < 1:
-        raise ValueError("n and k must be positive")
     if args.ell is not None:
         ell = args.ell
     else:
+        if args.k < 1:  # before m % k; union_bound checks n and k itself
+            raise ValueError("k must be positive")
         if args.m % args.k != 0:
             raise ValueError(f"m = {args.m} must be divisible by k = {args.k}")
         ell = args.m // args.k
@@ -206,21 +205,20 @@ def cmd_simulate(args):
 # A module-level name that forwards to the oracle, so `ztable` and `bound`
 # never load `ibltlab.oracle`, while callers that wrap or replace the
 # enumeration (benchmark tracers, tests) still patch it here, in `cli`.
-def exact_failure_probability(ell: int, n: int, k: int, guard: int):
+def exact_failure_probability(ell: int, n: int, k: int):
     from ibltlab import oracle
 
-    return oracle.exact_failure_probability(ell, n, k, guard=guard)
+    return oracle.exact_failure_probability(ell, n, k)
 
 
 def cmd_oracle(args):
-    from ibltlab.oracle import ORACLE_GUARD, check_states
+    from ibltlab.oracle import check_states
 
-    guard = ORACLE_GUARD if args.guard is None else args.guard
     # The state guard, then the union bound with its own cost guard, run
     # before the enumeration, so a refusal costs no states.
-    check_states(args.ell, args.n, args.k, guard)
+    check_states(args.ell, args.n, args.k)
     bound = union_bound(StoppingCensus(), args.ell, args.n, args.k).total_clamped
-    exact = exact_failure_probability(args.ell, args.n, args.k, guard=guard)
+    exact = exact_failure_probability(args.ell, args.n, args.k)
     header = ["ell", "n", "k", "exact_num", "exact_den", "exact_float", "bound_clamped"]
     row = [
         args.ell,

@@ -79,6 +79,10 @@ class HashParams(namedtuple("HashParams", "k ell b seed kind")):
     __slots__ = ()
 
     def __new__(cls, k, ell, b, seed=0, kind=HashKind.PARTITIONED_UNIFORM):
+        # Lanes mix only the seed's low 64 bits, so any other seed would
+        # hash exactly like one inside the range.
+        if not 0 <= seed <= MASK64:
+            raise ValueError("seed must be a 64-bit unsigned integer")
         if k < 1 or ell < 1 or b < 1:
             raise ValueError("k, ell and b must be positive")
         if b > 64:

@@ -37,6 +37,8 @@ from ibltlab.errors import ResourceGuardError, check_power
 if TYPE_CHECKING:
     from fractions import Fraction
 
+# The most state matrices, and placements of one state, that the oracle
+# takes; fixed, so that each shape has one stated outcome.
 ORACLE_GUARD = 10_000_000
 
 
@@ -171,29 +173,27 @@ def iter_state_matrices(ell: int, n: int, k: int):
     return map(partial(tuple.__new__, StateMatrix), zip(itertools.repeat(ell), tuples))
 
 
-def check_states(ell: int, n: int, k: int, guard: int = ORACLE_GUARD):
-    """Raise ValueError for a nonpositive ell, n, k or guard, and
+def check_states(ell: int, n: int, k: int):
+    """Raise ValueError for a nonpositive ell, n or k, and
     ResourceGuardError when the ell**(n*k) state matrices, or the n*k
-    placements of one state, exceed ``guard``; ``check_power`` refuses
-    the states without building their count.  The placements only decide
-    at ell = 1, where the one state holds them all.
+    placements of one state, exceed ``ORACLE_GUARD``; ``check_power``
+    refuses the states without building their count.  The placements only
+    decide at ell = 1, where the one state holds them all.
     """
     if ell < 1 or n < 1 or k < 1:
         raise ValueError("ell, n and k must be positive")
-    check_power(ell, n * k, guard, f"ell**(n*k) = {ell}**{n * k} state matrices")
-    if n * k > guard:
+    check_power(ell, n * k, ORACLE_GUARD, f"ell**(n*k) = {ell}**{n * k} state matrices")
+    if n * k > ORACLE_GUARD:
         raise ResourceGuardError(
-            f"n*k = {n * k} placements of a state exceed the guard of {guard}"
+            f"n*k = {n * k} placements of a state exceed the guard of {ORACLE_GUARD}"
         )
 
 
-def exact_failure_probability(
-    ell: int, n: int, k: int, guard: int = ORACLE_GUARD
-) -> "Fraction":
+def exact_failure_probability(ell: int, n: int, k: int) -> "Fraction":
     """Exact probability that listing fails, by full enumeration, once
     ``check_states`` lets the ell**(n*k) state matrices through."""
     from fractions import Fraction  # with decimal, loaded only when an oracle runs
 
-    check_states(ell, n, k, guard)
+    check_states(ell, n, k)
     failing = sum(map(bool, map(peel_fixpoint, iter_state_matrices(ell, n, k))))
     return Fraction(failing, ell ** (n * k))

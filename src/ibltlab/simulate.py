@@ -15,7 +15,7 @@ import os
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
-from ibltlab._bits import MASK64, batch_trials, sweep_point_seed
+from ibltlab._bits import batch_trials, sweep_point_seed
 from ibltlab.bounds import check_bound_cost, size2_asymptote, union_bound
 from ibltlab.census import COST_GUARD_S, StoppingCensus
 from ibltlab.errors import ResourceGuardError
@@ -76,9 +76,8 @@ class TrialConfig:
             raise ValueError("n, m, k and trials must be positive")
         if self.m % self.k != 0:
             raise ValueError(f"m = {self.m} must be divisible by k = {self.k}")
-        if not 0 <= self.seed <= MASK64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
-        # The scheme's own checks: the key width b and the ss-avoiding shape.
+        # The scheme's own checks: the seed, the key width b and the
+        # ss-avoiding shape.
         HashParams(self.k, self.ell, self.b, self.seed, self.scheme)
         distinct = self.key_model is KeyModel.DISTINCT_UNIFORM
         if self.scheme is HashKind.SS_AVOIDING and not distinct:

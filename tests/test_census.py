@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import ibltlab.census
 from ibltlab import (
     ResourceGuardError,
     StoppingCensus,
@@ -71,16 +72,17 @@ def test_bruteforce_examples():
     assert count_stopping_bruteforce(2, 4) == 8
 
 
-def test_bruteforce_guard():
+def test_bruteforce_guard(monkeypatch):
     with pytest.raises(ResourceGuardError):
         count_stopping_bruteforce(10, 8)  # 10**9 row counts
     with pytest.raises(ResourceGuardError):
         count_stopping_bruteforce(3162, 2)  # 3.2e10 row counts, 1e7 matrices
+    monkeypatch.setattr(ibltlab.census, "BRUTE_FORCE_GUARD", 80)
     with pytest.raises(ResourceGuardError):
-        count_stopping_bruteforce(3, 4, guard=80)
+        count_stopping_bruteforce(3, 4)
 
 
-def test_bruteforce_guard_refuses_without_building_the_power():
+def test_bruteforce_guard_refuses_without_building_the_power(monkeypatch):
     # 2**100001 has 30,103 digits, past CPython's limit on the digits of
     # an integer it formats.
     with pytest.raises(ResourceGuardError):
@@ -88,24 +90,18 @@ def test_bruteforce_guard_refuses_without_building_the_power():
     with pytest.raises(ResourceGuardError):
         count_stopping_bruteforce(Unpowered(2), 10**5)
     for guard in (1, 7, 8, 9, 80, 81):
+        monkeypatch.setattr(ibltlab.census, "BRUTE_FORCE_GUARD", guard)
         for ell in range(4):
             for n in range(5):
                 if ell ** (n + 1) > guard:
                     with pytest.raises(ResourceGuardError):
-                        count_stopping_bruteforce(ell, n, guard)
+                        count_stopping_bruteforce(ell, n)
 
 
-@pytest.mark.parametrize("ell, n, guard", [(3, 2, 0), (3, 2, -1), (0, 0, 0)])
-def test_bruteforce_guard_below_one_is_a_bad_input(ell, n, guard):
-    # A guard below 1 is a bad input, as it is for the oracle, not a budget
-    # that the inputs overrun.
-    with pytest.raises(ValueError, match="guard must be at least 1"):
-        count_stopping_bruteforce(ell, n, guard)
-
-
-def test_bruteforce_guard_message():
+def test_bruteforce_guard_message(monkeypatch):
+    monkeypatch.setattr(ibltlab.census, "BRUTE_FORCE_GUARD", 80)
     with pytest.raises(ResourceGuardError) as exc:
-        count_stopping_bruteforce(3, 4, guard=80)
+        count_stopping_bruteforce(3, 4)
     assert str(exc.value) == "ell**(n+1) = 3**5 row counts exceeds the guard of 80"
 
 

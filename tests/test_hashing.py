@@ -82,6 +82,17 @@ def test_invalid_params_rejected():
                 build()
 
 
+def test_seed_outside_64_bits_is_rejected():
+    # Lanes mix only a seed's low 64 bits: -1 would hash like 2**64 - 1.
+    for seed in (-1, 1 << 64, 5 * 2**64 + 7):
+        for build in _constructions(uniform_params(), dict(seed=seed)):
+            with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+                build()
+    for seed in (0, 2**64 - 1):
+        for build in _constructions(uniform_params(), dict(seed=seed)):
+            assert build().seed == seed
+
+
 def test_kind_mismatch_rejected():
     for build in (
         lambda: make_ss_avoiding(uniform_params()),

@@ -73,11 +73,12 @@ def test_exact_probability_n2_is_full_collision_rate():
             assert exact_failure_probability(ell, 2, k) == Fraction(1, ell**k)
 
 
-def test_guard():
+def test_guard(monkeypatch):
     with pytest.raises(ResourceGuardError):
         exact_failure_probability(10, 4, 2)  # 10**8 state matrices
+    monkeypatch.setattr(ibltlab.oracle, "ORACLE_GUARD", 10)
     with pytest.raises(ResourceGuardError):
-        exact_failure_probability(2, 2, 2, guard=10)
+        exact_failure_probability(2, 2, 2)
 
 
 def test_guard_refuses_without_building_the_power():
@@ -90,16 +91,17 @@ def test_guard_refuses_without_building_the_power():
         exact_failure_probability(Unpowered(10), 20000, 20000)
 
 
-def test_guard_refuses_exactly_the_states_past_it():
+def test_guard_refuses_exactly_the_states_past_it(monkeypatch):
     # n*k placements fill each state; they decide only at ell = 1.
     for guard in range(1, 70):
+        monkeypatch.setattr(ibltlab.oracle, "ORACLE_GUARD", guard)
         for ell in range(1, 5):
             for states in range(1, 8):
                 if ell**states > guard or states > guard:
                     with pytest.raises(ResourceGuardError):
-                        ibltlab.oracle.check_states(ell, states, 1, guard)
+                        ibltlab.oracle.check_states(ell, states, 1)
                 else:
-                    ibltlab.oracle.check_states(ell, states, 1, guard)
+                    ibltlab.oracle.check_states(ell, states, 1)
 
 
 def test_guard_counts_the_placements_of_the_one_state_at_ell_one(monkeypatch):
@@ -113,12 +115,6 @@ def test_guard_counts_the_placements_of_the_one_state_at_ell_one(monkeypatch):
     with pytest.raises(ResourceGuardError, match="placements"):
         exact_failure_probability(1, 1, ORACLE_GUARD + 1)
     assert built == []
-
-
-@pytest.mark.parametrize("guard", [0, -1])
-def test_guard_below_one_is_a_bad_input(guard):
-    with pytest.raises(ValueError, match="guard"):
-        exact_failure_probability(2, 2, 2, guard=guard)
 
 
 def test_enumeration_is_complete():
