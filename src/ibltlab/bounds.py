@@ -9,10 +9,11 @@ Terms are evaluated as exact-integer numerator/denominator pairs and
 converted by one correctly-rounded true division each, so small cases come
 out bit-exact (the i=2 term IS the floor asymptote) while huge mixed-scale
 terms -- C(210,105) alone is ~1e61 and the ratio underflows a double --
-still land on the correctly rounded product.  A term provably at least
-2**1024 is recorded as inf without building its power count**k, the bulk
-of the work at large n and small ell; the cost guard charges no power for
-a term that a census-free lower bound already shows to be that large.
+still land on the correctly rounded product.  A term that
+``_provably_past_float_range`` shows to be past float range is recorded as
+inf without building its power count**k, the bulk of the work at large n
+and small ell, and the cost guard charges no power for exactly those terms.
+Any other term whose quotient overflows is inf too, from its division.
 Totals above float range degrade to inf; the clamped total is then 1.
 """
 
@@ -41,23 +42,6 @@ def _ratio_term(numerator: int, denominator: int) -> float:
         return math.inf
 
 
-def _past_float_range(subsets: int, count: int, k: int, denominator: int) -> bool:
-    """Whether subsets * count**k / denominator is at least 2**1024, so it
-    overflows a double, decided without building count**k: with count cut
-    to its top 64 bits the quotient can only shrink, by a factor of at most
-    (1 - 2**-63)**k."""
-    cut = max(count.bit_length() - 64, 0)
-    return (subsets * (count >> cut) ** k) << (k * cut) >= denominator << 1024
-
-
-# Bits by which a term's lower bound must pass 2**1024 before the cost
-# guard takes the term as past float range.  At the n and k the guard
-# admits, the rounding of the logs in ``_provably_past_float_range`` and
-# the 64-bit cut of ``_past_float_range``, a factor (1 - 2**-63)**k,
-# together come to far less than one bit.
-_PAST_RANGE_MARGIN_BITS = 1.0
-
-
 def _provably_past_float_range(ell: int, n: int, k: int, i: int) -> bool:
     """Whether term i of the union bound is at least 2**1024, shown by a
     lower bound that needs no census count.
@@ -65,16 +49,18 @@ def _provably_past_float_range(ell: int, n: int, k: int, i: int) -> bool:
     An i-set fails to stop in a block only if some row holds exactly one
     of its entries; a union bound over the ell rows gives
     count(ell,i)/ell**i >= 1 - i*(1-1/ell)**(i-1), so term i is at least
-    C(n,i) * (1 - i*(1-1/ell)**(i-1))**k.  Its log must pass 1024 bits by
-    ``_PAST_RANGE_MARGIN_BITS``.  It is used only where
-    i*(1-1/ell)**(i-1) <= 1/2, which keeps the rounding of the log small.
-    Every term this accepts, ``_past_float_range`` accepts too."""
+    C(n,i) * (1 - i*(1-1/ell)**(i-1))**k.  Its log, taken only where
+    i*(1-1/ell)**(i-1) <= 1/2, must reach 1025 bits: a margin of one bit
+    is far more than the rounding of the logs at any n and k the cost
+    guard admits.  This is the one rule for skipping a power:
+    ``union_bound`` records every term it accepts as inf without building
+    count(ell,i)**k, and ``check_bound_cost`` charges such a term no power."""
     single = i * (1 - 1 / ell) ** (i - 1)
     if single > 0.5:
         return False
     log_subsets = math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
     bits = (log_subsets + k * math.log1p(-single)) / math.log(2)
-    return bits >= 1024 + _PAST_RANGE_MARGIN_BITS
+    return bits >= 1025
 
 
 def check_bound_cost(ell: int, n: int, k: int):
@@ -118,7 +104,7 @@ def union_bound(census: StoppingCensus, ell: int, n: int, k: int) -> BoundBreakd
     denominator = ell ** (2 * k)
     subsets = math.comb(n, 2)  # C(n, i), advanced exactly to C(n, i+1)
     for i in range(2, n + 1):
-        if _past_float_range(subsets, counts[i], k, denominator):
+        if _provably_past_float_range(ell, n, k, i):
             terms.append((i, math.inf))
         else:
             terms.append((i, _ratio_term(subsets * counts[i] ** k, denominator)))

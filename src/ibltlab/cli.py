@@ -141,7 +141,8 @@ def cmd_bound(args):
         p2,
     ]
     if args.breakdown:
-        return header + ["i", "term"], [summary + [i, term] for i, term in breakdown.terms]
+        terms = breakdown.terms or [("", "")]  # n = 1: one row, i and term empty
+        return header + ["i", "term"], [summary + [i, term] for i, term in terms]
     return header, [summary]
 
 

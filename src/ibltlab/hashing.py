@@ -110,6 +110,11 @@ class HashParams(namedtuple("HashParams", "k ell b seed kind")):
 _SLOT = 128
 
 
+def _pack(values: Sequence[int]) -> int:
+    """The int whose slot i, bits [128*i, 128*i + 128), holds values[i]."""
+    return int.from_bytes(b"".join(v.to_bytes(_SLOT // 8, "little") for v in values), "little")
+
+
 class PartitionedUniformScheme:
     """k keyed mixers, one per subtable, each reduced modulo ell.
 
@@ -128,9 +133,9 @@ class PartitionedUniformScheme:
         self._lanes = lane_keys(params.seed, params.k)
         # Lane i owns bits [128*i, 128*i + 128) of one packed int; see the
         # module docstring.  `ones` has a 1 at the bottom of every slot, and
-        # `m64` the low 64 bits of every slot set.
-        ones = sum(1 << _SLOT * i for i in range(self.k))
-        packed_lanes = sum(lane << _SLOT * i for i, lane in enumerate(self._lanes))
+        # `m64` the low 64 bits of every slot set, each built in one pass.
+        ones = _pack([1] * self.k)
+        packed_lanes = _pack(self._lanes)
         self._packed = (ones, packed_lanes, MASK64 * ones)
         # (first cell, slot shift) of each subtable.
         self._slots = tuple((i * self.ell, _SLOT * i) for i in range(self.k))

@@ -14,7 +14,6 @@ from ibltlab import (
 )
 import ibltlab.bounds
 from ibltlab.bounds import (
-    _past_float_range,
     _provably_past_float_range,
     _ratio_term,
     check_bound_cost,
@@ -143,8 +142,9 @@ def test_bound_cost_charges_no_binomials():
 
 @pytest.mark.parametrize("ell", range(1, 9))
 def test_cost_guard_skips_only_terms_past_float_range(census, ell):
-    # The cost guard charges no power for a term its census-free lower
-    # bound puts past float range; union_bound must then skip the term too.
+    # union_bound and its cost guard skip the power of a term exactly when
+    # the census-free lower bound puts it past float range; checked here in
+    # exact integers, C(n,i) * count**k / ell**(i*k) >= 2**1024.
     skipped = 0
     for n in (2, 40, 1030, 1100, 3000):
         counts = census.row(ell, n)
@@ -153,7 +153,7 @@ def test_cost_guard_skips_only_terms_past_float_range(census, ell):
             for i in range(2, n + 1):
                 if _provably_past_float_range(ell, n, k, i):
                     skipped += 1
-                    assert _past_float_range(subsets, counts[i], k, ell ** (i * k)), (n, k, i)
+                    assert subsets * counts[i] ** k >= ell ** (i * k) << 1024, (n, k, i)
                 subsets = subsets * (n - i) // (i + 1)
     assert skipped > 0
 
@@ -182,16 +182,23 @@ def test_peeling_region_bound_blows_up(census):
 
 
 def test_terms_past_float_range_match_the_plain_quotients(census):
-    # Terms i = 339..861 pass float range; the bound skips their powers.
-    ell, n, k = 2, 1200, 3
-    counts = census.row(ell, n)
-    plain = tuple(
-        (i, _ratio_term(math.comb(n, i) * counts[i] ** k, ell ** (i * k)))
-        for i in range(2, n + 1)
-    )
-    breakdown = union_bound(census, ell, n, k)
-    assert breakdown.terms == plain
-    assert sum(value == math.inf for _, value in plain) == 523
+    # The bound skips the powers of the terms its lower bound shows past
+    # float range; the others past it reach the division, whose overflow
+    # makes them inf.  Either way each term equals the plain quotient.
+    for (ell, n, k), inf_terms, by_division in (
+        ((2, 1200, 3), 523, 0),  # i = 339..861, all shown by the lower bound
+        ((2, 1030, 1), 31, 31),
+        ((10, 3000, 3), 2617, 2),
+    ):
+        counts = census.row(ell, n)
+        plain = tuple(
+            (i, _ratio_term(math.comb(n, i) * counts[i] ** k, ell ** (i * k)))
+            for i in range(2, n + 1)
+        )
+        assert union_bound(census, ell, n, k).terms == plain
+        past = [i for i, value in plain if value == math.inf]
+        assert len(past) == inf_terms
+        assert sum(not _provably_past_float_range(ell, n, k, i) for i in past) == by_division
 
 
 def test_overflowing_terms_are_not_divided(census, monkeypatch):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import os
@@ -167,6 +168,16 @@ def test_bound_breakdown_size2_term_equals_p2(invoke_cli):
     assert by_i["2"][7] == by_i["2"][5]  # term string equals p2 string
 
 
+def test_bound_breakdown_at_one_entry_prints_the_summary(invoke_cli):
+    # n = 1 has no term; the summary row still prints, with i and term empty.
+    argv = ["bound", "--ell", "3", "--n", "1", "--k", "1"]
+    _, plain, _ = invoke_cli(argv)
+    code, out, err = invoke_cli(argv + ["--breakdown"])
+    assert (code, err) == (0, "")
+    assert plain == "ell,n,k,bound_raw,bound_clamped,p2\n3,1,1,0.0,0.0,0.0\n"
+    assert out == "ell,n,k,bound_raw,bound_clamped,p2,i,term\n3,1,1,0.0,0.0,0.0,,\n"
+
+
 def test_simulate_repeatable(invoke_cli):
     argv = ["simulate", "--n", "10", "--k", "2", "--m", "24", "--trials", "3000",
             "--seed", "4"]
@@ -185,6 +196,24 @@ def test_simulate_single_entry(invoke_cli):
     row = dict(zip(header, rows[0]))
     assert row["failures"] == "0"
     assert float(row["p_hat"]) == 0.0
+
+
+def test_simulate_single_m_runs_with_the_sweep_point_seed(invoke_cli):
+    # `--m M` is a one-point sweep: it runs with sweep_point_seed(S, M),
+    # while the seed column echoes S.
+    from ibltlab._bits import sweep_point_seed
+
+    code, out, _ = invoke_cli(
+        ["simulate", "--n", "20", "--k", "3", "--m", "60", "--trials", "3000", "--seed", "7"]
+    )
+    assert code == 0
+    header, rows = parse_csv(out)
+    row = dict(zip(header, rows[0]))
+    assert (row["failures"], row["seed"]) == ("73", "7")
+    cfg = TrialConfig(n=20, m=60, k=3, trials=3000, seed=7)
+    assert simulate.run_trials(cfg).failures == 79
+    derived = dataclasses.replace(cfg, seed=sweep_point_seed(7, 60))
+    assert simulate.run_trials(derived).failures == 73
 
 
 def test_simulate_workers_byte_identical(invoke_cli):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -232,6 +233,21 @@ def test_packed_indices_match_the_per_lane_formula(b):
             scheme = make_partitioned_uniform(params)
             for key in keys:
                 assert scheme.indices(key) == partitioned_indices(params, key), (k, ell, key)
+
+
+def test_wide_partitioned_scheme_builds_in_linear_time():
+    # The packed constants are built in one pass over the slots; summing
+    # shifted lanes into a growing int took 16 s at this k (2-core x86 VM).
+    params = HashParams(k=50_000, ell=2, b=32, seed=9)
+    start = time.perf_counter()
+    scheme = make_partitioned_uniform(params)
+    assert time.perf_counter() - start < 2
+    ones, packed_lanes, m64 = scheme._packed
+    for i in (0, 1, params.k - 1):
+        assert ones >> 128 * i & (1 << 128) - 1 == 1
+        assert packed_lanes >> 128 * i & (1 << 128) - 1 == scheme._lanes[i]
+        assert m64 >> 128 * i & (1 << 128) - 1 == 2**64 - 1
+    assert packed_lanes.bit_length() <= 128 * params.k
 
 
 def test_indices_are_pinned():
