@@ -21,6 +21,33 @@ STOPPING_COUNTS_10X10 = [
 ]
 
 
+def inclusion_exclusion_row(ell: int, n_max: int) -> list[int]:
+    """count(ell, n) for n = 0..n_max, by the inclusion-exclusion closed form
+
+        count(ell, n) = sum_{c=0..min(ell,n)} (-1)^c C(ell,c) n!/(n-c)! (ell-c)^(n-c)
+
+    over the rows forced to weight 1: a signed sum, independent of the
+    census's positive recurrence over occupied rows.
+
+    terms[c] holds the signed c-th summand (-1)^c C(ell,c) n!/(n-c)!
+    (ell-c)^(n-c) at the current column n.  Moving to column n advances
+    every summand by the factor n (ell-c) / (n-c), which divides exactly
+    because both ends are integers; summand c = n enters as
+    (-1)^n C(ell,n) n! = (-1)^n ell!/(ell-n)!, and is zero once n > ell.
+    """
+    row = [1]
+    terms = [1]
+    entering = 1
+    for n in range(1, n_max + 1):
+        for c, term in enumerate(terms):
+            terms[c] = term * (n * (ell - c)) // (n - c)
+        if n <= ell:
+            entering *= n - 1 - ell
+            terms.append(entering)
+        row.append(sum(terms))
+    return row
+
+
 def partitioned_indices(params, key):
     """The partitioned-uniform contract, one lane at a time: cell
     ``i*ell + mix64(key ^ lane_i) % ell`` of subtable i."""

@@ -12,7 +12,7 @@ from ibltlab import (
     matrix_from_columns,
     pivots,
 )
-from reference import STOPPING_COUNTS_10X10, Unpowered
+from reference import STOPPING_COUNTS_10X10, Unpowered, inclusion_exclusion_row
 
 
 def count_by_literal_enumeration(ell, n):
@@ -141,11 +141,22 @@ def test_counts_within_range(census):
 
 
 def test_large_counts_are_exact_integers(census):
-    # Spot value beyond float precision: reproducible from the closed form.
-    value = census.count(40, 40)
-    assert value == census.count(40, 40)
-    assert isinstance(value, int)
-    assert 0 < value < 40**40
+    # Spot values beyond float precision, equal to the closed form's.
+    for ell, n in ((40, 40), (280, 320)):
+        value = census.count(ell, n)
+        assert isinstance(value, int)
+        assert 0 < value < ell**n
+        assert value == inclusion_exclusion_row(ell, n)[n]
+
+
+def test_rows_equal_inclusion_exclusion():
+    # The recurrence against the signed closed form: every column up to 150
+    # for ell = 0..60, the benchmark's large shapes, a row wider than it is
+    # long, and long rows at ell = 1 and 2.
+    shapes = [(ell, 150) for ell in range(61)]
+    shapes += [(140, 210), (280, 320), (1000, 500), (1, 5000), (2, 5000)]
+    for ell, n_max in shapes:
+        assert StoppingCensus().row(ell, n_max) == inclusion_exclusion_row(ell, n_max), (ell, n_max)
 
 
 def test_log_ratio(census):
