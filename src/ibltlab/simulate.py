@@ -7,9 +7,12 @@ key, value, key, value, ... with rejected distinct-key candidates each
 consuming one output.  Trials are therefore independent of execution
 order, and splitting the trial range across workers cannot change the
 result.  Sweep points at m cells run with the derived seed
-mix64(mix64(seed ^ SWEEP_SALT) + m*PHI64).
+mix64(mix64(seed ^ SWEEP_SALT) + m*PHI64).  A refusal is a pure function
+of the config and the worker count: the guards never read the host's CPU
+count, which only caps the pool of kernel processes.
 """
 
+import contextlib
 import math
 import os
 from collections.abc import Iterator, Sequence
@@ -40,16 +43,18 @@ _ENTRY_CELL_BYTES = 48
 # built; ``sweep`` builds and plans every point when it is called.
 SWEEP_POINT_GUARD = 10**4
 
-# Kernel seconds per unit of trial work W (see _kernels_py.run_trials);
-# trials whose W passes COST_GUARD_S seconds' worth in each kernel process
-# are refused.  On one pinned vCPU of a 2-core x86 VM under CPython 3.11,
-# over k = 1-4, 768 to 300,000 cells and loads 0.13-2.4 times the peeling
-# threshold, a unit took 1.2-8 ns at k >= 2 and up to 30,000 cells, and
-# up to 16 ns at k >= 2 (300,000 cells, far past the threshold), the rate
-# charged here; single trials at the threshold with 3 million cells took
-# 0.8-15 ns.  At k = 1, where a trial peels in one round and drawing its
-# keys dominates, a unit took up to 24 ns.
+# Kernel seconds per unit of trial work W (see _kernels_py.run_trials); a
+# run whose W passes COST_GUARD_S seconds' worth is refused, whatever its
+# worker count, as W is the same under any split.  On one pinned vCPU of a
+# 2-core x86 VM under CPython 3.11, over k = 1-4, 768 to 300,000 cells and
+# loads 0.13-2.4 times the peeling threshold, a unit took 1.2-8 ns at
+# k >= 2 and up to 30,000 cells, and up to 16 ns at k >= 2 (300,000 cells,
+# far past the threshold), the rate charged here; single trials at the
+# threshold with 3 million cells took 0.8-15 ns.  At k = 1, where a trial
+# peels in one round and drawing its keys dominates, a unit took up to
+# 24 ns.
 _WORK_UNIT_S = 1.6e-8
+TRIAL_WORK_BUDGET = int(COST_GUARD_S / _WORK_UNIT_S)
 
 
 @dataclass(frozen=True)
@@ -126,58 +131,53 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _work_budget(processes: int) -> int:
-    """Units of trial work that ``processes`` kernel processes may spend:
-    COST_GUARD_S seconds' worth in each."""
-    return int(COST_GUARD_S * processes / _WORK_UNIT_S)
-
-
-def _work_refusal(cfg: TrialConfig, what: str, budget: int) -> ResourceGuardError:
+def _work_refusal(cfg: TrialConfig, what: str) -> ResourceGuardError:
     return ResourceGuardError(
         f"{cfg.trials} trials at m = {cfg.m} cells and n = {cfg.n} entries "
-        f"{what} the budget of {budget} units of trial work "
-        f"({COST_GUARD_S:g} s per kernel process)"
+        f"{what} the budget of {TRIAL_WORK_BUDGET} units of trial work "
+        f"({COST_GUARD_S:g} s)"
     )
 
 
 def plan_trials(
     cfg: TrialConfig, workers: int = 1
-) -> tuple[int, list[tuple[int, int]], int]:
-    """Decide, before any trial work, how ``cfg`` runs: its kernel
-    processes, the trial ranges they run and the work budget they share.
+) -> tuple[int, list[tuple[int, int]]]:
+    """Decide from ``cfg`` and ``workers`` alone, before any trial work,
+    whether ``cfg`` may run; then pick its kernel processes and the trial
+    ranges they run.
 
-    Processes are at most one per usable CPU and one per kernel batch.
-    Ranges end at batch multiples, so every split meters the work of one
-    range, and each process has a range (one range when there is one
-    process).  Raises ValueError for workers < 1, and ResourceGuardError
-    when the processes would together pass the memory guard, the trial
-    work W would pass the budget for certain, or the union bound the cost
-    guard.  Every trial counts its n*k entry cells and peels at least one
-    round over its m cells and n*k entry cells, so W >= trials * (m +
-    2*n*k); ``run_trials`` meters the rest as the trials run.
+    Raises ValueError for workers < 1, and ResourceGuardError when
+    min(workers, kernel batches) processes would together pass the memory
+    guard, the trial work W would pass ``TRIAL_WORK_BUDGET`` for certain,
+    or the union bound the cost guard.  Every trial counts its n*k entry
+    cells and peels at least one round over its m cells and n*k entry
+    cells, so W >= trials * (m + 2*n*k); ``run_trials`` meters the rest.
+    The usable CPUs cap the processes, which changes speed only.  Ranges
+    end at batch multiples, so every split meters the same work, and each
+    process has a range (one range when there is one process).
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     batch = batch_trials(cfg.n, cfg.m, cfg.k)
     batches = math.ceil(cfg.trials / batch)
-    processes = min(workers, _cpu_count(), batches)
-    need = processes * (
+    charged = min(workers, batches)
+    need = charged * (
         _CELL_BYTES * cfg.m + (_ENTRY_BYTES + _ENTRY_CELL_BYTES * cfg.k) * cfg.n
     )
     if need > TRIAL_MEMORY_GUARD_BYTES:
         raise ResourceGuardError(
             f"trials at m = {cfg.m} cells and n = {cfg.n} entries need about "
-            f"{need / 2**30:.3g} GiB in {processes} process(es), over the budget "
+            f"{need / 2**30:.3g} GiB in {charged} process(es), over the budget "
             f"of {TRIAL_MEMORY_GUARD_BYTES / 2**30:g} GiB"
         )
-    budget = _work_budget(processes)
     least = cfg.trials * (cfg.m + 2 * cfg.n * cfg.k)
-    if least > budget:
-        raise _work_refusal(cfg, f"need at least {least} units, over", budget)
+    if least > TRIAL_WORK_BUDGET:
+        raise _work_refusal(cfg, f"need at least {least} units, over")
     check_bound_cost(cfg.ell, cfg.n, cfg.k)
+    processes = min(charged, _cpu_count())
     step = batch * math.ceil(batches / (processes * 4)) if processes > 1 else cfg.trials
     ranges = [(lo, min(lo + step, cfg.trials)) for lo in range(0, cfg.trials, step)]
-    return processes, ranges, budget
+    return processes, ranges
 
 
 def _run_range(args) -> tuple[int, int, int]:
@@ -198,35 +198,34 @@ def run_trials(
     carries ``cfg``, pairs the estimate with the union bound and the floor
     asymptote at ell = m/k, and counts the failures that left exactly two
     entries -- those necessarily had identical index tuples.  Trials run
-    in min(workers, usable CPUs, kernel batches) processes, in-process
-    when that is 1, each with ``COST_GUARD_S`` seconds' worth of work.
+    in the processes ``plan_trials`` picks, in-process when that is 1.
     ``plan_trials`` decides, before any trial runs, whether they may
-    start; the kernel then meters their work W, and ResourceGuardError
-    is raised iff W passes the budget.  A refused run stops early: each
-    kernel call returns once its own work passes the budget, and a pool
-    cancels the ranges not yet started once the work summed so far does.
+    start; the kernel then meters their work W, and ResourceGuardError is
+    raised iff W passes ``TRIAL_WORK_BUDGET``, whatever ``workers`` is.  A
+    refused run stops once the work summed so far passes it: each kernel
+    call returns once its own work does, and a pool cancels the ranges not
+    yet started.
     """
-    processes, ranges, budget = plan_trials(cfg, workers)
+    processes, ranges = plan_trials(cfg, workers)
     shape = (cfg.n, cfg.ell, cfg.k, cfg.b, cfg.scheme.value, cfg.key_model.value)
-    args = [(cfg.seed, lo, hi, *shape, budget) for lo, hi in ranges]
-    if processes == 1:
-        failures, two_left, work = _run_range(args[0])
-    else:
-        # Imported here: concurrent.futures loads multiprocessing, which an
-        # in-process run never uses.
-        from concurrent.futures import ProcessPoolExecutor
+    args = [(cfg.seed, lo, hi, *shape, TRIAL_WORK_BUDGET) for lo, hi in ranges]
+    failures = two_left = work = 0
+    with contextlib.ExitStack() as stack:
+        results = map(_run_range, args)  # one range, in-process
+        if processes > 1:
+            # Imported here: concurrent.futures loads multiprocessing, which an
+            # in-process run never uses.
+            from concurrent.futures import ProcessPoolExecutor
 
-        failures = two_left = work = 0
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            for range_failures, range_two_left, range_work in pool.map(_run_range, args):
-                failures += range_failures
-                two_left += range_two_left
-                work += range_work
-                if work > budget:
-                    pool.shutdown(cancel_futures=True)
-                    break
-    if work > budget:
-        raise _work_refusal(cfg, "passed", budget)
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=processes))
+            stack.callback(pool.shutdown, cancel_futures=True)
+            results = pool.map(_run_range, args)
+        for range_failures, range_two_left, range_work in results:
+            failures += range_failures
+            two_left += range_two_left
+            work += range_work
+            if work > TRIAL_WORK_BUDGET:
+                raise _work_refusal(cfg, "passed")
     ci_low, ci_high = wilson_interval(failures, cfg.trials)
     if census is None:
         census = StoppingCensus()

@@ -359,6 +359,21 @@ def test_simulate_guards_trial_time(invoke_cli, monkeypatch):
     assert "guard" in err
 
 
+def test_simulate_time_guard_ignores_the_cpu_count(invoke_cli, monkeypatch):
+    # Two workers at 10**6 trials of the paper's shape pass the one work
+    # budget before any trial runs, whether one CPU or two could run them.
+    argv = ["simulate", "--n", "210", "--k", "3", "--m", "768", "--trials", "1000000",
+            "--workers", "2"]
+    results = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
+        results.append(invoke_cli(argv))
+    assert results[0] == results[1]
+    code, out, err = results[0]
+    assert (code, out) == (2, "")
+    assert "need at least" in err
+
+
 def test_simulate_time_guard_follows_the_load(invoke_cli, monkeypatch):
     # The meter counts peeling rounds, so a trial near the peeling
     # threshold (load 0.82 at k = 3) meters over ten times the work of one
@@ -372,8 +387,8 @@ def test_simulate_time_guard_follows_the_load(invoke_cli, monkeypatch):
     assert work(628, trials=230) * 5 > 10 * paper
     # 200,000 trials at the paper's shape, about 174 times the work of
     # 1,150 trials (50 kernel batches), fit in half the real budget.
-    assert 174 * paper < simulate._work_budget(1) / 2
-    monkeypatch.setattr(simulate, "_work_budget", lambda processes: 2 * paper)
+    assert 174 * paper < simulate.TRIAL_WORK_BUDGET / 2
+    monkeypatch.setattr(simulate, "TRIAL_WORK_BUDGET", 2 * paper)
     argv = ["simulate", "--k", "3", "--m", "768", "--trials", "1150", "--n"]
     code, out, err = invoke_cli(argv + ["210"])
     assert (code, err) == (0, "")
@@ -394,7 +409,7 @@ def test_simulate_guards_distinct_key_replay(invoke_cli, monkeypatch):
     monkeypatch.setattr(
         _kernels_py, "run_trials", lambda *a, **kw: calls.append(a) or kernel(*a, **kw)
     )
-    monkeypatch.setattr(simulate, "_work_budget", lambda processes: 10**6)
+    monkeypatch.setattr(simulate, "TRIAL_WORK_BUDGET", 10**6)
     code, out, err = invoke_cli(
         ["simulate", "--n", "4096", "--k", "3", "--b", "12", "--m", "48",
          "--scheme", "ss-avoiding", "--trials", "20"]
@@ -413,7 +428,7 @@ def test_simulate_sweep_stopped_by_the_meter_prints_no_rows(invoke_cli, monkeypa
     least = base.trials * (600 + 2 * 20 * 3)
     budget = max(first.work, least)
     assert budget < second.work
-    monkeypatch.setattr(simulate, "_work_budget", lambda processes: budget)
+    monkeypatch.setattr(simulate, "TRIAL_WORK_BUDGET", budget)
     code, out, err = invoke_cli(
         ["simulate", "--n", "20", "--k", "3", "--sweep", "60:600:540",
          "--trials", "1000", "--seed", "2"] + verbose

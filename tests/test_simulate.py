@@ -159,12 +159,15 @@ def test_run_trials_guards_trial_memory():
 
 
 def test_trial_memory_guard_counts_the_kernel_processes(monkeypatch):
-    # About 0.6 GiB of cells: one process fits the 1 GiB budget, two do not.
-    monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+    # About 0.6 GiB of cells: one process fits the 1 GiB budget, two do
+    # not.  Two workers are charged as two processes even on one CPU,
+    # where their ranges would share one process.
     cfg = TrialConfig(n=5, m=40_000_000, k=1, trials=2)
-    assert simulate.plan_trials(cfg, workers=1)[0] == 1
-    with pytest.raises(ResourceGuardError, match="in 2 process"):
-        simulate.plan_trials(cfg, workers=2)
+    for cpus in (1, 2):
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
+        assert simulate.plan_trials(cfg, workers=1)[0] == 1
+        with pytest.raises(ResourceGuardError, match="in 2 process"):
+            simulate.plan_trials(cfg, workers=2)
     # A single trial runs in one process, whatever was asked for.
     assert simulate.plan_trials(dataclasses.replace(cfg, trials=1), workers=8)[0] == 1
 
@@ -254,16 +257,39 @@ for stop in (4_000_000_000, 10**30):
 
 
 def test_trial_time_guard_shares_the_work_among_processes(census, monkeypatch):
-    # The work budget is COST_GUARD_S seconds' worth per kernel process:
-    # work that passes one process's budget fits two.
+    # The kernel processes share one budget of COST_GUARD_S seconds' worth:
+    # work that passes it is refused at workers 1 and 2 alike.
+    assert simulate.TRIAL_WORK_BUDGET == int(
+        simulate.COST_GUARD_S / simulate._WORK_UNIT_S
+    )
     monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
     cfg = tiny_cfg(trials=9000, seed=5)
     work = run_trials(cfg, census=census).work
-    monkeypatch.setattr(simulate, "COST_GUARD_S", 0.75 * work * simulate._WORK_UNIT_S)
-    with pytest.raises(ResourceGuardError, match="passed the budget"):
-        run_trials(cfg, census=census, workers=1)
-    assert run_trials(cfg, census=census, workers=2).work == work
+    monkeypatch.setattr(simulate, "TRIAL_WORK_BUDGET", int(0.75 * work))
+    for workers in (1, 2):
+        with pytest.raises(ResourceGuardError, match="passed the budget"):
+            run_trials(cfg, census=census, workers=workers)
+    assert _RecordingPool.sizes == [2]
+
+
+def test_refusal_does_not_depend_on_the_cpu_count(census, monkeypatch):
+    # 10**6 trials at the paper's shape need at least 2.028e9 units, past
+    # the budget of 1.875e9, however many CPUs could run two workers; and
+    # an admitted run reports the same on any of them.
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
+    big = TrialConfig(n=210, m=768, k=3, trials=10**6)
+    small = tiny_cfg(trials=9000, seed=5)
+    refusals, reports = [], []
+    for cpus in (1, 2, 64):
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
+        with pytest.raises(ResourceGuardError, match="need at least") as refused:
+            simulate.plan_trials(big, workers=2)
+        refusals.append(str(refused.value))
+        reports.append(run_trials(small, census=census, workers=2))
+    assert refusals == refusals[:1] * 3
+    assert reports == reports[:1] * 3
 
 
 def test_work_and_refusal_do_not_depend_on_workers(census, monkeypatch):
@@ -276,9 +302,9 @@ def test_work_and_refusal_do_not_depend_on_workers(census, monkeypatch):
     cfg = TrialConfig(n=20, m=60, k=3, trials=9000, seed=5)
     work = run_trials(cfg, census=census).work
     for workers in (1, 2, 3):
-        monkeypatch.setattr(simulate, "_work_budget", lambda processes: work)
+        monkeypatch.setattr(simulate, "TRIAL_WORK_BUDGET", work)
         assert run_trials(cfg, census=census, workers=workers).work == work
-        monkeypatch.setattr(simulate, "_work_budget", lambda processes: work - 1)
+        monkeypatch.setattr(simulate, "TRIAL_WORK_BUDGET", work - 1)
         with pytest.raises(ResourceGuardError, match="passed the budget"):
             run_trials(cfg, census=census, workers=workers)
     assert _RecordingPool.sizes == [2, 2, 3, 3]
@@ -404,7 +430,7 @@ def test_every_process_has_a_trial_range(monkeypatch):
     for trials in (1, 272, 273, 274, 1000, 4 * 273 * 64, 10**5):
         cfg = TrialConfig(n=20, m=60, k=3, trials=trials)  # 273 trials a batch
         for workers in (1, 2, 3, 64):
-            processes, ranges, _ = simulate.plan_trials(cfg, workers)
+            processes, ranges = simulate.plan_trials(cfg, workers)
             assert processes == min(workers, -(-trials // 273))
             assert len(ranges) >= processes
             assert (len(ranges) == 1) == (processes == 1)
