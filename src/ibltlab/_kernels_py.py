@@ -18,6 +18,15 @@ Thaler, "Parallel Peeling Algorithms", arXiv:1302.7014).  A batch holds about
 ``_bits.BATCH_CELLS`` cells and entry cells, which bounds its memory; a
 table wider than that runs one trial per batch.
 
+The stages before peeling run on a hash group: the whole batches that fit
+in ``_bits.GROUP_CELLS`` cells and entry cells (``group_trials``).  One
+set of numpy calls draws the group's keys, finds the trials whose keys
+repeat and computes every cell index, and then the group's batches peel
+one after another, exactly as they would alone.  A group holds one batch,
+or else whole batches within ``GROUP_CELLS``, so its key and index arrays
+stay within a few MiB, and a table wider than ``BATCH_CELLS`` hashes one
+trial at a time: the per-trial memory that ``simulate``'s guard charges.
+
 The trial loop also meters its work W: per batch, its entry cells once;
 per peeling round, the batch's cells plus k per live entry; and
 ``REPLAY_UNITS`` per key candidate a distinct-key replay draws.  W is a
@@ -28,17 +37,19 @@ from trial 0 and sum to its W.
 
 import itertools
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
 from ibltlab._bits import (
+    GROUP_CELLS,
     KEYS_DISTINCT,
     PHI64,
     TRIAL_SALT,
     batch_trials,
+    group_trials,
     mix64,
     mix64_array,
-    stream_output,
 )
 from ibltlab.hashing import (
     HashKind,
@@ -47,10 +58,29 @@ from ibltlab.hashing import (
     SsAvoidingScheme,
 )
 
-# Work units per key candidate of a distinct-key replay: a scalar mix64
-# and a set lookup took 1.0-1.5 us on one pinned vCPU of a 2-core x86 VM,
-# and 100 units are 1.6 us at simulate's 16 ns per unit.
+# Work units per key candidate of a distinct-key replay; 100 units are
+# 1.6 us at simulate's 16 ns per unit.  A candidate drawn by a scalar mix64
+# took 0.8-1.5 us on one pinned vCPU of a 2-core x86 VM; drawn from block
+# mixes it takes 0.2 us in a replay of 41,280 candidates and 1.0 us in one
+# of 51, whose block mix costs about as much as its candidates.  The units
+# are kept, so that W and every refusal stay as they were.
 REPLAY_UNITS = 100
+
+# Stream outputs a distinct-key replay mixes per mix64_array call, at most,
+# so a long replay holds a bounded list of outputs.
+REPLAY_BLOCK = 1 << 15
+
+# Bytes of a block that run_trials allocates and frees before its first
+# group: four times a hash group's largest index array.  glibc serves an
+# allocation past its mmap threshold, 128 KiB at first, with fresh pages,
+# and gives the top of its heap back once that passes twice the threshold;
+# freeing a block past the threshold raises it to that block's size
+# (mallopt(3), "dynamic mmap threshold").  A group's index arrays and a
+# peel round's counts, 100-500 KiB each at narrow shapes, then reuse heap
+# pages.  Without it, a 12,000-trial kernel call at mc-floor's shape took
+# anywhere from 100 to 35,000 page faults, as earlier allocations had left
+# the heap, at about 2.5 us each on a 2-core x86 VM; with it, under 500.
+THRESHOLD_BLOCK_BYTES = 4 * 8 * GROUP_CELLS
 
 # Row counts in the brute-force census's table (ell per placement).
 TABLE_CELLS = 1 << 18
@@ -77,6 +107,18 @@ def count_stopping_matrices(ell: int, n: int) -> int:
     return count
 
 
+def _stream_outputs(state: int, mask: int, block: int) -> Iterator[int]:
+    """Outputs 0, 1, 2, ... of the counter stream rooted at ``state``,
+    masked, mixed ``block`` at a time by one ``mix64_array`` call."""
+    root = np.uint64(state)
+    np_mask = np.uint64(mask)
+    for lo in itertools.count(1, block):
+        counters = np.arange(lo, lo + block, dtype=np.uint64)
+        outputs = mix64_array(root + counters * np.uint64(PHI64))
+        outputs &= np_mask
+        yield from outputs.tolist()
+
+
 def _distinct_keys_replay(
     state: int, n: int, mask: int, spare: float = math.inf
 ) -> tuple[list[int], int]:
@@ -87,21 +129,21 @@ def _distinct_keys_replay(
     the keys and the replay's work, ``REPLAY_UNITS`` per candidate; once
     that work passes ``spare`` the draw stops, with fewer than n keys.
     """
+    draws = _stream_outputs(state, mask, min(4 * n, REPLAY_BLOCK))
     keys: list[int] = []
     seen = set()
-    ctr = 0
+    candidates = 0
     for _ in range(n):
-        if REPLAY_UNITS * (ctr - len(keys)) > spare:
+        if REPLAY_UNITS * candidates > spare:
             break
-        while True:
-            x = stream_output(state, ctr) & mask
-            ctr += 1
+        for x in draws:
+            candidates += 1
             if x not in seen:
                 break
         seen.add(x)
         keys.append(x)
-        ctr += 1  # value draw
-    return keys, REPLAY_UNITS * (ctr - len(keys))
+        next(draws)  # value draw
+    return keys, REPLAY_UNITS * candidates
 
 
 def peel_rounds(cells: np.ndarray, m: int, budget: float = math.inf) -> tuple[np.ndarray, int]:
@@ -121,7 +163,7 @@ def peel_rounds(cells: np.ndarray, m: int, budget: float = math.inf) -> tuple[np
     while alive.size and work <= budget:
         work += m + cells.size
         counts = np.bincount(cells.ravel(), minlength=m)
-        keep = np.flatnonzero(counts[cells].min(axis=0) > 1)
+        keep = (counts.take(cells).min(axis=0) > 1).nonzero()[0]
         if keep.size == alive.size:
             break
         cells = cells.take(keep, axis=1)
@@ -154,12 +196,18 @@ def run_trials(
 
     Trials run in batches of ``batch_trials`` trials counted from t_lo;
     each batch's tables sit side by side in one cell array, trial r of the
-    batch owning cells [r*m, (r+1)*m).  Once the work passes ``budget``
-    the call returns at once, with the counts of the batches it finished.
+    batch owning cells [r*m, (r+1)*m).  Groups of ``group_trials`` trials,
+    also counted from t_lo, draw and hash their batches' keys at once; a
+    trial whose keys repeat under distinct keys is replayed, and hashed
+    again, in its batch's turn, so every replay has the budget left after
+    the batches before it.  Once the work passes ``budget`` the call
+    returns at once, with the counts of the batches it finished.
     """
     mask = (1 << b) - 1
     m = ell * k
     batch = batch_trials(n, m, k)
+    group = group_trials(n, m, k)
+    offsets = np.arange(0, batch * m, m, dtype=np.int64)[:, None]
     base = np.uint64(mix64(seed ^ TRIAL_SALT))
     steps = np.arange(1, 2 * n, 2, dtype=np.uint64) * np.uint64(PHI64)
     np_mask = np.uint64(mask)
@@ -169,31 +217,38 @@ def run_trials(
     else:
         hasher = PartitionedUniformScheme(params)
 
+    np.empty(THRESHOLD_BLOCK_BYTES, dtype=np.uint8)  # freed at once; see its comment
     failures = two_left = work = 0
-    for lo in range(t_lo, t_hi, batch):
-        trials = min(batch, t_hi - lo)
-        work += trials * n * k
-        # trial_state(seed, t) for the batch's trials t = lo, lo+1, ...
-        counters = np.arange(lo + 1, lo + trials + 1, dtype=np.uint64)
+    for first in range(t_lo, t_hi, group):
+        drawn = min(group, t_hi - first)
+        # trial_state(seed, t) for the group's trials t = first, first+1, ...
+        counters = np.arange(first + 1, first + drawn + 1, dtype=np.uint64)
         states = mix64_array(base + counters * np.uint64(PHI64))
         keys = mix64_array(states[:, None] + steps)
         keys &= np_mask
+        replays = []  # rows of the group to draw again, the next one last
         if key_model == KEYS_DISTINCT:
             ordered = np.sort(keys, axis=1)
             repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-            for r in np.flatnonzero(repeats):
+            replays = repeats.nonzero()[0].tolist()[::-1]
+        cells = hasher.indices_array(keys.ravel()).reshape(k, drawn, n)
+        for lo in range(0, drawn, batch):
+            trials = min(batch, drawn - lo)
+            work += trials * n * k
+            while replays and replays[-1] < lo + trials:
+                r = replays.pop()
                 replayed, spent = _distinct_keys_replay(int(states[r]), n, mask, budget - work)
                 work += spent
                 if work > budget:
                     return failures, two_left, work
-                keys[r] = replayed
-        cells = hasher.indices_array(keys.ravel()).reshape(k, trials, n)
-        cells += np.arange(0, trials * m, m, dtype=np.int64)[:, None]
-        unpeeled, spent = peel_rounds(cells.reshape(k, trials * n), trials * m, budget - work)
-        work += spent
-        if work > budget:
-            return failures, two_left, work
-        left = np.bincount(unpeeled // n, minlength=trials)
-        failures += int(np.count_nonzero(left))
-        two_left += int(np.count_nonzero(left == 2))
+                cells[:, r] = hasher.indices_array(np.array(replayed, dtype=np.uint64))
+            # Trial r of the batch owns cells [r*m, (r+1)*m).
+            peeled = cells[:, lo : lo + trials] + offsets[:trials]
+            unpeeled, spent = peel_rounds(peeled.reshape(k, trials * n), trials * m, budget - work)
+            work += spent
+            if work > budget:
+                return failures, two_left, work
+            left = np.bincount(unpeeled // n, minlength=trials)
+            failures += int(np.count_nonzero(left))
+            two_left += int(np.count_nonzero(left == 2))
     return failures, two_left, work

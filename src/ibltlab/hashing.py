@@ -30,9 +30,12 @@ the next slot.  Every index is bit for bit
 ``i*ell + mix64(key ^ lane_i) % ell``.  Only the vectorized
 ``indices_array`` uses numpy, which it imports when called.  A scheme
 builds its numpy constants once, on its first ``indices_array`` call.  The
-partitioned scheme's ``indices_array`` reduces modulo ell as
-``h - h // ell * ell``, equal to ``h % ell`` on unsigned integers, because
-numpy divides by a scalar several times faster than it takes a remainder.
+partitioned scheme's ``indices_array`` reduces modulo ell with the mask
+``h & (ell - 1)`` when ell is a power of two, and otherwise as
+``h - h // ell * ell``; both equal ``h % ell`` on unsigned integers, and
+numpy masks, or divides by a scalar, several times faster than it takes a
+remainder.  The trial kernel calls ``indices_array`` once per hash group
+of trials (see ``_kernels_py``), not once per peel batch.
 """
 
 import enum
@@ -157,21 +160,27 @@ class PartitionedUniformScheme:
 
     @functools.cached_property
     def _array_constants(self):
-        """The lane and offset columns, and ell as a numpy scalar."""
+        """The lane and offset columns, ell as a numpy scalar, and the mask
+        ell - 1 when ell is a power of two (else None)."""
         import numpy as np
 
         lanes = np.array(self._lanes, dtype=np.uint64)[:, None]
         offsets = np.arange(0, self.m, self.ell, dtype=np.uint64)[:, None]
-        return lanes, offsets, np.uint64(self.ell)
+        mask = np.uint64(self.ell - 1) if self.ell & (self.ell - 1) == 0 else None
+        return lanes, offsets, np.uint64(self.ell), mask
 
     def indices_array(self, keys: "np.ndarray") -> "np.ndarray":
         """Vectorized indices: shape (k, len(keys)), dtype int64."""
         import numpy as np
 
-        lanes, offsets, ell = self._array_constants
+        lanes, offsets, ell, mask = self._array_constants
         keys = keys.astype(np.uint64, copy=False)
         hashed = mix64_array(keys[None, :] ^ lanes)
-        hashed -= hashed // ell * ell  # hashed % ell, see the module docstring
+        # hashed % ell, see the module docstring.
+        if mask is None:
+            hashed -= hashed // ell * ell
+        else:
+            hashed &= mask
         hashed += offsets
         return hashed.view(np.int64)
 

@@ -25,9 +25,12 @@ def test_mix64_is_a_bijection_on_a_sample():
 
 def test_vectorized_mix_matches_scalar():
     values = np.array([0, 1, 2, 12345, MASK64, 0xDEADBEEF], dtype=np.uint64)
+    given = values.copy()
     got = mix64_array(values)
-    for x, y in zip(values, got):
-        assert mix64(int(x)) == int(y)
+    assert got.dtype == np.uint64
+    assert values.tolist() == given.tolist()  # the input is left as it was
+    assert got.tolist() == [mix64(x) for x in given.tolist()]
+    assert mix64_array(np.array([MASK64, 0], dtype=np.uint64)).tolist() == [mix64(MASK64), 0]
 
 
 def test_streams_are_salted_apart():

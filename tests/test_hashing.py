@@ -211,6 +211,24 @@ def test_indices_array_matches_scalar_path():
             assert tuple(arr[:, j]) == scheme.indices(int(key))
 
 
+@pytest.mark.parametrize("b", [8, 32, 64])
+@pytest.mark.parametrize("ell", [1, 2, 256, 280, 2**20 + 1])
+def test_indices_array_matches_the_per_lane_formula(ell, b):
+    # The array path masks with ell - 1 when ell is a power of two (1, 2
+    # and 256) and divides otherwise; both must give the contract's
+    # mix64(key ^ lane) % ell at the extreme keys, whatever integer dtype
+    # holds them.
+    params = HashParams(k=3, ell=ell, b=b, seed=ell * b)
+    scheme = make_partitioned_uniform(params)
+    keys = [0, 1, 2**b - 1]
+    expected = [partitioned_indices(params, key) for key in keys]
+    dtypes = [np.uint64] if b == 64 else [np.uint64, np.int64]
+    for dtype in dtypes:
+        arr = scheme.indices_array(np.array(keys, dtype=dtype))
+        assert arr.dtype == np.int64
+        assert [tuple(column) for column in arr.T.tolist()] == expected
+
+
 def test_explicit_scheme_mapping():
     scheme = ExplicitScheme(ell=4, k=2, mapping={1: (0, 5), 2: (0, 5)})
     assert scheme.indices(1) == scheme.indices(2) == (0, 5)

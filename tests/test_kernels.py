@@ -14,8 +14,11 @@ from ibltlab._bits import (
     KEYS_IID,
     SCHEME_PARTITIONED,
     SCHEME_SS_AVOIDING,
+    GROUP_CELLS,
     batch_trials,
+    group_trials,
 )
+from ibltlab.hashing import PartitionedUniformScheme, SsAvoidingScheme
 
 SEEDS = (0, 1, 98765)
 
@@ -116,16 +119,21 @@ def test_trial_ranges_add_up(shape):
     def run(a, z):
         return _kernels_py.run_trials(5, a, z, n, ell, k, b, scheme, key_model)
 
+    batch = batch_trials(n, ell * k, k)
+    group = group_trials(n, ell * k, k)
+    assert group > batch
     whole = run(lo, hi)
-    for mid in (lo + 1, lo + 29, (lo + hi) // 2, hi - 1):
+    # Cuts beside a hash group's end start the second range's groups off
+    # the first range's.
+    for mid in (lo + 1, lo + 29, lo + group - 1, lo + group + 1, (lo + hi) // 2, hi - 1):
         first, second = run(lo, mid), run(mid, hi)
         assert (first[0] + second[0], first[1] + second[1]) == whole[:2]
     assert run(lo, lo) == (0, 0, 0)
     # The work depends on how trials share batches, so ranges cut where
-    # the batches of a range from 0 end meter the same work as one range.
-    batch = batch_trials(n, ell * k, k)
+    # the batches of a range from 0 end meter the same work as one range,
+    # also where that end falls inside a hash group.
     whole = run(0, hi)
-    for mid in (batch, batch * (hi // batch)):
+    for mid in (batch, group - batch, group + batch, batch * (hi // batch)):
         first, second = run(0, mid), run(mid, hi)
         assert tuple(map(sum, zip(first, second))) == whole
 
@@ -145,6 +153,46 @@ def test_kernel_stops_once_work_passes_the_budget(shape):
         failures, two_left, work = run(budget)
         assert budget < work <= whole[2]
         assert failures <= whole[0] and two_left <= whole[1]
+    # Budgets that end or just miss the j-th batch, with j next to the end
+    # of the first hash group: the call returns the counts of exactly the
+    # batches it finished, wherever they end in a group.
+    batch = batch_trials(n, ell * k, k)
+    per_group = group_trials(n, ell * k, k) // batch
+    for j in {max(1, per_group - 1), per_group, per_group + 1}:
+        if lo + j * batch >= min(hi, lo + 300):
+            continue
+        done = _kernels_py.run_trials(3, lo, lo + j * batch, n, ell, k, b, scheme, key_model)
+        before = _kernels_py.run_trials(3, lo, lo + (j - 1) * batch, n, ell, k, b, scheme, key_model)
+        failures, two_left, work = run(done[2])
+        assert (failures, two_left) == done[:2] and work > done[2]
+        # The meter passes done[2] - 1 first where batch j's work ends.
+        assert run(done[2] - 1) == (*before[:2], done[2])
+
+
+def test_hash_groups_stay_within_their_cap(monkeypatch):
+    # Each indices_array call of the kernel hashes one hash group, or one
+    # replayed trial: one trial at a time on the tables wider than
+    # BATCH_CELLS, and on narrower ones whole batches of at most
+    # GROUP_CELLS cells and entry cells, more than one batch at a time.
+    sizes = []
+    for scheme in (PartitionedUniformScheme, SsAvoidingScheme):
+        hash_keys = scheme.indices_array
+        monkeypatch.setattr(
+            scheme,
+            "indices_array",
+            lambda self, keys, hash_keys=hash_keys: sizes.append(keys.size) or hash_keys(self, keys),
+        )
+    for shape in ("wide", "wide-ss"):
+        scheme, key_model, n, ell, k, b, lo, hi = SHAPES[shape]
+        sizes.clear()
+        _kernels_py.run_trials(0, lo, hi, n, ell, k, b, scheme, key_model)
+        assert set(sizes) == {n} and len(sizes) >= hi - lo
+    for shape in ("distinct-small-b", "threshold", "k1"):
+        scheme, key_model, n, ell, k, b, lo, hi = SHAPES[shape]
+        sizes.clear()
+        _kernels_py.run_trials(0, lo, hi, n, ell, k, b, scheme, key_model)
+        assert max(sizes) // n * (n * k + ell * k) <= GROUP_CELLS
+        assert max(sizes) > batch_trials(n, ell * k, k) * n
 
 
 # (k, ell, n, tables): random tables peeled side by side in one batch.
