@@ -17,7 +17,11 @@ approximate: states with equal tuples peel alike.  Of the 531,441 states
 at ell = 3, n = 4, k = 3 only 2,744 tuples differ (Stanley, *Enumerative
 Combinatorics* Vol. 1, ch. 3, on the set-partition lattice).  The memos
 are dicts, so a hit never leaves C, and each is emptied when it reaches
-its cap, which bounds its memory.
+its cap, which bounds its memory.  Consecutive states of
+``iter_state_matrices`` share their first k - 1 blocks for ell**n states
+in a row, so ``peel_fixpoint`` keeps those blocks and their codes from
+its last call, and a state whose first k - 1 blocks equal them looks up
+only its last block's code.
 
 A ``StateMatrix`` built by a caller, or by its ``_make`` and
 ``_replace``, is checked: ell >= 1, blocks of one length, rows in
@@ -29,7 +33,6 @@ rows of every state costs more than peeling it.
 
 import itertools
 from collections import namedtuple
-from functools import partial
 from typing import TYPE_CHECKING
 
 from ibltlab.errors import ResourceGuardError, check_power
@@ -97,25 +100,28 @@ def _partition_code(block: tuple[int, ...]) -> int:
     """The set partition ``block`` induces on its n entries, as one int:
     entry j sets bit n*i + j, where i is the first entry in j's row.  So
     each part is a bit mask in the n-bit slot of its least entry, and
-    blocks that group the entries alike, and only those, get equal codes.
+    blocks that group the entries alike, and only those, get equal codes;
+    each code sets exactly n bits.
 
-    The bits are set as digits of a bytearray, least significant first,
-    and parsed once: setting them in an int would copy the growing int on
-    every entry, O(n**2) at ell = 1."""
-    if not block:
-        return 0
+    A block of one part, every block at ell = 1, is n set bits in one
+    step.  Any other block sets its bits one by one, which copies the
+    growing int on every entry, but the oracle's guard keeps such a block
+    at n <= 23."""
     n = len(block)
-    firsts = list(map(block.index, block))
-    digits = bytearray(b"0") * (n * max(firsts) + n)
-    for j, i in enumerate(firsts):
-        digits[n * i + j] = 49  # ord("1")
-    return int(digits[::-1], 2)
+    if not n or block.count(block[0]) == n:
+        return (1 << n) - 1
+    first = block.index
+    code = 0
+    for j, r in enumerate(block):
+        code |= 1 << first(r) * n + j
+    return code
 
 
-def _residual(key: tuple[int, ...]) -> frozenset[int]:
+def _residual(codes: tuple[int, ...]) -> frozenset[int]:
     """The entries left when every row that holds exactly one live entry is
-    peeled until none does; ``key`` is the k partition codes, then n."""
-    *codes, n = key
+    peeled until none does; ``codes`` are the k partition codes, and n is
+    the first one's bit count."""
+    n = codes[0].bit_count()
     alive = full = (1 << n) - 1
     rows = []
     for code in codes:
@@ -148,29 +154,45 @@ _residuals = _Memo(_residual, 1 << 15)
 _entry_sets = _Memo(_entry_set, 1 << 12)
 
 
-def _peel(placements) -> frozenset[int]:
-    n = len(placements[0]) if placements else 0
-    return _residuals[(*map(_codes.__getitem__, placements), n)]
+# The first k - 1 blocks of the last state peeled, and their codes.  It is
+# replaced as one tuple and read once per call, and its blocks are compared
+# by value (by identity first, as tuples compare items), so any state may
+# follow any other.
+_head = ((), ())
 
 
 def peel_fixpoint(sm: StateMatrix) -> set[int]:
     """Columns surviving peeling, as a new set on every call; empty iff no
     stopping sub-matrix exists."""
-    return set(_peel(sm.placements))
+    global _head
+    placements = sm.placements
+    if not placements:
+        return set()
+    blocks, codes = _head
+    head = placements[:-1]
+    if head != blocks:
+        codes = tuple(map(_codes.__getitem__, head))
+        _head = (head, codes)
+    return set(_residuals[codes + (_codes[placements[-1]],)])
 
 
 def contains_stopping_submatrix(sm: StateMatrix) -> bool:
-    return bool(_peel(sm.placements))
+    return bool(peel_fixpoint(sm))
 
 
 def iter_state_matrices(ell: int, n: int, k: int):
     """All ell**(n*k) state matrices, in mixed-radix order: block 0 varies
-    slowest, and within a block entry 0 does."""
+    slowest, and within a block entry 0 does.
+
+    With the last block fastest, each run of ell**n consecutive states
+    shares its first k - 1 blocks, which ``peel_fixpoint`` uses to look up
+    only the last block's code; that is for speed alone, and any order
+    peels the same."""
     blocks = itertools.product(range(ell), repeat=n)
     # For k >= 2 the ell**n <= sqrt(states) blocks are listed once; k = 1
     # streams them, so it lists nothing.
     tuples = zip(blocks) if k == 1 else itertools.product(list(blocks), repeat=k)
-    return map(partial(tuple.__new__, StateMatrix), zip(itertools.repeat(ell), tuples))
+    return map(tuple.__new__, itertools.repeat(StateMatrix), zip(itertools.repeat(ell), tuples))
 
 
 def check_states(ell: int, n: int, k: int):

@@ -544,12 +544,17 @@ def test_oracle_guard_counts_the_placements_at_ell_one(invoke_cli, monkeypatch):
 
 
 def test_oracle_bytes_are_pinned(invoke_cli):
-    # perfbench and CI record the same digest for `oracle 4 3 3`.
-    code, out, _ = invoke_cli(["oracle", "4", "3", "3"])
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "b41fec45de0157205382ceeb72d0804cee4db3b854c738d437dce120b45c6b39"
-    )
+    # perfbench and CI record the same digest for `oracle 4 3 3`; CI also
+    # pins `oracle 5 4 2` (3577/15625), where each state's head, the blocks
+    # before its last, is one block.
+    pinned = {
+        "4 3 3": "b41fec45de0157205382ceeb72d0804cee4db3b854c738d437dce120b45c6b39",
+        "5 4 2": "2e6776d75e6cb480a21259f2a3f02a6691d85247ad9f0e40167e3d14f49651cc",
+    }
+    for shape, digest in pinned.items():
+        code, out, _ = invoke_cli(["oracle", *shape.split()])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, shape
 
 
 def test_oracle_takes_no_guard_option(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -199,7 +200,10 @@ def test_partition_codes_name_the_grouping():
                 masks = {}
                 for j, r in enumerate(block):
                     masks[r] = masks.get(r, 0) | 1 << j
-                pairs.add((tuple(sorted(masks.values())), ibltlab.oracle._partition_code(block)))
+                code = ibltlab.oracle._partition_code(block)
+                # The residual memo reads n as a code's bit count.
+                assert code.bit_count() == n, block
+                pairs.add((tuple(sorted(masks.values())), code))
         groupings, codes = zip(*pairs)
         assert len(set(groupings)) == len(set(codes)) == len(pairs), n
 
@@ -215,6 +219,22 @@ def test_capped_memos_peel_exactly_and_stay_under_their_caps(monkeypatch):
             assert peel_fixpoint(sm) == residual, sm
             assert contains_stopping_submatrix(sm) == bool(residual), sm
             assert all(len(memo) <= memo.cap for memo in memos)
+
+
+@pytest.mark.parametrize("ell,n,k", [(3, 3, 2), (2, 3, 3), (4, 2, 1)])
+def test_head_codes_never_go_stale(ell, n, k):
+    # peel_fixpoint reuses the codes of the last state's first k - 1 blocks
+    # when the next state's equal them; any state may follow any other.
+    # Peel every state in enumeration order, shuffled, and rebuilt from
+    # equal but distinct tuples, with a contains_stopping_submatrix call
+    # on another state between any two.
+    states = list(iter_state_matrices(ell, n, k))
+    shuffled = random.Random(ell * n * k).sample(states, len(states))
+    rebuilt = [StateMatrix(ell, tuple(tuple(list(b)) for b in sm.placements)) for sm in states]
+    for order in (states, shuffled, rebuilt):
+        for sm, other in zip(order, reversed(order)):
+            assert peel_fixpoint(sm) == peel_cells(ell, sm.placements), sm
+            assert contains_stopping_submatrix(other) == bool(peel_cells(ell, other.placements))
 
 
 @pytest.mark.parametrize("ell,n,k", [(1, 2, 3), (2, 3, 2), (3, 3, 2), (4, 2, 2)])
