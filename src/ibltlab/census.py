@@ -154,9 +154,12 @@ class StoppingCensus:
     """Exact stopping-matrix counts, kept as one row per ell.
 
     A row holds count(ell, n) for n = 0..n_max; a request beyond a stored
-    row recomputes it at the new length.  Requests are not synchronized:
-    populate from a single thread, after which the rows are effectively
-    immutable and safe to share with concurrent readers.
+    row recomputes it at the new length.  Every row stays until the census
+    is dropped, so keep one only where rows are read again: ``ztable``
+    builds each row alone and drops it once written, and a ``sweep`` given
+    no census lets each point build and free its own.  Requests are not
+    synchronized: populate from a single thread, after which the rows are
+    effectively immutable and safe to share with concurrent readers.
     """
 
     def __init__(self):

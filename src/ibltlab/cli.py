@@ -12,7 +12,7 @@ import csv
 import sys
 
 from ibltlab.bounds import size2_asymptote, union_bound
-from ibltlab.census import COST_GUARD_S, StoppingCensus, check_cost, rows_cost_s
+from ibltlab.census import COST_GUARD_S, StoppingCensus, _stopping_row, check_cost, rows_cost_s
 from ibltlab.errors import ResourceGuardError
 
 
@@ -110,12 +110,11 @@ def cmd_ztable(args):
             f"ztable {args.lmax} {args.nmax}: counts may exceed the "
             f"{digits}-digit limit on printing an integer"
         )
-    census = StoppingCensus()
-    # Lazy, so a large table streams as it is written.
+    # Lazy, so each row is built as it is written and dropped after it.
     rows = (
         [ell, n, z]
         for ell in range(1, args.lmax + 1)
-        for n, z in enumerate(census.row(ell, args.nmax)[1:], start=1)
+        for n, z in enumerate(_stopping_row(ell, args.nmax)[1:], start=1)
     )
     return ["ell", "n", "z"], rows
 

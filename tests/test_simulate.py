@@ -8,6 +8,7 @@ from ibltlab import (
     Iblt,
     KeyModel,
     ResourceGuardError,
+    StoppingCensus,
     TrialConfig,
     exact_failure_probability,
     make_partitioned_uniform,
@@ -69,6 +70,38 @@ def test_sweeps_are_reproducible(census):
     first = list(sweep(base, [30, 60], census=census))
     second = list(sweep(base, [30, 60], census=census))
     assert first == second
+
+
+def _spy_on_union_bound(monkeypatch):
+    """Record, for each union_bound call, its census and the ells that
+    census holds rows for once the bound has read its row."""
+    calls = []
+    real = simulate.union_bound
+
+    def spy(census, ell, n, k):
+        result = real(census, ell, n, k)
+        calls.append((census, ell, {row_ell for row_ell, _ in census.known()}))
+        return result
+
+    monkeypatch.setattr(simulate, "union_bound", spy)
+    return calls
+
+
+def test_sweep_without_a_census_builds_one_row_per_point(monkeypatch):
+    calls = _spy_on_union_bound(monkeypatch)
+    base = TrialConfig(n=10, m=30, k=3, trials=200, seed=21)
+    list(sweep(base, [30, 60, 90]))
+    assert [(ell, rows) for _, ell, rows in calls] == [(10, {10}), (20, {20}), (30, {30})]
+
+
+def test_sweep_shares_the_census_it_is_given(monkeypatch):
+    calls = _spy_on_union_bound(monkeypatch)
+    base = TrialConfig(n=10, m=30, k=3, trials=200, seed=21)
+    given = StoppingCensus()
+    list(sweep(base, [30, 60, 90], census=given))
+    assert [ell for _, ell, _ in calls] == [10, 20, 30]
+    assert all(census is given for census, _, _ in calls)
+    assert calls[-1][2] == {10, 20, 30}
 
 
 def test_workers_do_not_change_results(census):
