@@ -16,12 +16,14 @@ is memoised on the tuple of the k codes, which makes it exact, not
 approximate: states with equal tuples peel alike.  Of the 531,441 states
 at ell = 3, n = 4, k = 3 only 2,744 tuples differ (Stanley, *Enumerative
 Combinatorics* Vol. 1, ch. 3, on the set-partition lattice).  The memos
-are dicts, so a hit never leaves C, and each is emptied when it reaches
-its cap, which bounds its memory.  Consecutive states of
-``iter_state_matrices`` share their first k - 1 blocks for ell**n states
-in a row, so ``peel_fixpoint`` keeps those blocks and their codes from
-its last call, and a state whose first k - 1 blocks equal them looks up
-only its last block's code.
+are dicts, so a hit never leaves C, and a cap bounds each one's memory.
+Consecutive states of ``iter_state_matrices`` share their first k - 1
+blocks, the head, for ell**n states in a row.  So ``peel_fixpoint``
+keeps the head from its last call, with its codes and a dict from last
+block to residual, and a state whose head equals it costs one dict hit.
+That dict is shared by every head with equal codes, in a layer keyed by
+the head's codes; a head that a full layer turns away, and every state
+at k = 1, looks up its last block's code and then the k codes' residual.
 
 A ``StateMatrix`` built by a caller, or by its ``_make`` and
 ``_replace``, is checked: ell >= 1, blocks of one length, rows in
@@ -146,19 +148,67 @@ def _entry_set(alive: int) -> frozenset[int]:
     return frozenset(itertools.compress(itertools.count(), map("1".__eq__, bin(alive)[:1:-1])))
 
 
+class _Tails(dict):
+    """Head codes -> {last block: residual}: for the states whose first
+    k - 1 blocks have those partition codes, the residual of each last
+    block seen.  A residual depends only on the k codes, so the dict of one
+    head serves every head with equal codes, at any ell.
+
+    It holds at most ``cap`` residuals in all, however many blocks a head
+    has, and at most ``heads`` dicts: a dict of one residual takes about 300
+    bytes with its key, a residual in a big dict about 40.  ``enter`` hands
+    out one dict at a time with the size it may grow to, and counts that
+    growth when it hands out the next.  A full layer takes no new head
+    codes but is not emptied: where a shape's heads outnumber it, emptying
+    and refilling it cost more than its hits saved (``oracle 3 7 2`` ran
+    17% slower than with no layer), while a head it turns away peels as
+    with no layer."""
+
+    def __init__(self, cap: int, heads: int):
+        super().__init__()
+        self.cap = cap
+        self.heads = heads
+        self.clear()
+
+    def clear(self) -> None:
+        super().clear()
+        self.size = 0  # residuals held in the dicts other than ``live``
+        self.live = {}
+
+    def enter(self, codes: tuple[int, ...]) -> tuple[dict, int]:
+        """The dict for head ``codes``, and the size it may grow to: 0 for
+        new codes once the layer is full, and for an empty head, since at
+        k = 1 each enumerated state is a block of its own."""
+        self.size += len(self.live)
+        self.live = self.get(codes)
+        if self.live is None:
+            if not codes or self.size >= self.cap or len(self) >= self.heads:
+                self.live = {}
+                return self.live, 0
+            self.live = self[codes] = {}
+        self.size -= len(self.live)
+        return self.live, self.cap - self.size
+
+
 # The ell**n blocks and the tuples of partitions (at most Bell(n)**k) of
-# most shapes under the guard fit.  Residuals share one frozenset per mask,
-# so the full memos hold about 3.5 MiB at ell = 2, n = 7, k = 3.
+# most shapes under the guard fit.  Residuals share one frozenset per mask.
+# The head layer's 2**12 dicts and 2**18 residuals, about 9 MiB full, hold
+# every (head codes, last block) pair of the guard-scale ell = 7, n = 4,
+# k = 2 (36,015 of them) but half of ell = 2, n = 7, k = 3: there the Python
+# peel runs for 360,448 code tuples (262,144 differ), where it ran for
+# 491,520 with no layer, and all the pairs would take about 19 MiB.
 _codes = _Memo(_partition_code, 1 << 12)
 _residuals = _Memo(_residual, 1 << 15)
 _entry_sets = _Memo(_entry_set, 1 << 12)
+_tails = _Tails(1 << 18, 1 << 12)
 
 
-# The first k - 1 blocks of the last state peeled, and their codes.  It is
+# The first k - 1 blocks of the last state peeled, their codes, and the
+# dict of ``_tails`` for those codes with the size it may grow to.  It is
 # replaced as one tuple and read once per call, and its blocks are compared
 # by value (by identity first, as tuples compare items), so any state may
 # follow any other.
-_head = ((), ())
+_head = ((), (), {}, 0)
 
 
 def peel_fixpoint(sm: StateMatrix) -> set[int]:
@@ -168,12 +218,21 @@ def peel_fixpoint(sm: StateMatrix) -> set[int]:
     placements = sm.placements
     if not placements:
         return set()
-    blocks, codes = _head
+    blocks, codes, tails, room = _head
     head = placements[:-1]
     if head != blocks:
         codes = tuple(map(_codes.__getitem__, head))
-        _head = (head, codes)
-    return set(_residuals[codes + (_codes[placements[-1]],)])
+        tails, room = _tails.enter(codes)
+        _head = (head, codes, tails, room)
+    if not room:  # a head the layer does not hold, and every head at k = 1
+        return set(_residuals[codes + (_codes[placements[-1]],)])
+    last = placements[-1]
+    residual = tails.get(last)
+    if residual is None:
+        residual = _residuals[codes + (_codes[last],)]
+        if len(tails) < room:
+            tails[last] = residual
+    return set(residual)
 
 
 def contains_stopping_submatrix(sm: StateMatrix) -> bool:
@@ -185,8 +244,8 @@ def iter_state_matrices(ell: int, n: int, k: int):
     slowest, and within a block entry 0 does.
 
     With the last block fastest, each run of ell**n consecutive states
-    shares its first k - 1 blocks, which ``peel_fixpoint`` uses to look up
-    only the last block's code; that is for speed alone, and any order
+    shares its first k - 1 blocks, which ``peel_fixpoint`` uses to peel
+    most states with one dict hit; that is for speed alone, and any order
     peels the same."""
     blocks = itertools.product(range(ell), repeat=n)
     # For k >= 2 the ell**n <= sqrt(states) blocks are listed once; k = 1
@@ -216,6 +275,11 @@ def exact_failure_probability(ell: int, n: int, k: int) -> "Fraction":
     ``check_states`` lets the ell**(n*k) state matrices through."""
     from fractions import Fraction  # with decimal, loaded only when an oracle runs
 
+    global _head
     check_states(ell, n, k)
+    # Each enumeration starts with an empty head layer, so a layer that one
+    # shape filled never turns away the next shape's heads.
+    _tails.clear()
+    _head = ((), (), {}, 0)
     failing = sum(map(bool, map(peel_fixpoint, iter_state_matrices(ell, n, k))))
     return Fraction(failing, ell ** (n * k))

@@ -209,16 +209,57 @@ def test_partition_codes_name_the_grouping():
 
 
 def test_capped_memos_peel_exactly_and_stay_under_their_caps(monkeypatch):
-    memos = (ibltlab.oracle._codes, ibltlab.oracle._residuals, ibltlab.oracle._entry_sets)
+    # The head layer counts the residuals in all its dicts together: at
+    # k = 1 the head is empty and every state is a new block, so it keeps
+    # none; (2, 2, 3) has more head codes than it takes, and each head of
+    # (3, 3, 2) has 27 last blocks, more than it holds.
+    oracle = ibltlab.oracle
+    tails = oracle._tails
+    memos = (oracle._codes, oracle._residuals, oracle._entry_sets)
     for memo, cap in zip(memos, (4, 8, 2)):
         memo.clear()
         monkeypatch.setattr(memo, "cap", cap)
-    for ell, n, k in ((3, 3, 2), (2, 4, 3), (4, 3, 1), (1, 3, 2)):
+    tails.clear()
+    monkeypatch.setattr(tails, "cap", 16)
+    monkeypatch.setattr(tails, "heads", 3)
+    monkeypatch.setattr(oracle, "_head", ((), (), {}, 0))
+    for ell, n, k in ((1, 3, 2), (4, 3, 1), (2, 2, 3), (3, 3, 2), (2, 4, 3)):
         for sm in iter_state_matrices(ell, n, k):
             residual = peel_cells(ell, sm.placements)
             assert peel_fixpoint(sm) == residual, sm
             assert contains_stopping_submatrix(sm) == bool(residual), sm
             assert all(len(memo) <= memo.cap for memo in memos)
+            held = sum(map(len, tails.values()))
+            assert held == tails.size + len(tails.live) <= tails.cap
+            assert len(tails) <= tails.heads and () not in tails
+    assert (len(tails), held) == (tails.heads, tails.cap)
+
+
+def test_residuals_past_the_memo_cap_are_built_once(monkeypatch):
+    # The 4,096 code tuples of (2, 5, 3) outnumber a 256-key residual memo,
+    # which empties itself when full; looked up through that memo alone,
+    # 7,936 were built.  The head layer keeps each one once built.
+    residuals = ibltlab.oracle._residuals
+    residuals.clear()
+    monkeypatch.setattr(residuals, "cap", 256)
+    built = []
+    build = residuals.build
+    monkeypatch.setattr(residuals, "build", lambda codes: built.append(codes) or build(codes))
+    assert exact_failure_probability(2, 5, 3) == 1
+    assert len(built) == len(set(built)) == 4096
+
+
+def test_alternating_shapes_peel_exactly(monkeypatch):
+    # A head dict serves every head with equal codes, across ell too, and a
+    # residual memo key is the codes alone: peel the states of four shapes
+    # in turn, so that every call changes the head, against the plain peel.
+    ibltlab.oracle._tails.clear()
+    monkeypatch.setattr(ibltlab.oracle, "_head", ((), (), {}, 0))
+    shapes = [(2, 3, 1), (3, 3, 2), (2, 3, 3), (4, 2, 2)]
+    for states in itertools.zip_longest(*(iter_state_matrices(*shape) for shape in shapes)):
+        for sm in filter(None, states):
+            assert peel_fixpoint(sm) == peel_cells(sm.ell, sm.placements), sm
+    assert len(ibltlab.oracle._tails) > 1
 
 
 @pytest.mark.parametrize("ell,n,k", [(3, 3, 2), (2, 3, 3), (4, 2, 1)])
