@@ -31,9 +31,7 @@ _EXPORTS = {
     "union_bound": "bounds",
     "StoppingCensus": "census",
     "count_stopping_bruteforce": "census",
-    "is_stopping_matrix": "census",
-    "matrix_from_columns": "census",
-    "pivots": "census",
+    "stopping_row": "census",
     "ResourceGuardError": "errors",
     "ExplicitScheme": "hashing",
     "HashKind": "hashing",

@@ -100,8 +100,9 @@ def union_bound(census: StoppingCensus, ell: int, n: int, k: int) -> BoundBreakd
     check_bound_cost(ell, n, k)
     counts = census.row(ell, n)
     terms = []
-    ell_k = ell**k
-    denominator = ell ** (2 * k)
+    # At n = 1 no term reads a power of ell, so none is built.
+    ell_k = ell**k if n > 1 else 1
+    denominator = ell_k * ell_k
     subsets = math.comb(n, 2)  # C(n, i), advanced exactly to C(n, i+1)
     for i in range(2, n + 1):
         if _provably_past_float_range(ell, n, k, i):

@@ -7,9 +7,11 @@ Equivalently it is a map [n] -> [ell] with no fiber of size exactly 1,
 whose exponential generating function is (e^x - x)^ell (Flajolet &
 Sedgewick, *Analytic Combinatorics*, ch. II).
 
-``StoppingCensus`` counts these maps by the number j of rows they occupy.
-Let R_j(n) be the number of maps [n] -> [ell] that hit exactly j rows,
-each at least twice.  Then R_0(0) = 1 and
+``stopping_row`` counts these maps, one row of n = 0..n_max for a fixed
+ell, by the number j of rows they occupy; ``StoppingCensus`` keeps such
+rows for callers that read them again.  Let R_j(n) be the number of maps
+[n] -> [ell] that hit exactly j rows, each at least twice.  Then
+R_0(0) = 1 and
 
     R_j(n) = j R_j(n-1) + (n-1) (ell-j+1) R_{j-1}(n-2),
     count(ell, n) = sum_{j=0..min(ell, n//2)} R_j(n).
@@ -43,7 +45,7 @@ force that tests the row counts of every matrix, one by one
 """
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 from ibltlab.errors import ResourceGuardError, check_power
 
@@ -54,33 +56,7 @@ BRUTE_FORCE_GUARD = 10**8
 COST_GUARD_S = 30.0
 
 
-def is_stopping_matrix(rows: Sequence[Sequence[int]]) -> bool:
-    """True iff no row has Hamming weight exactly 1 (any binary matrix)."""
-    return all(sum(row) != 1 for row in rows)
-
-
-def pivots(rows: Sequence[Sequence[int]]) -> set[tuple[int, int]]:
-    """Positions (i, j) where entry (i, j) = 1 and row i has weight 1.
-
-    Empty exactly when the matrix is a stopping matrix.
-    """
-    found = set()
-    for i, row in enumerate(rows):
-        if sum(row) == 1:
-            found.add((i, list(row).index(1)))
-    return found
-
-
-def matrix_from_columns(ell: int, cols: Iterable[int]) -> list[list[int]]:
-    """Materialize a column-weight-one matrix from its column row-indices."""
-    cols = list(cols)
-    rows = [[0] * len(cols) for _ in range(ell)]
-    for j, r in enumerate(cols):
-        rows[r][j] = 1
-    return rows
-
-
-def _stopping_row(ell: int, n_max: int) -> list[int]:
+def stopping_row(ell: int, n_max: int) -> list[int]:
     """count(ell, n) for n = 0..n_max, by the occupied-rows recurrence.
 
     ``before`` and ``last`` hold R_j at columns n-2 and n-1 for
@@ -88,6 +64,8 @@ def _stopping_row(ell: int, n_max: int) -> list[int]:
     where 2j > n-1.  Column n overwrites ``before`` from the top j down,
     so each step still reads R_{j-1}(n-2), and R_0(n) = 0 for n >= 1.
     """
+    if ell < 0 or n_max < 0:
+        raise ValueError("ell and n must be nonnegative")
     row = [1]
     before, last = [0], [1]
     for n in range(1, n_max + 1):
@@ -104,7 +82,7 @@ def _stopping_row(ell: int, n_max: int) -> list[int]:
 
 
 def rows_cost_s(ell_min: int, ell_max: int, n_max: int) -> float:
-    """Estimated seconds for ``_stopping_row(ell, n_max)`` summed over
+    """Estimated seconds for ``stopping_row(ell, n_max)`` summed over
     ell = ell_min..ell_max.
 
     The model charges n_max columns of min(ell, n_max) big-integer steps
@@ -151,15 +129,16 @@ def check_cost(what: str, estimate: Callable[[], float]):
 
 
 class StoppingCensus:
-    """Exact stopping-matrix counts, kept as one row per ell.
+    """Exact stopping-matrix counts, kept as one ``stopping_row`` per ell.
 
     A row holds count(ell, n) for n = 0..n_max; a request beyond a stored
     row recomputes it at the new length.  Every row stays until the census
     is dropped, so keep one only where rows are read again: ``ztable``
-    builds each row alone and drops it once written, and a ``sweep`` given
-    no census lets each point build and free its own.  Requests are not
-    synchronized: populate from a single thread, after which the rows are
-    effectively immutable and safe to share with concurrent readers.
+    calls ``stopping_row`` for each row and drops it once written, and
+    each ``bound`` and ``simulate`` point builds a census of its own.
+    Requests are not synchronized: populate from a single thread, after
+    which the rows are effectively immutable and safe to share with
+    concurrent readers.
     """
 
     def __init__(self):
@@ -167,30 +146,15 @@ class StoppingCensus:
 
     def row(self, ell: int, n_max: int) -> list[int]:
         """[count(ell, 0), count(ell, 1), ..., count(ell, n_max)]."""
-        if ell < 0 or n_max < 0:
-            raise ValueError("ell and n must be nonnegative")
         row = self._rows.get(ell)
-        if row is None or len(row) <= n_max:
-            row = self._rows[ell] = _stopping_row(ell, n_max)
+        if row is None or not 0 <= n_max < len(row):
+            row = self._rows[ell] = stopping_row(ell, n_max)
         return row[: n_max + 1]
 
     def count(self, ell: int, n: int) -> int:
         """Number of stopping matrices with ell rows and n weight-one columns."""
-        return self.row(ell, n)[n]
-
-    def log_ratio(self, ell: int, n: int) -> float:
-        """ln(count / ell**n): log-probability that a fixed column set stops.
-
-        Returns -inf when the count is zero.  math.log takes the integer
-        directly (bit length + leading mantissa), so there is no overflow
-        for counts beyond float range.
-        """
-        if ell < 1 or n < 1:
-            raise ValueError("ell and n must be positive")
-        c = self.count(ell, n)
-        if c == 0:
-            return float("-inf")
-        return math.log(c) - n * math.log(ell)
+        row = self._rows.get(ell, ())
+        return row[n] if 0 <= n < len(row) else self.row(ell, n)[n]
 
     def known(self) -> dict[tuple[int, int], int]:
         return {

@@ -12,7 +12,7 @@ import csv
 import sys
 
 from ibltlab.bounds import size2_asymptote, union_bound
-from ibltlab.census import COST_GUARD_S, StoppingCensus, _stopping_row, check_cost, rows_cost_s
+from ibltlab.census import COST_GUARD_S, StoppingCensus, check_cost, rows_cost_s, stopping_row
 from ibltlab.errors import ResourceGuardError
 
 
@@ -114,7 +114,7 @@ def cmd_ztable(args):
     rows = (
         [ell, n, z]
         for ell in range(1, args.lmax + 1)
-        for n, z in enumerate(_stopping_row(ell, args.nmax)[1:], start=1)
+        for n, z in enumerate(stopping_row(ell, args.nmax)[1:], start=1)
     )
     return ["ell", "n", "z"], rows
 

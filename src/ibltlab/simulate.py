@@ -250,7 +250,6 @@ def run_trials(
 def sweep(
     base: TrialConfig,
     m_values: Sequence[int],
-    census: StoppingCensus | None = None,
     workers: int = 1,
 ) -> Iterator[SimReport]:
     """One report per m value, each point run with its derived seed.
@@ -260,9 +259,8 @@ def sweep(
     validated and planned with ``plan_trials`` when this is called, so a
     bad or refused point raises before any trial runs; the returned
     iterator then runs the points in order, one ``run_trials`` call each,
-    and yields each report as its point finishes.  Every point reads its
-    census row from ``census`` when one is given, so the rows stay there;
-    with none, each point builds its own row and frees it when done."""
+    and yields each report as its point finishes.  Each point builds its
+    own census row for its bound and frees it when done."""
     # A slice, not len(): the length of a range can pass sys.maxsize.
     if m_values[SWEEP_POINT_GUARD : SWEEP_POINT_GUARD + 1]:
         raise ResourceGuardError(
@@ -271,4 +269,4 @@ def sweep(
     configs = [replace(base, m=m, seed=sweep_point_seed(base.seed, m)) for m in m_values]
     for cfg in configs:
         plan_trials(cfg, workers)
-    return (run_trials(cfg, census=census, workers=workers) for cfg in configs)
+    return (run_trials(cfg, workers=workers) for cfg in configs)

@@ -21,6 +21,20 @@ STOPPING_COUNTS_10X10 = [
 ]
 
 
+def is_stopping_matrix(rows):
+    """True iff no row has Hamming weight exactly 1 (any binary matrix)."""
+    return all(sum(row) != 1 for row in rows)
+
+
+def matrix_from_columns(ell, cols):
+    """Materialize a column-weight-one matrix from its column row-indices."""
+    cols = list(cols)
+    rows = [[0] * len(cols) for _ in range(ell)]
+    for j, r in enumerate(cols):
+        rows[r][j] = 1
+    return rows
+
+
 def inclusion_exclusion_row(ell: int, n_max: int) -> list[int]:
     """count(ell, n) for n = 0..n_max, by the inclusion-exclusion closed form
 

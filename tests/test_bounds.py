@@ -7,7 +7,6 @@ import pytest
 from ibltlab import (
     BoundBreakdown,
     ResourceGuardError,
-    is_stopping_matrix,
     size2_asymptote,
     stopping_set_probability,
     union_bound,
@@ -18,6 +17,7 @@ from ibltlab.bounds import (
     _ratio_term,
     check_bound_cost,
 )
+from reference import is_stopping_matrix
 
 
 def test_single_term_bound_is_exact(census):

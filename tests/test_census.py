@@ -4,15 +4,14 @@ import math
 import pytest
 
 import ibltlab.census
-from ibltlab import (
-    ResourceGuardError,
-    StoppingCensus,
-    count_stopping_bruteforce,
+from ibltlab import ResourceGuardError, StoppingCensus, count_stopping_bruteforce, stopping_row
+from reference import (
+    STOPPING_COUNTS_10X10,
+    Unpowered,
+    inclusion_exclusion_row,
     is_stopping_matrix,
     matrix_from_columns,
-    pivots,
 )
-from reference import STOPPING_COUNTS_10X10, Unpowered, inclusion_exclusion_row
 
 
 def count_by_literal_enumeration(ell, n):
@@ -27,19 +26,6 @@ def test_stopping_predicate_examples():
     assert not is_stopping_matrix([[1], [0]])  # the weight-1 row
     assert is_stopping_matrix([[1, 1], [0, 0]])  # row weights 2 and 0
     assert is_stopping_matrix([])  # empty matrix, vacuously
-
-
-def test_pivot_positions():
-    assert pivots([[1, 0], [0, 1]]) == {(0, 0), (1, 1)}
-    assert pivots([[1, 1], [0, 0]]) == set()
-    assert pivots([[1, 1], [0, 0], [0, 0]]) == set()
-
-
-def test_pivots_empty_iff_stopping():
-    for ell, n in ((2, 3), (3, 3), (4, 2)):
-        for cols in itertools.product(range(ell), repeat=n):
-            rows = matrix_from_columns(ell, cols)
-            assert (not pivots(rows)) == is_stopping_matrix(rows)
 
 
 def test_counts_match_frozen_10x10(census):
@@ -159,13 +145,6 @@ def test_rows_equal_inclusion_exclusion():
         assert StoppingCensus().row(ell, n_max) == inclusion_exclusion_row(ell, n_max), (ell, n_max)
 
 
-def test_log_ratio(census):
-    assert census.log_ratio(7, 1) == -math.inf
-    assert census.log_ratio(2, 2) == math.log(2) - 2 * math.log(2)
-    expected = math.log(81163900) - 10 * math.log(10)
-    assert census.log_ratio(10, 10) == pytest.approx(expected, rel=1e-12)
-
-
 def test_row_is_the_counts_of_one_ell():
     census = StoppingCensus()
     assert census.row(5, 7) == [census.count(5, n) for n in range(8)]
@@ -183,7 +162,12 @@ def test_invalid_arguments(census):
         census.count(-1, 2)
     with pytest.raises(ValueError):
         census.row(3, -1)
-    with pytest.raises(ValueError):
-        census.log_ratio(0, 2)
+    census.count(5, 3)  # a stored row must not answer a negative column
+    for call in (census.row, census.count):
+        with pytest.raises(ValueError):
+            call(5, -1)
+    for ell, n_max in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError):
+            stopping_row(ell, n_max)
     with pytest.raises(ValueError):
         count_stopping_bruteforce(-1, 2)

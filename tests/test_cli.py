@@ -200,6 +200,22 @@ def test_bound_breakdown_at_one_entry_prints_the_summary(invoke_cli):
     assert out == "ell,n,k,bound_raw,bound_clamped,p2,i,term\n3,1,1,0.0,0.0,0.0,,\n"
 
 
+@pytest.mark.parametrize("ell, k", [(3, 10**8), (8, 10**12)])
+def test_bound_at_one_entry_builds_no_power(capped_python, ell, k):
+    # n = 1 has no term, so the guard charges only the census row.  Building
+    # ell**k anyway ran past a minute at 3**(10**8), and at 8**(10**12)
+    # (about 375 GB) ended in MemoryError under the address cap.
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_CPU, (10, 10))\n"
+        "from ibltlab.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    result = capped_python(script, "bound", "--ell", str(ell), "--n", "1", "--k", str(k))
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines()[1] == f"{ell},1,{k},0.0,0.0,0.0"
+
+
 def test_simulate_repeatable(invoke_cli):
     argv = ["simulate", "--n", "10", "--k", "2", "--m", "24", "--trials", "3000",
             "--seed", "4"]

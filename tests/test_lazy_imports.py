@@ -12,8 +12,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# The public names of the package, as they were when it imported every
-# submodule eagerly.
+# The public names of the package; a change to this list changes its API.
 PUBLIC_NAMES = [
     "BoundBreakdown", "Cell", "ExplicitScheme", "GetResult", "GetStatus",
     "HashKind", "HashParams", "Iblt", "KeyModel", "ListingResult",
@@ -21,9 +20,9 @@ PUBLIC_NAMES = [
     "SimReport", "SsAvoidingScheme", "StateMatrix", "StoppingCensus",
     "TrialConfig", "available_backends", "backend_name",
     "contains_stopping_submatrix", "count_stopping_bruteforce",
-    "exact_failure_probability", "is_stopping_matrix", "iter_state_matrices",
-    "make_partitioned_uniform", "make_ss_avoiding", "matrix_from_columns",
-    "peel_fixpoint", "pivots", "run_trials", "size2_asymptote",
+    "exact_failure_probability", "iter_state_matrices",
+    "make_partitioned_uniform", "make_ss_avoiding", "peel_fixpoint",
+    "run_trials", "size2_asymptote", "stopping_row",
     "stopping_set_probability", "sweep", "union_bound", "wilson_interval",
 ]
 

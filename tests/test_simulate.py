@@ -8,7 +8,6 @@ from ibltlab import (
     Iblt,
     KeyModel,
     ResourceGuardError,
-    StoppingCensus,
     TrialConfig,
     exact_failure_probability,
     make_partitioned_uniform,
@@ -58,50 +57,35 @@ def test_interval_coverage_across_seeds(census):
     assert covered >= 18
 
 
-def test_phat_respects_bound_on_sweep(census):
+def test_phat_respects_bound_on_sweep():
     base = TrialConfig(n=20, m=60, k=3, trials=4000, seed=11)
-    for report in sweep(base, [60, 90, 120, 150], census=census):
+    for report in sweep(base, [60, 90, 120, 150]):
         half_width = (report.ci_high - report.ci_low) / 2
         assert report.p_hat <= report.bound + 3 * half_width
 
 
-def test_sweeps_are_reproducible(census):
+def test_sweeps_are_reproducible():
     base = TrialConfig(n=10, m=30, k=3, trials=2000, seed=21)
-    first = list(sweep(base, [30, 60], census=census))
-    second = list(sweep(base, [30, 60], census=census))
+    first = list(sweep(base, [30, 60]))
+    second = list(sweep(base, [30, 60]))
     assert first == second
 
 
-def _spy_on_union_bound(monkeypatch):
-    """Record, for each union_bound call, its census and the ells that
-    census holds rows for once the bound has read its row."""
-    calls = []
+def test_sweep_without_a_census_builds_one_row_per_point(monkeypatch):
+    # Record, for each point's bound, the ells its census holds rows for
+    # once the bound has read its row.
+    rows = []
     real = simulate.union_bound
 
     def spy(census, ell, n, k):
         result = real(census, ell, n, k)
-        calls.append((census, ell, {row_ell for row_ell, _ in census.known()}))
+        rows.append((ell, {row_ell for row_ell, _ in census.known()}))
         return result
 
     monkeypatch.setattr(simulate, "union_bound", spy)
-    return calls
-
-
-def test_sweep_without_a_census_builds_one_row_per_point(monkeypatch):
-    calls = _spy_on_union_bound(monkeypatch)
     base = TrialConfig(n=10, m=30, k=3, trials=200, seed=21)
     list(sweep(base, [30, 60, 90]))
-    assert [(ell, rows) for _, ell, rows in calls] == [(10, {10}), (20, {20}), (30, {30})]
-
-
-def test_sweep_shares_the_census_it_is_given(monkeypatch):
-    calls = _spy_on_union_bound(monkeypatch)
-    base = TrialConfig(n=10, m=30, k=3, trials=200, seed=21)
-    given = StoppingCensus()
-    list(sweep(base, [30, 60, 90], census=given))
-    assert [ell for _, ell, _ in calls] == [10, 20, 30]
-    assert all(census is given for census, _, _ in calls)
-    assert calls[-1][2] == {10, 20, 30}
+    assert rows == [(10, {10}), (20, {20}), (30, {30})]
 
 
 def test_workers_do_not_change_results(census):
@@ -482,7 +466,7 @@ def test_sweep_uses_documented_derived_seeds(census):
     from ibltlab._bits import sweep_point_seed
 
     base = TrialConfig(n=10, m=30, k=3, trials=1500, seed=77)
-    reports = sweep(base, [30, 60], census=census)
+    reports = sweep(base, [30, 60])
     for m, report in zip([30, 60], reports):
         direct = run_trials(
             dataclasses.replace(base, m=m, seed=sweep_point_seed(77, m)),
