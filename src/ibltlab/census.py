@@ -153,8 +153,7 @@ class StoppingCensus:
 
     def count(self, ell: int, n: int) -> int:
         """Number of stopping matrices with ell rows and n weight-one columns."""
-        row = self._rows.get(ell, ())
-        return row[n] if 0 <= n < len(row) else self.row(ell, n)[n]
+        return self.row(ell, n)[n]
 
     def known(self) -> dict[tuple[int, int], int]:
         return {
