@@ -27,11 +27,14 @@ runs once on the packed int.  Each shift right by s < 64 is masked to the low
 above (they land at bit 128 - s), and each multiply is cut back to those
 64 bits; a 64x64-bit product fits in 128 bits, so no carry crosses into
 the next slot.  Every index is bit for bit
-``i*ell + mix64(key ^ lane_i) % ell``.  Only the vectorized
-``indices_array`` uses numpy, which it imports when called.  A scheme
-builds its numpy constants once, on its first ``indices_array`` call.  The
-partitioned scheme's ``indices_array`` reduces modulo ell with the mask
-``h & (ell - 1)`` when ell is a power of two, and otherwise as
+``i*ell + mix64(key ^ lane_i) % ell``.  The scheme packs its lanes on
+its first ``indices`` call, not when built: the trial kernel calls only
+``indices_array``, and at k = 10**6 the packed ints and slots take about
+180 MiB.  Only the vectorized ``indices_array`` uses numpy, which it
+imports when called.  A scheme builds its numpy constants once, on its
+first ``indices_array`` call.  The partitioned scheme's
+``indices_array`` reduces modulo ell with the mask ``h & (ell - 1)``
+when ell is a power of two, and otherwise as
 ``h - h // ell * ell``; both equal ``h % ell`` on unsigned integers, and
 numpy masks, or divides by a scalar, several times faster than it takes a
 remainder.  The trial kernel calls ``indices_array`` once per hash group
@@ -134,18 +137,24 @@ class PartitionedUniformScheme:
         self.b = params.b
         self.m = params.m
         self._lanes = lane_keys(params.seed, params.k)
-        # Lane i owns bits [128*i, 128*i + 128) of one packed int; see the
-        # module docstring.  `ones` has a 1 at the bottom of every slot, and
-        # `m64` the low 64 bits of every slot set, each built in one pass.
+        self._packed = None  # built by the first `indices` call
+
+    def _pack_lanes(self) -> tuple[int, int, int]:
+        """Lane i owns bits [128*i, 128*i + 128) of one packed int; see the
+        module docstring.  `ones` has a 1 at the bottom of every slot, and
+        `m64` the low 64 bits of every slot set, each built in one pass."""
         ones = _pack([1] * self.k)
-        packed_lanes = _pack(self._lanes)
-        self._packed = (ones, packed_lanes, MASK64 * ones)
+        self._packed = (ones, _pack(self._lanes), MASK64 * ones)
         # (first cell, slot shift) of each subtable.
         self._slots = tuple((i * self.ell, _SLOT * i) for i in range(self.k))
+        return self._packed
 
     def indices(self, key: int) -> tuple[int, ...]:
         # mix64(key ^ lane) of every lane in one pass over the packed int.
-        ones, packed_lanes, m64 = self._packed
+        packed = self._packed
+        if packed is None:
+            packed = self._pack_lanes()
+        ones, packed_lanes, m64 = packed
         x = (key & MASK64) * ones ^ packed_lanes
         x ^= x >> 30 & m64
         x = x * MUL1 & m64

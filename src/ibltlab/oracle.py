@@ -22,8 +22,10 @@ blocks, the head, for ell**n states in a row.  So ``peel_fixpoint``
 keeps the head from its last call, with its codes and a dict from last
 block to residual, and a state whose head equals it costs one dict hit.
 That dict is shared by every head with equal codes, in a layer keyed by
-the head's codes; a head that a full layer turns away, and every state
-at k = 1, looks up its last block's code and then the k codes' residual.
+the head's codes.  Every state takes the one path: a head that the layer
+turns away, and every head at k = 1, gets one shared empty dict that is
+never written, so its lookup misses and the state looks up its last
+block's code and then the k codes' residual.
 
 A ``StateMatrix`` built by a caller, or by its ``_make`` and
 ``_replace``, is checked: ell >= 1, blocks of one length, rows in
@@ -154,40 +156,28 @@ class _Tails(dict):
     block seen.  A residual depends only on the k codes, so the dict of one
     head serves every head with equal codes, at any ell.
 
-    It holds at most ``cap`` residuals in all, however many blocks a head
-    has, and at most ``heads`` dicts: a dict of one residual takes about 300
-    bytes with its key, a residual in a big dict about 40.  ``enter`` hands
-    out one dict at a time with the size it may grow to, and counts that
-    growth when it hands out the next.  A full layer takes no new head
-    codes but is not emptied: where a shape's heads outnumber it, emptying
-    and refilling it cost more than its hits saved (``oracle 3 7 2`` ran
-    17% slower than with no layer), while a head it turns away peels as
-    with no layer."""
+    It takes at most ``heads`` head codes, and its dicts store at most
+    ``cap`` residuals in all, counted in ``held``: a dict of one residual
+    takes about 300 bytes with its key, a residual in a big dict about 40.
+    A full layer, at either cap, takes no new head codes, and past ``cap``
+    residuals no dict stores more; but it is never emptied: where a
+    shape's heads outnumber it, emptying and refilling it cost more than
+    its hits saved (``oracle 3 7 2`` ran 17% slower than with no layer),
+    while a head it turns away peels as with no layer."""
 
     def __init__(self, cap: int, heads: int):
         super().__init__()
         self.cap = cap
         self.heads = heads
-        self.clear()
+        self.held = 0
 
     def clear(self) -> None:
         super().clear()
-        self.size = 0  # residuals held in the dicts other than ``live``
-        self.live = {}
+        self.held = 0
 
-    def enter(self, codes: tuple[int, ...]) -> tuple[dict, int]:
-        """The dict for head ``codes``, and the size it may grow to: 0 for
-        new codes once the layer is full, and for an empty head, since at
-        k = 1 each enumerated state is a block of its own."""
-        self.size += len(self.live)
-        self.live = self.get(codes)
-        if self.live is None:
-            if not codes or self.size >= self.cap or len(self) >= self.heads:
-                self.live = {}
-                return self.live, 0
-            self.live = self[codes] = {}
-        self.size -= len(self.live)
-        return self.live, self.cap - self.size
+    def takes(self) -> bool:
+        """Whether a new head's codes get a dict of their own."""
+        return len(self) < self.heads and self.held < self.cap
 
 
 # The ell**n blocks and the tuples of partitions (at most Bell(n)**k) of
@@ -202,36 +192,42 @@ _residuals = _Memo(_residual, 1 << 15)
 _entry_sets = _Memo(_entry_set, 1 << 12)
 _tails = _Tails(1 << 18, 1 << 12)
 
+# The dict of every head that ``_tails`` turns away: every head at k = 1,
+# where each enumerated state is a block of its own, and new head codes
+# once the layer is full.  It is never written, so it stays empty and each
+# of its lookups misses.
+_NO_TAILS = {}
 
-# The first k - 1 blocks of the last state peeled, their codes, and the
-# dict of ``_tails`` for those codes with the size it may grow to.  It is
-# replaced as one tuple and read once per call, and its blocks are compared
-# by value (by identity first, as tuples compare items), so any state may
-# follow any other.
-_head = ((), (), {}, 0)
+# The first k - 1 blocks of the last state peeled, their codes, and their
+# dict of ``_tails`` or ``_NO_TAILS``.  It is replaced as one tuple and read
+# once per call, and its blocks are compared by value (by identity first,
+# as tuples compare items), so any state may follow any other.
+_head = ((), (), _NO_TAILS)
 
 
 def peel_fixpoint(sm: StateMatrix) -> set[int]:
     """Columns surviving peeling, as a new set on every call; empty iff no
     stopping sub-matrix exists."""
     global _head
-    placements = sm.placements
-    if not placements:
-        return set()
-    blocks, codes, tails, room = _head
+    placements = sm[1]  # by position: a named field is a descriptor call
+    blocks, codes, tails = _head
     head = placements[:-1]
     if head != blocks:
         codes = tuple(map(_codes.__getitem__, head))
-        tails, room = _tails.enter(codes)
-        _head = (head, codes, tails, room)
-    if not room:  # a head the layer does not hold, and every head at k = 1
-        return set(_residuals[codes + (_codes[placements[-1]],)])
-    last = placements[-1]
+        tails = _tails.get(codes, _NO_TAILS)
+        if tails is _NO_TAILS and codes and _tails.takes():
+            tails = _tails[codes] = {}
+        _head = (head, codes, tails)
+    try:
+        last = placements[-1]
+    except IndexError:  # a state of no blocks; the try is free for the rest
+        return set()
     residual = tails.get(last)
     if residual is None:
         residual = _residuals[codes + (_codes[last],)]
-        if len(tails) < room:
+        if tails is not _NO_TAILS and _tails.held < _tails.cap:
             tails[last] = residual
+            _tails.held += 1
     return set(residual)
 
 
@@ -280,6 +276,6 @@ def exact_failure_probability(ell: int, n: int, k: int) -> "Fraction":
     # Each enumeration starts with an empty head layer, so a layer that one
     # shape filled never turns away the next shape's heads.
     _tails.clear()
-    _head = ((), (), {}, 0)
+    _head = ((), (), _NO_TAILS)
     failing = sum(map(bool, map(peel_fixpoint, iter_state_matrices(ell, n, k))))
     return Fraction(failing, ell ** (n * k))

@@ -1,6 +1,11 @@
 """Frozen reference values, and plain reference implementations, shared by
 the unit and acceptance tests."""
 
+import itertools
+from collections import Counter
+from fractions import Fraction
+from math import factorial, perm, prod
+
 from ibltlab._bits import lane_keys, mix64
 from ibltlab.table import GetStatus, ListingStatus
 
@@ -99,6 +104,65 @@ def peel_cells(ell, placements):
             if count[ci] == 1:
                 stack.append(ci)
     return {j for j in range(n) if alive[j]}
+
+
+def restricted_growth_strings(n, parts):
+    """Every set partition of range(n) into at most ``parts`` parts, as its
+    restricted growth string: s[0] = 0 and s[j] <= 1 + max(s[:j]), so the
+    parts are numbered in the order of their least entries.  Read as a
+    block of rows, each string is one block that induces its partition."""
+    s = [0] * n
+    while True:
+        yield tuple(s)
+        j = n - 1
+        while j > 0 and s[j] >= min(parts - 1, max(s[:j]) + 1):
+            j -= 1
+        if j <= 0:
+            return
+        s[j] += 1
+        s[j + 1 :] = [0] * (n - 1 - j)
+
+
+def integer_partitions(n, parts):
+    """The partitions of n into at most ``parts`` parts, each a
+    nonincreasing tuple of part sizes."""
+    # (sizes so far, what is left, the largest size allowed next)
+    stack = [((), n, n)]
+    while stack:
+        sizes, left, largest = stack.pop()
+        if not left:
+            yield sizes
+        elif len(sizes) < parts:
+            for size in range(1, min(left, largest) + 1):
+                stack.append((sizes + (size,), left - size, size))
+
+
+def weighted_failure_probability(ell, n, k):
+    """The oracle's exact listing failure probability, over weighted tuples
+    of set partitions instead of the ell**(n*k) state matrices.
+
+    Peeling sees a block only through the set partition it induces on the
+    n entries, and a partition of p parts comes from ff(ell, p) blocks.
+    Whether peeling fails is unchanged when the entries are relabelled or
+    the blocks reordered.  So the first block runs over the integer
+    partition types of n with at most ell parts, one canonical set
+    partition each, weighted by the n!/(prod sizes! prod multiplicities!)
+    set partitions of that type; blocks 2..k run over multisets of
+    restricted growth strings, weighted by the multinomial of their
+    multiplicities.  Exact integers throughout (Stanley, *Enumerative
+    Combinatorics* Vol. 1, ch. 1 and 3)."""
+    blocks = list(restricted_growth_strings(n, ell))
+    failing = 0
+    for sizes in integer_partitions(n, ell):
+        first = tuple(part for part, size in enumerate(sizes) for _ in range(size))
+        of_type = factorial(n) // prod(map(factorial, sizes))
+        of_type //= prod(map(factorial, Counter(sizes).values()))
+        for rest in itertools.combinations_with_replacement(blocks, k - 1):
+            if peel_cells(ell, (first, *rest)):
+                orders = factorial(k - 1) // prod(map(factorial, Counter(rest).values()))
+                rows = prod(perm(ell, max(block) + 1) for block in (first, *rest))
+                failing += of_type * orders * rows
+    return Fraction(failing, ell ** (n * k))
 
 
 class ThreeListTable:

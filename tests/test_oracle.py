@@ -16,7 +16,7 @@ from ibltlab import (
     peel_fixpoint,
 )
 from ibltlab.oracle import ORACLE_GUARD
-from reference import Unpowered, peel_cells
+from reference import Unpowered, peel_cells, weighted_failure_probability
 
 ORDER_SHAPES = [(1, 3, 2), (3, 1, 2), (3, 2, 1), (2, 3, 2), (3, 2, 3), (2, 1, 4)]
 
@@ -212,7 +212,8 @@ def test_capped_memos_peel_exactly_and_stay_under_their_caps(monkeypatch):
     # The head layer counts the residuals in all its dicts together: at
     # k = 1 the head is empty and every state is a new block, so it keeps
     # none; (2, 2, 3) has more head codes than it takes, and each head of
-    # (3, 3, 2) has 27 last blocks, more than it holds.
+    # (3, 3, 2) has 27 last blocks, more than it holds.  The heads it turns
+    # away share one dict, which stays empty.
     oracle = ibltlab.oracle
     tails = oracle._tails
     memos = (oracle._codes, oracle._residuals, oracle._entry_sets)
@@ -222,7 +223,7 @@ def test_capped_memos_peel_exactly_and_stay_under_their_caps(monkeypatch):
     tails.clear()
     monkeypatch.setattr(tails, "cap", 16)
     monkeypatch.setattr(tails, "heads", 3)
-    monkeypatch.setattr(oracle, "_head", ((), (), {}, 0))
+    monkeypatch.setattr(oracle, "_head", ((), (), oracle._NO_TAILS))
     for ell, n, k in ((1, 3, 2), (4, 3, 1), (2, 2, 3), (3, 3, 2), (2, 4, 3)):
         for sm in iter_state_matrices(ell, n, k):
             residual = peel_cells(ell, sm.placements)
@@ -230,8 +231,9 @@ def test_capped_memos_peel_exactly_and_stay_under_their_caps(monkeypatch):
             assert contains_stopping_submatrix(sm) == bool(residual), sm
             assert all(len(memo) <= memo.cap for memo in memos)
             held = sum(map(len, tails.values()))
-            assert held == tails.size + len(tails.live) <= tails.cap
+            assert held == tails.held <= tails.cap
             assert len(tails) <= tails.heads and () not in tails
+            assert not oracle._NO_TAILS
     assert (len(tails), held) == (tails.heads, tails.cap)
 
 
@@ -254,7 +256,7 @@ def test_alternating_shapes_peel_exactly(monkeypatch):
     # residual memo key is the codes alone: peel the states of four shapes
     # in turn, so that every call changes the head, against the plain peel.
     ibltlab.oracle._tails.clear()
-    monkeypatch.setattr(ibltlab.oracle, "_head", ((), (), {}, 0))
+    monkeypatch.setattr(ibltlab.oracle, "_head", ((), (), ibltlab.oracle._NO_TAILS))
     shapes = [(2, 3, 1), (3, 3, 2), (2, 3, 3), (4, 2, 2)]
     for states in itertools.zip_longest(*(iter_state_matrices(*shape) for shape in shapes)):
         for sm in filter(None, states):
@@ -288,6 +290,19 @@ def test_exact_probability_peels_each_state_once(ell, n, k, monkeypatch):
     assert exact_failure_probability(ell, n, k) == expected
     assert len(calls) == ell ** (n * k)
     assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize(
+    "ell,n,k",
+    [
+        (3, 4, 3), (4, 3, 3), (3, 3, 4), (2, 3, 6), (5, 4, 2), (3, 5, 2),
+        (2, 4, 4), (6, 3, 2), (8, 5, 1), (2, 7, 2), (1, 5, 2), (2, 2, 2),
+    ],
+)
+def test_weighted_set_partition_tuples_match_the_enumeration(ell, n, k):
+    # Set-partition tuples, weighted, against every state matrix: the first
+    # two shapes take 465 peels there and 793,585 here.
+    assert weighted_failure_probability(ell, n, k) == exact_failure_probability(ell, n, k)
 
 
 def test_listing_fails_exactly_on_stopping_submatrices():
