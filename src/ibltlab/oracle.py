@@ -175,10 +175,6 @@ class _Tails(dict):
         super().clear()
         self.held = 0
 
-    def takes(self) -> bool:
-        """Whether a new head's codes get a dict of their own."""
-        return len(self) < self.heads and self.held < self.cap
-
 
 # The ell**n blocks and the tuples of partitions (at most Bell(n)**k) of
 # most shapes under the guard fit.  Residuals share one frozenset per mask.
@@ -215,7 +211,8 @@ def peel_fixpoint(sm: StateMatrix) -> set[int]:
     if head != blocks:
         codes = tuple(map(_codes.__getitem__, head))
         tails = _tails.get(codes, _NO_TAILS)
-        if tails is _NO_TAILS and codes and _tails.takes():
+        full = len(_tails) >= _tails.heads or _tails.held >= _tails.cap
+        if tails is _NO_TAILS and codes and not full:
             tails = _tails[codes] = {}
         _head = (head, codes, tails)
     try:
