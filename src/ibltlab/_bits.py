@@ -7,10 +7,9 @@ derived from one finalizer; the scalar ``mix64`` and the numpy
 The scalar functions are plain integer arithmetic.  Only the vector
 function ``mix64_array`` uses numpy, and it imports it when called, so the
 census, the bounds, the oracle and the table run without loading it.  The
-trial kernel's batch and hash-group sizes live here too, so ``simulate``
-reads them without loading numpy.  The kernel's scheme and key-model codes
-are the values of ``hashing.HashKind`` and ``hashing.KeyModel``, written
-once, here.
+trial kernel's batch size lives here too, so ``simulate`` reads it without
+loading numpy.  The kernel's scheme and key-model codes are the values of
+``hashing.HashKind`` and ``hashing.KeyModel``, written once, here.
 """
 
 import functools
@@ -35,18 +34,14 @@ SCHEME_SS_AVOIDING = "ss-avoiding"
 KEYS_IID = "iid"
 KEYS_DISTINCT = "distinct"
 
-# Cells plus entry cells (m + n*k per trial) of one batch of kernel trials.
-BATCH_CELLS = 1 << 15
-
-# Cells plus entry cells of one hash group: the whole batches whose keys the
-# kernel draws, checks and hashes with one set of numpy calls before it
-# peels them batch by batch.  At mc-floor's shape (n = 210, m = 768, k = 3)
-# a group is 2 batches of 23 trials.  Measured there on a 2-core x86 VM
-# (CPython 3.11, numpy 2.4): a kernel call took 8-10% less time (medians of
-# 30) at 2 batches a group than at 1; 3 and 4 batches were no faster than
-# 2, and put perfbench's mc-floor peak RSS 4.4% and 8% over the one-batch
-# kernel's, against 1.3% at 2.
-GROUP_CELLS = 2 * BATCH_CELLS
+# Cells plus entry cells (m + n*k per trial) of one batch of kernel trials,
+# which the kernel draws, hashes and peels together; a batch's arrays stay
+# within a few MiB.  At mc-floor's shape (n = 210, m = 768, k = 3) a batch
+# is 46 trials.  Measured there on one pinned vCPU of a 2-core x86 VM
+# (CPython 3.11, numpy 2.4), a 12,000-trial kernel call took 9-14% less
+# time than when it peeled batches of half this size, and the same at the
+# peeling threshold.
+BATCH_CELLS = 1 << 16
 
 MUL1 = 0xBF58476D1CE4E5B9
 MUL2 = 0x94D049BB133111EB
@@ -56,15 +51,6 @@ def batch_trials(n: int, m: int, k: int) -> int:
     """Trials the kernel peels side by side in one batch of about
     ``BATCH_CELLS`` cells and entry cells; at least one."""
     return max(1, BATCH_CELLS // (n * k + m))
-
-
-def group_trials(n: int, m: int, k: int) -> int:
-    """Trials the kernel draws and hashes at once: the whole batches of
-    ``batch_trials`` that fit in ``GROUP_CELLS`` cells and entry cells; at
-    least one batch, so a table wider than ``BATCH_CELLS`` hashes one trial
-    at a time."""
-    batch = batch_trials(n, m, k)
-    return batch * max(1, GROUP_CELLS // (batch * (n * k + m)))
 
 
 def mix64(x: int) -> int:

@@ -8,24 +8,17 @@ and ``simulate`` import it only where they call it, so the package starts
 without numpy.
 
 The trial loop mixes only the key outputs of each trial's counter stream
-(the values play no part in peeling) and peels a batch of trials at once.
-Their tables sit side by side in one cell array, and each round counts the
-live entries per cell with ``np.bincount`` and drops every live entry whose
-least cell count is one.  Peeling is confluent: any order of peels ends at
-the same fixpoint, the largest stopping set, so the rounds leave exactly
-the entries a one-cell-at-a-time peeler leaves (Jiang, Mitzenmacher and
-Thaler, "Parallel Peeling Algorithms", arXiv:1302.7014).  A batch holds about
-``_bits.BATCH_CELLS`` cells and entry cells, which bounds its memory; a
-table wider than that runs one trial per batch.
-
-The stages before peeling run on a hash group: the whole batches that fit
-in ``_bits.GROUP_CELLS`` cells and entry cells (``group_trials``).  One
-set of numpy calls draws the group's keys, finds the trials whose keys
-repeat and computes every cell index, and then the group's batches peel
-one after another, exactly as they would alone.  A group holds one batch,
-or else whole batches within ``GROUP_CELLS``, so its key and index arrays
-stay within a few MiB, and a table wider than ``BATCH_CELLS`` hashes one
-trial at a time: the per-trial memory that ``simulate``'s guard charges.
+(the values play no part in peeling) and runs its trials in batches of
+about ``_bits.BATCH_CELLS`` cells and entry cells, which bounds its memory;
+a table wider than that runs one trial per batch.  One set of numpy calls
+draws a batch's keys, finds the trials whose keys repeat and computes every
+cell index, and the batch then peels at once.  Its tables sit side by side
+in one cell array, and each round counts the live entries per cell with
+``np.bincount`` and drops every live entry whose least cell count is one.
+Peeling is confluent: any order of peels ends at the same fixpoint, the
+largest stopping set, so the rounds leave exactly the entries a
+one-cell-at-a-time peeler leaves, whichever trials share a batch (Jiang,
+Mitzenmacher and Thaler, "Parallel Peeling Algorithms", arXiv:1302.7014).
 
 The trial loop also meters its work W: per batch, its entry cells once;
 per peeling round, the batch's cells plus k per live entry; and
@@ -42,12 +35,11 @@ from collections.abc import Iterator
 import numpy as np
 
 from ibltlab._bits import (
-    GROUP_CELLS,
+    BATCH_CELLS,
     KEYS_DISTINCT,
     PHI64,
     TRIAL_SALT,
     batch_trials,
-    group_trials,
     mix64,
     mix64_array,
 )
@@ -71,16 +63,16 @@ REPLAY_UNITS = 100
 REPLAY_BLOCK = 1 << 15
 
 # Bytes of a block that run_trials allocates and frees before its first
-# group: four times a hash group's largest index array.  glibc serves an
+# batch: four times a batch's largest index array.  glibc serves an
 # allocation past its mmap threshold, 128 KiB at first, with fresh pages,
 # and gives the top of its heap back once that passes twice the threshold;
 # freeing a block past the threshold raises it to that block's size
-# (mallopt(3), "dynamic mmap threshold").  A group's index arrays and a
+# (mallopt(3), "dynamic mmap threshold").  A batch's index arrays and a
 # peel round's counts, 100-500 KiB each at narrow shapes, then reuse heap
 # pages.  Without it, a 12,000-trial kernel call at mc-floor's shape took
 # anywhere from 100 to 35,000 page faults, as earlier allocations had left
 # the heap, at about 2.5 us each on a 2-core x86 VM; with it, under 500.
-THRESHOLD_BLOCK_BYTES = 4 * 8 * GROUP_CELLS
+THRESHOLD_BLOCK_BYTES = 4 * 8 * BATCH_CELLS
 
 # Row counts in the brute-force census's table (ell per placement).
 TABLE_CELLS = 1 << 18
@@ -194,19 +186,17 @@ def run_trials(
     trials with exactly two entries left, which at fixpoint forces their
     index tuples to coincide.
 
-    Trials run in batches of ``batch_trials`` trials counted from t_lo;
-    each batch's tables sit side by side in one cell array, trial r of the
-    batch owning cells [r*m, (r+1)*m).  Groups of ``group_trials`` trials,
-    also counted from t_lo, draw and hash their batches' keys at once; a
-    trial whose keys repeat under distinct keys is replayed, and hashed
-    again, in its batch's turn, so every replay has the budget left after
-    the batches before it.  Once the work passes ``budget`` the call
-    returns at once, with the counts of the batches it finished.
+    Trials run in batches of ``batch_trials`` trials counted from t_lo.
+    Each batch draws and hashes its keys at once, and its tables sit side
+    by side in one cell array, trial r of the batch owning cells
+    [r*m, (r+1)*m).  Under distinct keys a trial whose keys repeat is
+    replayed, and hashed again, in order, from the budget left once the
+    batch's entry cells are charged.  Once the work passes ``budget`` the
+    call returns at once, with the counts of the batches it finished.
     """
     mask = (1 << b) - 1
     m = ell * k
     batch = batch_trials(n, m, k)
-    group = group_trials(n, m, k)
     offsets = np.arange(0, batch * m, m, dtype=np.int64)[:, None]
     base = np.uint64(mix64(seed ^ TRIAL_SALT))
     steps = np.arange(1, 2 * n, 2, dtype=np.uint64) * np.uint64(PHI64)
@@ -219,36 +209,31 @@ def run_trials(
 
     np.empty(THRESHOLD_BLOCK_BYTES, dtype=np.uint8)  # freed at once; see its comment
     failures = two_left = work = 0
-    for first in range(t_lo, t_hi, group):
-        drawn = min(group, t_hi - first)
-        # trial_state(seed, t) for the group's trials t = first, first+1, ...
-        counters = np.arange(first + 1, first + drawn + 1, dtype=np.uint64)
+    for first in range(t_lo, t_hi, batch):
+        trials = min(batch, t_hi - first)
+        # trial_state(seed, t) for the batch's trials t = first, first+1, ...
+        counters = np.arange(first + 1, first + trials + 1, dtype=np.uint64)
         states = mix64_array(base + counters * np.uint64(PHI64))
         keys = mix64_array(states[:, None] + steps)
         keys &= np_mask
-        replays = []  # rows of the group to draw again, the next one last
+        repeats = []
         if key_model == KEYS_DISTINCT:
             ordered = np.sort(keys, axis=1)
-            repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-            replays = repeats.nonzero()[0].tolist()[::-1]
-        cells = hasher.indices_array(keys.ravel()).reshape(k, drawn, n)
-        for lo in range(0, drawn, batch):
-            trials = min(batch, drawn - lo)
-            work += trials * n * k
-            while replays and replays[-1] < lo + trials:
-                r = replays.pop()
-                replayed, spent = _distinct_keys_replay(int(states[r]), n, mask, budget - work)
-                work += spent
-                if work > budget:
-                    return failures, two_left, work
-                cells[:, r] = hasher.indices_array(np.array(replayed, dtype=np.uint64))
-            # Trial r of the batch owns cells [r*m, (r+1)*m).
-            peeled = cells[:, lo : lo + trials] + offsets[:trials]
-            unpeeled, spent = peel_rounds(peeled.reshape(k, trials * n), trials * m, budget - work)
+            repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1).nonzero()[0].tolist()
+        cells = hasher.indices_array(keys.ravel()).reshape(k, trials, n)
+        work += trials * n * k
+        for r in repeats:
+            replayed, spent = _distinct_keys_replay(int(states[r]), n, mask, budget - work)
             work += spent
             if work > budget:
                 return failures, two_left, work
-            left = np.bincount(unpeeled // n, minlength=trials)
-            failures += int(np.count_nonzero(left))
-            two_left += int(np.count_nonzero(left == 2))
+            cells[:, r] = hasher.indices_array(np.array(replayed, dtype=np.uint64))
+        cells += offsets[:trials]  # trial r owns cells [r*m, (r+1)*m)
+        unpeeled, spent = peel_rounds(cells.reshape(k, trials * n), trials * m, budget - work)
+        work += spent
+        if work > budget:
+            return failures, two_left, work
+        left = np.bincount(unpeeled // n, minlength=trials)
+        failures += int(np.count_nonzero(left))
+        two_left += int(np.count_nonzero(left == 2))
     return failures, two_left, work

@@ -37,8 +37,8 @@ first ``indices_array`` call.  The partitioned scheme's
 when ell is a power of two, and otherwise as
 ``h - h // ell * ell``; both equal ``h % ell`` on unsigned integers, and
 numpy masks, or divides by a scalar, several times faster than it takes a
-remainder.  The trial kernel calls ``indices_array`` once per hash group
-of trials (see ``_kernels_py``), not once per peel batch.
+remainder.  The trial kernel calls ``indices_array`` once per batch of
+trials (see ``_kernels_py``), and once per trial it replays.
 """
 
 import enum

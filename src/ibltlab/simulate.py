@@ -33,8 +33,8 @@ _WILSON_Z = 1.959963984540054
 # entry cell, the int64 cell index, its gathered count and the hashing
 # temporaries.  Fitted to the resident set of trials with up to 6e6 cells
 # or 1e6 entries, which the kernel hashes and peels one trial at a time.
-# Narrower tables batch to about BATCH_CELLS cells and hash whole batches
-# of up to GROUP_CELLS cells and entry cells at a time, a few MiB at most.
+# Narrower tables batch to about BATCH_CELLS cells and entry cells, drawn,
+# hashed and peeled together, a few MiB at most.
 TRIAL_MEMORY_GUARD_BYTES = 1 << 30
 _CELL_BYTES = 16
 _ENTRY_BYTES = 32
@@ -54,9 +54,9 @@ SWEEP_POINT_GUARD = 10**4
 # threshold with 3 million cells took 0.8-15 ns.  At k = 1, where a trial
 # peels in one round and drawing its keys dominates, a unit took up to
 # 24 ns.  At mc-floor's shape (n = 210, m = 768, k = 3; 12,000 trials of
-# each scheme on one pinned vCPU), a unit took 2.1-2.9 ns once the kernel
-# drew and hashed its keys by hash group, against 2.2-3.6 ns before; the
-# charged rate stays, so no refusal moves.
+# each scheme on one pinned vCPU), a unit took 2.1-2.9 ns with peel batches
+# of half of ``BATCH_CELLS``; batches of ``BATCH_CELLS`` meter about 5%
+# more units there in about 11% less time, so the charged rate stays.
 _WORK_UNIT_S = 1.6e-8
 TRIAL_WORK_BUDGET = int(COST_GUARD_S / _WORK_UNIT_S)
 

@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 from math import factorial, perm, prod
 
-from ibltlab._bits import lane_keys, mix64
+from ibltlab._bits import lane_keys, mix64, stream_output
 from ibltlab.table import GetStatus, ListingStatus
 
 # Exact stopping-matrix counts for subtable sizes 1..10 (rows) and column
@@ -104,6 +104,44 @@ def peel_cells(ell, placements):
             if count[ci] == 1:
                 stack.append(ci)
     return {j for j in range(n) if alive[j]}
+
+
+def stream_pairs(state, n, mask, distinct):
+    """One trial's key-value pairs, read off its stream in the documented
+    order: key, value, key, value, ...; under distinct keys a repeated key
+    candidate consumes one output and is drawn again.  Also returns the
+    number of rejected candidates."""
+    pairs, seen, j = [], set(), 0
+    while len(pairs) < n:
+        x = stream_output(state, j) & mask
+        j += 1
+        if distinct and x in seen:
+            continue
+        seen.add(x)
+        pairs.append((x, stream_output(state, j) & mask))
+        j += 1
+    return pairs, j - 2 * n
+
+
+def batch_work(m, tables):
+    """The trial kernel's work meter for one batch, without its replays.
+
+    ``tables[r][j]`` holds the cells, in [0, m), of entry j of the batch's
+    trial r.  The batch costs its entry cells once, and then each round of
+    a plain round-by-round peel costs the batch's cells plus the cells of
+    its live entries; a round drops every live entry alone in one of its
+    cells, and the peel stops after a round that drops nothing.
+    """
+    live = [(r, cells) for r, table in enumerate(tables) for cells in table]
+    work = sum(len(cells) for _, cells in live)
+    while live:
+        work += len(tables) * m + sum(len(cells) for _, cells in live)
+        counts = Counter((r, c) for r, cells in live for c in cells)
+        kept = [(r, cells) for r, cells in live if all(counts[r, c] > 1 for c in cells)]
+        if len(kept) == len(live):
+            break
+        live = kept
+    return work
 
 
 def restricted_growth_strings(n, parts):

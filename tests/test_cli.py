@@ -13,6 +13,7 @@ import pytest
 from reference import STOPPING_COUNTS_10X10
 
 from ibltlab import cli, simulate
+from ibltlab._bits import batch_trials
 from ibltlab.simulate import TrialConfig
 
 
@@ -263,8 +264,8 @@ def test_simulate_workers_byte_identical(invoke_cli):
 
 
 def test_simulate_one_batch_starts_no_pool():
-    # 200 trials at this shape are one kernel batch of 273, so two workers
-    # on two CPUs run in-process: no pool starts and no pool module loads.
+    # One kernel batch of trials at this shape, so two workers on two CPUs
+    # run in-process: no pool starts and no pool module loads.
     probe = (
         "import sys; from ibltlab import cli, simulate; "
         "simulate._cpu_count = lambda: 2; "
@@ -273,7 +274,8 @@ def test_simulate_one_batch_starts_no_pool():
         "file=sys.stderr); "
         "sys.exit(code)"
     )
-    argv = ["simulate", "--n", "20", "--k", "3", "--m", "60", "--trials", "200"]
+    trials = str(batch_trials(20, 60, 3))
+    argv = ["simulate", "--n", "20", "--k", "3", "--m", "60", "--trials", trials]
     serial, parallel = (
         subprocess.run(
             [sys.executable, "-c", probe, *argv, "--workers", workers],
@@ -424,7 +426,7 @@ def test_simulate_time_guard_follows_the_load(invoke_cli, monkeypatch):
     paper = work(210)
     assert work(628, trials=230) * 5 > 10 * paper
     # 200,000 trials at the paper's shape, about 174 times the work of
-    # 1,150 trials (50 kernel batches), fit in half the real budget.
+    # 1,150 trials, fit in half the real budget.
     assert 174 * paper < simulate.TRIAL_WORK_BUDGET / 2
     monkeypatch.setattr(simulate, "TRIAL_WORK_BUDGET", 2 * paper)
     argv = ["simulate", "--k", "3", "--m", "768", "--trials", "1150", "--n"]

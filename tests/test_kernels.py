@@ -6,19 +6,26 @@ import math
 
 import numpy as np
 import pytest
-from reference import peel_cells
+from reference import batch_work, peel_cells, stream_pairs
 
 from ibltlab import _kernels_py
 from ibltlab._bits import (
+    BATCH_CELLS,
     KEYS_DISTINCT,
     KEYS_IID,
     SCHEME_PARTITIONED,
     SCHEME_SS_AVOIDING,
-    GROUP_CELLS,
     batch_trials,
-    group_trials,
+    trial_state,
 )
-from ibltlab.hashing import PartitionedUniformScheme, SsAvoidingScheme
+from ibltlab.hashing import (
+    HashKind,
+    HashParams,
+    PartitionedUniformScheme,
+    SsAvoidingScheme,
+    make_partitioned_uniform,
+    make_ss_avoiding,
+)
 
 SEEDS = (0, 1, 98765)
 
@@ -37,7 +44,7 @@ SEEDS = (0, 1, 98765)
         ),
         (
             SCHEME_PARTITIONED, KEYS_DISTINCT, 8, 6, 3, 8,
-            [(235, 185, 416258), (243, 194, 410191), (222, 180, 390833)],
+            [(235, 185, 416258), (243, 194, 410191), (222, 180, 404603)],
         ),
         (
             SCHEME_SS_AVOIDING, KEYS_DISTINCT, 8, 8, 2, 6,
@@ -45,7 +52,7 @@ SEEDS = (0, 1, 98765)
         ),
         (
             SCHEME_SS_AVOIDING, KEYS_DISTINCT, 30, 16, 3, 12,
-            [(167, 0, 1964348), (141, 0, 1902644), (159, 0, 2025710)],
+            [(167, 0, 2024975), (141, 0, 1963523), (159, 0, 2097173)],
         ),
     ],
     # The ids spell the scheme and key model as the integer codes the kernel
@@ -84,21 +91,27 @@ SHAPES = {
     # Tables too wide to batch: one trial per pass.
     "wide": (SCHEME_PARTITIONED, KEYS_IID, 200, 40000, 1, 32, 3, 120),
     "wide-ss": (SCHEME_SS_AVOIDING, KEYS_DISTINCT, 300, 1 << 16, 1, 16, 3, 60),
+    # m + n*k = 22,000 cells and entry cells: two trials a batch, where a
+    # batch of half the cells peeled one.  At k = 2 a few trials fail, with
+    # residuals of two entries and more.
+    "batch-pair": (SCHEME_PARTITIONED, KEYS_IID, 2000, 9000, 2, 32, 3, 403),
 }
 
 # (failures, size-2 residuals, work) per seed in SEEDS.  The counts were
 # recorded from the one-trial-at-a-time stack peeler that preceded the
-# batched kernel, the work from the kernel's meter.
+# batched kernel (batch-pair's from the kernel that peeled it one trial a
+# batch), the work from the kernel's meter.
 SHAPE_OUTPUTS = {
-    "iid-small-b": [(1046, 539, 1982271), (1056, 552, 1912944), (1041, 520, 1951980)],
-    "distinct-small-b": [(39, 35, 7125653), (20, 15, 7198648), (33, 30, 7078210)],
-    "ss-distinct-small-b": [(147, 0, 4108706), (167, 0, 4304194), (157, 0, 4141538)],
-    "overloaded": [(393, 0, 2293317), (393, 0, 2056476), (393, 0, 2204781)],
-    "threshold": [(292, 4, 7793922), (274, 4, 8245002), (284, 4, 7999413)],
+    "iid-small-b": [(1046, 539, 2074242), (1056, 552, 1989912), (1041, 520, 2106069)],
+    "distinct-small-b": [(39, 35, 7198313), (20, 15, 7314880), (33, 30, 7165420)],
+    "ss-distinct-small-b": [(147, 0, 4201418), (167, 0, 4451526), (157, 0, 4271872)],
+    "overloaded": [(393, 0, 2430981), (393, 0, 2145066), (393, 0, 2323263)],
+    "threshold": [(292, 4, 7985460), (274, 4, 8920506), (284, 4, 8282727)],
     "k1": [(1458, 190, 247078), (1449, 183, 247064), (1445, 172, 247115)],
-    "k4": [(206, 20, 2960832), (203, 16, 2887424), (239, 13, 2969412)],
+    "k4": [(206, 20, 3069336), (203, 16, 2984372), (239, 13, 3066944)],
     "wide": [(41, 34, 6366898), (49, 41, 6686914), (47, 39, 6606910)],
     "wide-ss": [(0, 0, 4673552), (0, 0, 4944952), (0, 0, 4734052)],
+    "batch-pair": [(6, 4, 27027140), (10, 10, 27242930), (13, 13, 27134118)],
 }
 
 
@@ -120,22 +133,50 @@ def test_trial_ranges_add_up(shape):
         return _kernels_py.run_trials(5, a, z, n, ell, k, b, scheme, key_model)
 
     batch = batch_trials(n, ell * k, k)
-    group = group_trials(n, ell * k, k)
-    assert group > batch
     whole = run(lo, hi)
-    # Cuts beside a hash group's end start the second range's groups off
-    # the first range's.
-    for mid in (lo + 1, lo + 29, lo + group - 1, lo + group + 1, (lo + hi) // 2, hi - 1):
+    # Cuts beside a batch's end start the second range's batches off the
+    # first range's.
+    for mid in (lo + 1, lo + 29, lo + batch - 1, lo + batch + 1, (lo + hi) // 2, hi - 1):
         first, second = run(lo, mid), run(mid, hi)
         assert (first[0] + second[0], first[1] + second[1]) == whole[:2]
     assert run(lo, lo) == (0, 0, 0)
     # The work depends on how trials share batches, so ranges cut where
-    # the batches of a range from 0 end meter the same work as one range,
-    # also where that end falls inside a hash group.
+    # the batches of a range from 0 end meter the same work as one range.
     whole = run(0, hi)
-    for mid in (batch, group - batch, group + batch, batch * (hi // batch)):
+    for mid in (batch, 2 * batch, batch * (hi // batch)):
         first, second = run(0, mid), run(mid, hi)
         assert tuple(map(sum, zip(first, second))) == whole
+
+
+@pytest.mark.parametrize("shape", ["threshold", "distinct-small-b", "ss-distinct-small-b"])
+def test_kernel_work_follows_the_meter_definition(shape):
+    # W recomputed from the documented key stream: batch_work over each
+    # batch of batch_trials trials from the range's first, plus
+    # REPLAY_UNITS per key candidate of each trial whose distinct-key draw
+    # rejects a repeated key.  The range ends inside its second batch.
+    scheme_code, key_code, n, ell, k, b, lo, _ = SHAPES[shape]
+    seed = 4
+    params = HashParams(k=k, ell=ell, b=b, seed=seed, kind=HashKind(scheme_code))
+    if params.kind is HashKind.SS_AVOIDING:
+        scheme = make_ss_avoiding(params)
+    else:
+        scheme = make_partitioned_uniform(params)
+    batch = batch_trials(n, ell * k, k)
+    hi = lo + batch + 7
+    work = replays = 0
+    for first in range(lo, hi, batch):
+        tables = []
+        for t in range(first, min(first + batch, hi)):
+            pairs, rejected = stream_pairs(
+                trial_state(seed, t), n, (1 << b) - 1, key_code == KEYS_DISTINCT
+            )
+            if rejected:
+                replays += 1
+                work += _kernels_py.REPLAY_UNITS * (n + rejected)
+            tables.append([scheme.indices(x) for x, _ in pairs])
+        work += batch_work(ell * k, tables)
+    assert (replays > 0) == (key_code == KEYS_DISTINCT)
+    assert _kernels_py.run_trials(seed, lo, hi, n, ell, k, b, scheme_code, key_code)[2] == work
 
 
 @pytest.mark.parametrize("shape", ["distinct-small-b", "threshold", "wide"])
@@ -153,12 +194,10 @@ def test_kernel_stops_once_work_passes_the_budget(shape):
         failures, two_left, work = run(budget)
         assert budget < work <= whole[2]
         assert failures <= whole[0] and two_left <= whole[1]
-    # Budgets that end or just miss the j-th batch, with j next to the end
-    # of the first hash group: the call returns the counts of exactly the
-    # batches it finished, wherever they end in a group.
+    # Budgets that end or just miss the j-th batch: the call returns the
+    # counts of exactly the batches it finished.
     batch = batch_trials(n, ell * k, k)
-    per_group = group_trials(n, ell * k, k) // batch
-    for j in {max(1, per_group - 1), per_group, per_group + 1}:
+    for j in (1, 2, 3):
         if lo + j * batch >= min(hi, lo + 300):
             continue
         done = _kernels_py.run_trials(3, lo, lo + j * batch, n, ell, k, b, scheme, key_model)
@@ -169,11 +208,11 @@ def test_kernel_stops_once_work_passes_the_budget(shape):
         assert run(done[2] - 1) == (*before[:2], done[2])
 
 
-def test_hash_groups_stay_within_their_cap(monkeypatch):
-    # Each indices_array call of the kernel hashes one hash group, or one
+def test_each_batch_hashes_its_keys_at_once(monkeypatch):
+    # Each indices_array call of the kernel hashes one batch, or one
     # replayed trial: one trial at a time on the tables wider than
-    # BATCH_CELLS, and on narrower ones whole batches of at most
-    # GROUP_CELLS cells and entry cells, more than one batch at a time.
+    # BATCH_CELLS, and on narrower ones a whole batch of at most
+    # BATCH_CELLS cells and entry cells.
     sizes = []
     for scheme in (PartitionedUniformScheme, SsAvoidingScheme):
         hash_keys = scheme.indices_array
@@ -187,12 +226,14 @@ def test_hash_groups_stay_within_their_cap(monkeypatch):
         sizes.clear()
         _kernels_py.run_trials(0, lo, hi, n, ell, k, b, scheme, key_model)
         assert set(sizes) == {n} and len(sizes) >= hi - lo
-    for shape in ("distinct-small-b", "threshold", "k1"):
+    for shape in ("distinct-small-b", "threshold", "k1", "batch-pair"):
         scheme, key_model, n, ell, k, b, lo, hi = SHAPES[shape]
         sizes.clear()
         _kernels_py.run_trials(0, lo, hi, n, ell, k, b, scheme, key_model)
-        assert max(sizes) // n * (n * k + ell * k) <= GROUP_CELLS
-        assert max(sizes) > batch_trials(n, ell * k, k) * n
+        batch = max(sizes) // n
+        assert 1 < batch == batch_trials(n, ell * k, k)
+        assert batch * (n * k + ell * k) <= BATCH_CELLS
+        assert sizes.count(batch * n) == (hi - lo) // batch
 
 
 # (k, ell, n, tables): random tables peeled side by side in one batch.

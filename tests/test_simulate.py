@@ -1,6 +1,7 @@
 import dataclasses
 
 import pytest
+from reference import stream_pairs
 
 from ibltlab import (
     HashKind,
@@ -23,7 +24,7 @@ from ibltlab._bits import (
     KEYS_IID,
     SCHEME_PARTITIONED,
     SCHEME_SS_AVOIDING,
-    stream_output,
+    batch_trials,
     trial_state,
 )
 from ibltlab import _kernels_py, simulate
@@ -191,7 +192,8 @@ def test_trial_memory_guard_counts_the_kernel_processes(monkeypatch):
 
 def test_kernel_processes_count_only_the_cpus_this_process_may_use(monkeypatch):
     # Pinned to one CPU of eight, two workers share that CPU: one process.
-    cfg = TrialConfig(n=20, m=60, k=3, trials=1000)  # four kernel batches
+    # Four kernel batches.
+    cfg = TrialConfig(n=20, m=60, k=3, trials=4 * batch_trials(20, 60, 3))
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert simulate.plan_trials(cfg, workers=2)[0] == 1
@@ -425,18 +427,19 @@ class _RecordingPool:
 
 
 @pytest.mark.parametrize(
-    "cpus, workers, trials, pool_size",
-    # tiny_cfg peels 4096 trials per kernel batch: 9000 trials are 3 batches.
-    [(4, 10**6, 9000, 3), (4, 3, 9000, 3), (64, 10**6, 5, None), (1, 8, 9000, None)],
+    "cpus, workers, batches, pool_size",
+    [(4, 10**6, 3, 3), (4, 3, 3, 3), (64, 10**6, 1, None), (1, 8, 3, None)],
 )
 def test_pool_is_capped_by_cpus_and_batches(
-    census, monkeypatch, cpus, workers, trials, pool_size
+    census, monkeypatch, cpus, workers, batches, pool_size
 ):
     monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
     # run_trials imports the pool class when it starts one.
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    cfg = tiny_cfg(trials=trials, seed=5)
+    cfg = tiny_cfg(seed=5)
+    # That many kernel batches, the last of them 5 trials.
+    cfg = dataclasses.replace(cfg, trials=(batches - 1) * batch_trials(cfg.n, cfg.m, cfg.k) + 5)
     report = run_trials(cfg, census=census, workers=workers)
     assert _RecordingPool.sizes == ([] if pool_size is None else [pool_size])
     assert report == run_trials(cfg, census=census, workers=1)
@@ -444,16 +447,17 @@ def test_pool_is_capped_by_cpus_and_batches(
 
 def test_every_process_has_a_trial_range(monkeypatch):
     monkeypatch.setattr(simulate, "_cpu_count", lambda: 64)
-    for trials in (1, 272, 273, 274, 1000, 4 * 273 * 64, 10**5):
-        cfg = TrialConfig(n=20, m=60, k=3, trials=trials)  # 273 trials a batch
+    batch = batch_trials(20, 60, 3)
+    for trials in (1, batch - 1, batch, batch + 1, 1000, 4 * batch * 64, 10**5):
+        cfg = TrialConfig(n=20, m=60, k=3, trials=trials)
         for workers in (1, 2, 3, 64):
             processes, ranges = simulate.plan_trials(cfg, workers)
-            assert processes == min(workers, -(-trials // 273))
+            assert processes == min(workers, -(-trials // batch))
             assert len(ranges) >= processes
             assert (len(ranges) == 1) == (processes == 1)
             assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
             assert ranges[-1][1] == trials
-            assert all(hi % 273 == 0 for _, hi in ranges[:-1])
+            assert all(hi % batch == 0 for _, hi in ranges[:-1])
 
 
 def test_config_is_frozen():
@@ -486,23 +490,6 @@ def test_distinct_keys_can_exhaust_the_key_space(census):
     assert report.failures == 0
 
 
-def _replay_pairs(state, n, mask, distinct):
-    """One trial's key-value pairs, read off its stream in the documented
-    order: key, value, key, value, ...; under distinct keys a repeated key
-    candidate consumes one output and is drawn again.  Also returns the
-    number of rejected candidates."""
-    pairs, seen, j = [], set(), 0
-    while len(pairs) < n:
-        x = stream_output(state, j) & mask
-        j += 1
-        if distinct and x in seen:
-            continue
-        seen.add(x)
-        pairs.append((x, stream_output(state, j) & mask))
-        j += 1
-    return pairs, j - 2 * n
-
-
 def _check_kernel_against_table_replay(kind, key_code, n, ell, k, b):
     # Replay each trial's documented stream through the Iblt object and the
     # real hash scheme; the kernel must reach the same failure verdict, one
@@ -516,7 +503,7 @@ def _check_kernel_against_table_replay(kind, key_code, n, ell, k, b):
     mask = (1 << b) - 1
     failed = rejections = 0
     for t in range(trials):
-        pairs, rejected = _replay_pairs(trial_state(seed, t), n, mask, key_code == KEYS_DISTINCT)
+        pairs, rejected = stream_pairs(trial_state(seed, t), n, mask, key_code == KEYS_DISTINCT)
         rejections += rejected
         table = Iblt(scheme)
         for x, y in pairs:
