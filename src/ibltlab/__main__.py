@@ -1,5 +1,5 @@
 import sys
 
-from ibltlab.cli import main
+from ibltlab.cli import run
 
-sys.exit(main())
+sys.exit(run())

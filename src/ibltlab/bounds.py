@@ -14,6 +14,11 @@ still land on the correctly rounded product.  A term that
 inf without building its power count**k, the bulk of the work at large n
 and small ell, and the cost guard charges no power for exactly those terms.
 Any other term whose quotient overflows is inf too, from its division.
+Likewise a term that ``_provably_below_float_range`` shows to round to
+0.0 is recorded as 0.0 without building its power, and the powers of ell
+are built at the first term that is divided, so a bound whose terms all
+underflow (huge ell and k at small n) builds none.  The cost guard still
+charges those terms, so it refuses exactly what it refused before.
 Totals above float range degrade to inf; the clamped total is then 1.
 """
 
@@ -63,6 +68,26 @@ def _provably_past_float_range(ell: int, n: int, k: int, i: int) -> bool:
     return bits >= 1025
 
 
+def _provably_below_float_range(ell: int, n: int, k: int, i: int) -> bool:
+    """Whether term i of the union bound rounds to 0.0, shown by an upper
+    bound that needs no census count.
+
+    Every row a stopping i-set occupies holds two of its entries, so it
+    occupies at most j = i//2 rows: count(ell,i) <= C(ell,j) * j**i <=
+    ell**j * j**i, and term i is at most C(n,i) * (j**i / ell**(i-j))**k.
+    A double rounds values up to 2**-1075 to 0.0; the bound's log2 must
+    fall below -1076, a bit under that.  The per-hash log carries a
+    relative slack of 1e-12, far more than its rounding error, which k
+    multiplies."""
+    j = i // 2
+    occupied, free = i * math.log(j), (i - j) * math.log(ell)
+    per_hash = occupied - free + 1e-12 * (occupied + free)
+    if per_hash >= 0:
+        return False
+    log_subsets = math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+    return (log_subsets + k * per_hash) / math.log(2) < -1076
+
+
 def check_bound_cost(ell: int, n: int, k: int):
     """Raise ResourceGuardError when ``union_bound(_, ell, n, k)`` is
     estimated to exceed ``COST_GUARD_S``.
@@ -100,17 +125,23 @@ def union_bound(census: StoppingCensus, ell: int, n: int, k: int) -> BoundBreakd
     check_bound_cost(ell, n, k)
     counts = census.row(ell, n)
     terms = []
-    # At n = 1 no term reads a power of ell, so none is built.
-    ell_k = ell**k if n > 1 else 1
-    denominator = ell_k * ell_k
+    # ell**k and denominator = ell**(i*k) are built at the first divided
+    # term, so at n = 1, or when every term is skipped, no power is built.
+    ell_k = None
     subsets = math.comb(n, 2)  # C(n, i), advanced exactly to C(n, i+1)
     for i in range(2, n + 1):
         if _provably_past_float_range(ell, n, k, i):
             terms.append((i, math.inf))
+        elif _provably_below_float_range(ell, n, k, i):
+            terms.append((i, 0.0))
         else:
+            if ell_k is None:
+                ell_k = ell**k
+                denominator = ell_k**i
             terms.append((i, _ratio_term(subsets * counts[i] ** k, denominator)))
         subsets = subsets * (n - i) // (i + 1)
-        denominator *= ell_k
+        if ell_k is not None:
+            denominator *= ell_k
     try:
         total = math.fsum(value for _, value in terms)
     except OverflowError:  # finite terms summing past float range
@@ -120,10 +151,12 @@ def union_bound(census: StoppingCensus, ell: int, n: int, k: int) -> BoundBreakd
 
 def size2_asymptote(ell: int, n: int, k: int) -> float:
     """Error-floor asymptote: probability mass of size-2 stopping sets,
-    C(n,2) / ell**k.  Matches the union bound's i=2 term bit for bit."""
+    C(n,2) / ell**k.  Matches the union bound's i=2 term bit for bit, and
+    like it is 0.0, with no power built, where that term provably rounds
+    to 0.0."""
     if ell < 1 or k < 1 or n < 0:
         raise ValueError("ell and k must be positive, n nonnegative")
-    if n < 2:
+    if n < 2 or _provably_below_float_range(ell, n, k, 2):
         return 0.0
     return _ratio_term(math.comb(n, 2), ell**k)
 

@@ -9,6 +9,7 @@ of worker count.
 
 import argparse
 import csv
+import gc
 import sys
 
 from ibltlab.bounds import size2_asymptote, union_bound
@@ -258,5 +259,24 @@ def main(argv=None) -> int:
         return 3
 
 
+def run() -> int:
+    """The program entry: ``main`` on ``sys.argv``, then ``gc.freeze()``;
+    returns main's exit code.  ``python -m ibltlab``, ``python -m
+    ibltlab.cli`` and the installed ``ibltlab`` script call it.
+
+    Freezing moves every object still alive into the collector's permanent
+    generation, so the collections the interpreter runs at exit have
+    nothing to traverse.  Atexit handlers, stream flushes, module teardown
+    and C destructors still run; only cyclic garbage still alive at exit
+    goes uncollected, and the OS reclaims it.  A usage error freezes too,
+    as it leaves ``main`` through SystemExit.  ``main(argv)``, which tests
+    call in-process, leaves the collector as it found it.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

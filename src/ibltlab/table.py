@@ -18,6 +18,16 @@ one, and ``get`` measured 14-30% slower that way.
 import enum
 from typing import NamedTuple
 
+from ibltlab.errors import ResourceGuardError
+
+# The most hash functions a table takes.  The partitioned scheme's scalar
+# ``indices``, one call per insert, delete and get, costs O(k**2) per key
+# (each shift copies the whole packed int): 19-20 us per call at k = 64
+# against 1.1 us at k = 3, 55 us at k = 128 and 155 us at k = 256 (2-core
+# x86 VM, CPython 3.11).  64 admits every ss-avoiding shape, whose k
+# divides b <= 64.
+TABLE_K_GUARD = 64
+
 
 class Cell(NamedTuple):
     count: int
@@ -82,6 +92,12 @@ class Iblt:
     """
 
     def __init__(self, scheme):
+        """Raises ResourceGuardError, before any cell is allocated, when
+        ``scheme.k`` exceeds ``TABLE_K_GUARD``."""
+        if scheme.k > TABLE_K_GUARD:
+            raise ResourceGuardError(
+                f"k = {scheme.k} hash functions exceed the table's guard of {TABLE_K_GUARD}"
+            )
         self.scheme = scheme
         self.m = scheme.m
         self._b = scheme.b

@@ -39,7 +39,8 @@ _CAPPED_BYTES = 1 << 28
 def capped_python():
     """Run ``python -c script *args`` in a fresh interpreter with its address
     space capped, so code that would build a huge object fails at once
-    with MemoryError instead of exhausting the host's memory."""
+    with MemoryError instead of exhausting the host's memory.  Keyword
+    arguments are added to the interpreter's environment."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
@@ -48,12 +49,12 @@ def capped_python():
         f"resource.setrlimit(resource.RLIMIT_AS, ({_CAPPED_BYTES}, {_CAPPED_BYTES}))\n"
     )
 
-    def run(script, *args):
+    def run(script, *args, **environ):
         return subprocess.run(
             [sys.executable, "-c", cap + script, *args],
             capture_output=True,
             text=True,
-            env=env,
+            env={**env, **environ},
             timeout=120,
         )
 

@@ -13,6 +13,7 @@ from ibltlab import (
 )
 import ibltlab.bounds
 from ibltlab.bounds import (
+    _provably_below_float_range,
     _provably_past_float_range,
     _ratio_term,
     check_bound_cost,
@@ -213,3 +214,58 @@ def test_overflowing_terms_are_not_divided(census, monkeypatch):
     assert sum(value == math.inf for _, value in breakdown.terms) == 523
     assert len(results) == 1199 - 523
     assert math.inf not in results
+
+
+@pytest.mark.parametrize("ell", [4, 8, 280, 10**6])
+def test_terms_shown_below_float_range_round_to_zero(census, ell):
+    # union_bound records a term as 0.0, with no power built, exactly when
+    # the census-free upper bound shows it under 2**-1075, where a double
+    # rounds to 0; checked here in exact integers.
+    skipped = 0
+    for n in (2, 3, 12, 40):
+        counts = census.row(ell, n)
+        for k in (1, 3, 40, 300):
+            subsets = math.comb(n, 2)
+            for i in range(2, n + 1):
+                if _provably_below_float_range(ell, n, k, i):
+                    skipped += 1
+                    assert subsets * counts[i] ** k << 1075 < ell ** (i * k), (n, k, i)
+                subsets = subsets * (n - i) // (i + 1)
+    assert skipped > 0
+
+
+def test_terms_below_float_range_match_the_plain_quotients(census, monkeypatch):
+    # Terms past the first divided one are skipped too, and each still
+    # equals the plain quotient; p2 is the i = 2 term, 0.0 where skipped.
+    divided = []
+    ratio_term = ibltlab.bounds._ratio_term
+    monkeypatch.setattr(
+        ibltlab.bounds, "_ratio_term", lambda *a: divided.append(ratio_term(*a)) or divided[-1]
+    )
+    for (ell, n, k), zeros, skipped in (
+        ((10**6, 60, 32), 58, 58),  # only i = 2 is divided
+        ((2**64 - 1, 30, 7), 26, 26),  # i = 2..4 divided, 5..30 skipped
+        ((10**6, 3, 10**5), 2, 2),  # nothing is divided
+        ((8, 60, 400), 19, 3),  # i = 2, 3 and 5 skipped, 16 more divide to 0.0
+    ):
+        divided.clear()
+        counts = census.row(ell, n)
+        plain = tuple(
+            (i, ratio_term(math.comb(n, i) * counts[i] ** k, ell ** (i * k)))
+            for i in range(2, n + 1)
+        )
+        breakdown = union_bound(census, ell, n, k)
+        assert breakdown.terms == plain
+        assert sum(value == 0.0 for _, value in plain) == zeros
+        assert len(divided) == n - 1 - skipped
+        assert size2_asymptote(ell, n, k) == breakdown.term(2)
+
+
+def test_size2_term_is_skipped_only_past_the_smallest_subnormal(census):
+    # count(ell, 2) = ell, so the upper bound is exact at i = 2: at ell = 2
+    # and n = 2 the term is 2**-k, the smallest subnormal at k = 1074 and
+    # 0.0 from k = 1075 on.
+    for k in range(1060, 1090):
+        term = union_bound(census, 2, 2, k).term(2)
+        assert term == size2_asymptote(2, 2, k) == 2.0**-k
+        assert (term == 0.0) == (k >= 1075)

@@ -1,9 +1,12 @@
 import contextlib
 import csv
 import dataclasses
+import gc
 import hashlib
 import io
+import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -201,20 +204,36 @@ def test_bound_breakdown_at_one_entry_prints_the_summary(invoke_cli):
     assert out == "ell,n,k,bound_raw,bound_clamped,p2,i,term\n3,1,1,0.0,0.0,0.0,,\n"
 
 
+# `main` on the child's arguments under a 10 s CPU limit.
+_MAIN_UNDER_CPU_LIMIT = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_CPU, (10, 10))\n"
+    "from ibltlab.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
 @pytest.mark.parametrize("ell, k", [(3, 10**8), (8, 10**12)])
 def test_bound_at_one_entry_builds_no_power(capped_python, ell, k):
     # n = 1 has no term, so the guard charges only the census row.  Building
     # ell**k anyway ran past a minute at 3**(10**8), and at 8**(10**12)
     # (about 375 GB) ended in MemoryError under the address cap.
-    script = (
-        "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_CPU, (10, 10))\n"
-        "from ibltlab.cli import main\n"
-        "sys.exit(main(sys.argv[1:]))\n"
+    result = capped_python(
+        _MAIN_UNDER_CPU_LIMIT, "bound", "--ell", str(ell), "--n", "1", "--k", str(k)
     )
-    result = capped_python(script, "bound", "--ell", str(ell), "--n", "1", "--k", str(k))
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout.splitlines()[1] == f"{ell},1,{k},0.0,0.0,0.0"
+
+
+def test_bound_builds_no_power_for_terms_below_float_range(capped_python):
+    # Both terms at ell = 10**6, n = 3, k = 10**6 provably round to 0.0, so
+    # no power of ell is built.  Building them anyway took 59 s on a 2-core
+    # x86 VM, past the 30 s budget, under a guard estimate of 18.6 s.
+    result = capped_python(
+        _MAIN_UNDER_CPU_LIMIT, "bound", "--m", str(10**12), "--n", "3", "--k", str(10**6)
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines()[1] == "1000000,3,1000000,0.0,0.0,0.0"
 
 
 def test_simulate_repeatable(invoke_cli):
@@ -666,3 +685,197 @@ def test_module_entry_point():
     )
     assert out.returncode == 0
     assert out.stdout.splitlines()[0] == "ell,n,z"
+
+
+# A child that runs the package as ``python -m ibltlab`` does, with an atexit
+# hook that reports on stderr how many objects the collector holds frozen
+# once the command has run.  Registered first, the hook runs last.
+_ENTRY_CHILD = (
+    "import atexit, gc, os, runpy\n"
+    "atexit.register(lambda: os.write(2, b'frozen %d\\n' % gc.get_freeze_count()))\n"
+    "runpy.run_module('ibltlab', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def run_entry(capped_python, *argv):
+    """(exit code, stdout, stderr before the hook's line, frozen objects)."""
+    result = capped_python(_ENTRY_CHILD, *argv)
+    *messages, hook = result.stderr.splitlines()
+    label, frozen = hook.split()
+    assert label == "frozen", result.stderr
+    return result.returncode, result.stdout, "\n".join(messages), int(frozen)
+
+
+def test_program_entry_freezes_the_collector_once_the_command_has_run(
+    capped_python, invoke_cli
+):
+    argv = ["bound", "--ell", "280", "--n", "320", "--k", "3"]
+    code, out, err, frozen = run_entry(capped_python, *argv)
+    assert (code, err) == (0, "")
+    assert frozen > 0
+    assert out == invoke_cli(argv)[1]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ea36437f8c98a887ce8888051a0ecae3e475e61c712d180d466ea6afdfdf19b1"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["bound", "--n", "2", "--k", "1"], 1, "one of the arguments --ell --m is required"),
+        (["oracle", "8", "4", "2"], 2, "ibltlab: resource guard:"),
+    ],
+)
+def test_program_entry_refuses_with_empty_stdout(capped_python, argv, code, message):
+    # A usage error leaves main through SystemExit, a refusal through its
+    # return value; the entry freezes the collector after either.
+    exit_code, out, err, frozen = run_entry(capped_python, *argv)
+    assert (exit_code, out) == (code, "")
+    assert message in err
+    assert frozen > 0
+
+
+def test_only_the_program_entry_freezes_the_collector(invoke_cli, monkeypatch, capsys):
+    frozen = gc.get_freeze_count()
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    assert invoke_cli(["bound", "--ell", "7", "--n", "9", "--k", "2"])[0] == 0
+    assert invoke_cli(["oracle", "8", "4", "2"])[0] == 2
+    with pytest.raises(SystemExit):
+        invoke_cli(["nonsense"])
+    assert (calls, gc.get_freeze_count()) == ([], frozen)
+    monkeypatch.setattr(sys, "argv", ["ibltlab", "oracle", "8", "4", "2"])
+    assert cli.run() == 2
+    assert calls == ["freeze"]
+    assert capsys.readouterr().out == ""
+
+
+# ROADMAP item 18's contract fuzz.  Its integers: the edges of every guard
+# and type, powers of two and their neighbours, the paper's ell, and a few
+# orders of magnitude up to past 64 bits.
+_CONTRACT_VALUES = (
+    -1, 0, 1, 2, 3, 4, 7, 8, 16, 31, 32, 63, 64, 65, 256, 280, 1000,
+    10**6, 10**12, 2**64 - 1, 2**64,
+)
+
+
+def contract_cases(seed, count):
+    """``count`` seeded argvs over the four subcommands, each integer drawn
+    from ``_CONTRACT_VALUES`` and ``--workers`` at most 2."""
+    rng = random.Random(seed)
+
+    def value():
+        return str(rng.choice(_CONTRACT_VALUES))
+
+    cases = []
+    for _ in range(count):
+        command = rng.choice(("ztable", "bound", "simulate", "oracle"))
+        if command == "ztable":
+            argv = [value(), value()]
+        elif command == "oracle":
+            argv = [value(), value(), value()]
+        elif command == "bound":
+            argv = [rng.choice(("--ell", "--m")), value(), "--n", value(), "--k", value()]
+            argv += ["--breakdown"] * rng.randrange(2)
+        else:
+            argv = ["--n", value(), "--k", value()]
+            if rng.randrange(2):
+                argv += ["--m", value()]
+            else:
+                argv += ["--sweep", ":".join(value() for _ in range(3))]
+            for flag in ("--b", "--trials", "--seed"):
+                if rng.randrange(2):
+                    argv += [flag, value()]
+            if rng.randrange(2):
+                argv += ["--scheme", rng.choice(cli.SCHEMES)]
+            if rng.randrange(2):
+                argv += ["--key-model", rng.choice(cli.KEY_MODELS)]
+            argv += ["--workers", str(rng.choice((-1, 0, 1, 2)))]
+        cases.append([command, *argv])
+    return cases
+
+
+# Runs each argv of a JSON list as ``python -m ibltlab`` would, in a process
+# forked from one capped interpreter that has loaded every module but
+# numpy's, so each case starts from the same state and has the address
+# space cap to itself.  Prints one JSON line per case: the exit code (or
+# "overrun" once the case passes the guards' budget of COST_GUARD_S
+# seconds, when its process group is killed), and the length and SHA-256
+# of its stdout.
+_CONTRACT_CHILD = """
+import hashlib, json, os, runpy, select, signal, sys, time
+import ibltlab.cli, ibltlab.oracle, ibltlab.simulate  # loaded once, not per case
+from ibltlab.census import COST_GUARD_S
+
+
+def run_case(argv):
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1  # as for an exception that escapes the entry
+        try:
+            os.setpgid(0, 0)
+            os.dup2(write, 1)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 2)
+            sys.argv = ["ibltlab", *argv]
+            runpy.run_module("ibltlab", run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            code = exc.code or 0
+        finally:
+            sys.stdout.flush()
+            os._exit(code)
+    os.close(write)
+    sha, size, code = hashlib.sha256(), 0, None
+    deadline = time.monotonic() + COST_GUARD_S
+    while True:
+        if not select.select([read], [], [], max(0, deadline - time.monotonic()))[0]:
+            os.killpg(pid, signal.SIGKILL)
+            code = "overrun"
+            break
+        chunk = os.read(read, 1 << 16)
+        if not chunk:
+            break
+        sha.update(chunk)
+        size += len(chunk)
+    os.close(read)
+    status = os.waitpid(pid, 0)[1]
+    return code or os.waitstatus_to_exitcode(status), size, sha.hexdigest()
+
+
+for argv in json.loads(sys.argv[1]):
+    print(json.dumps(run_case(argv)), flush=True)
+"""
+
+
+# A `--workers 2` case forks its pool workers from a process whose pool
+# threads have each reserved a glibc malloc arena (64 MiB of address space),
+# and each worker then maps numpy, whose OpenBLAS maps buffers for a thread
+# per CPU: under the cap the worker's import failed (exit 3), though the
+# same run peaks far below the cap in resident memory.  Two arenas and one
+# BLAS thread (the kernel does no BLAS work) keep the cap apart from the
+# host's core count.
+_CONTRACT_ENV = {"MALLOC_ARENA_MAX": "2", "OPENBLAS_NUM_THREADS": "1"}
+
+
+def run_contract(capped_python, cases):
+    result = capped_python(_CONTRACT_CHILD, json.dumps(cases), **_CONTRACT_ENV)
+    assert result.returncode == 0, result.stderr
+    return [tuple(json.loads(line)) for line in result.stdout.splitlines()]
+
+
+def test_every_input_exits_cleanly_through_the_program_entry(capped_python):
+    # Every input exits 0, 1 or 2 within the budget, a nonzero exit prints
+    # nothing, and an exit 0 prints the same bytes again in a new process.
+    cases = contract_cases(seed=0, count=160)
+    results = run_contract(capped_python, cases)
+    assert len(results) == len(cases)
+    broken = [
+        (" ".join(argv), code, size)
+        for argv, (code, size, _) in zip(cases, results)
+        if code not in (0, 1, 2) or (code != 0 and size > 0)
+    ]
+    assert broken == []
+    printed = [(argv, result) for argv, result in zip(cases, results) if result[0] == 0]
+    assert run_contract(capped_python, [argv for argv, _ in printed]) == [
+        result for _, result in printed
+    ]

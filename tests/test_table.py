@@ -2,6 +2,7 @@ import copy
 import hashlib
 import itertools
 import random
+import types
 
 import pytest
 
@@ -12,9 +13,11 @@ from ibltlab import (
     HashParams,
     Iblt,
     ListingStatus,
+    ResourceGuardError,
     make_partitioned_uniform,
     make_ss_avoiding,
 )
+from ibltlab.table import TABLE_K_GUARD
 from reference import ThreeListTable
 
 
@@ -417,3 +420,26 @@ def test_table_outcomes_are_pinned(params, n, listed_status, digest):
         listed_status,
         ListingStatus.PARTIAL,
     )
+
+
+def test_table_takes_at_most_its_guard_of_hash_functions():
+    # The partitioned scheme's scalar indices is O(k**2) per key, about
+    # 20 us per call at the guard, k = 64; every ss-avoiding shape builds,
+    # since its k divides b <= 64.
+    assert TABLE_K_GUARD == 64
+    for scheme in (
+        make_partitioned_uniform(HashParams(k=TABLE_K_GUARD, ell=5, b=16, seed=3)),
+        make_ss_avoiding(
+            HashParams(k=TABLE_K_GUARD, ell=2, b=64, seed=3, kind=HashKind.SS_AVOIDING)
+        ),
+    ):
+        table = Iblt(scheme)
+        table.insert(9, 11)
+        assert table.get(9).value == 11
+        assert table.list_entries().entries == {(9, 11)}
+    above = make_partitioned_uniform(HashParams(k=TABLE_K_GUARD + 1, ell=5, b=16, seed=3))
+    with pytest.raises(ResourceGuardError, match="exceed the table's guard of 64"):
+        Iblt(above)
+    # 10**15 cells would exhaust memory; the refusal comes first.
+    with pytest.raises(ResourceGuardError):
+        Iblt(types.SimpleNamespace(k=TABLE_K_GUARD + 1, m=10**15, b=32))
