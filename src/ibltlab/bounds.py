@@ -14,11 +14,13 @@ still land on the correctly rounded product.  A term that
 inf without building its power count**k, the bulk of the work at large n
 and small ell, and the cost guard charges no power for exactly those terms.
 Any other term whose quotient overflows is inf too, from its division.
-Likewise a term that ``_provably_below_float_range`` shows to round to
-0.0 is recorded as 0.0 without building its power, and the powers of ell
-are built at the first term that is divided, so a bound whose terms all
-underflow (huge ell and k at small n) builds none.  The cost guard still
-charges those terms, so it refuses exactly what it refused before.
+Likewise a term whose log2, k*log2(count(ell,i)/ell**i) + log2 C(n,i)
+from the census count in hand, falls below -1076 rounds to 0.0 and is
+recorded as 0.0 without building its power
+(``_provably_below_float_range``), and the powers of ell are built at the
+first term that is divided, so a bound whose terms all underflow (huge ell
+and k at small n) builds none.  The cost guard still charges those
+terms, so it refuses exactly what it refused before.
 Totals above float range degrade to inf; the clamped total is then 1.
 """
 
@@ -68,24 +70,26 @@ def _provably_past_float_range(ell: int, n: int, k: int, i: int) -> bool:
     return bits >= 1025
 
 
-def _provably_below_float_range(ell: int, n: int, k: int, i: int) -> bool:
-    """Whether term i of the union bound rounds to 0.0, shown by an upper
-    bound that needs no census count.
+def _provably_below_float_range(count: int, ell: int, n: int, k: int, i: int) -> bool:
+    """Whether term i of the union bound, C(n,i) * (count/ell**i)**k with
+    count = count(ell,i), rounds to 0.0, decided from its log.
 
-    Every row a stopping i-set occupies holds two of its entries, so it
-    occupies at most j = i//2 rows: count(ell,i) <= C(ell,j) * j**i <=
-    ell**j * j**i, and term i is at most C(n,i) * (j**i / ell**(i-j))**k.
-    A double rounds values up to 2**-1075 to 0.0; the bound's log2 must
-    fall below -1076, a bit under that.  The per-hash log carries a
+    A double rounds values up to 2**-1075 to 0.0; the log2 of the term
+    must fall below -1076, a bit under that.  The per-hash log carries a
     relative slack of 1e-12, far more than its rounding error, which k
     multiplies."""
-    j = i // 2
-    occupied, free = i * math.log(j), (i - j) * math.log(ell)
-    per_hash = occupied - free + 1e-12 * (occupied + free)
+    stopping, all_placements = math.log(count), i * math.log(ell)
+    per_hash = stopping - all_placements + 1e-12 * (stopping + all_placements)
     if per_hash >= 0:
         return False
     log_subsets = math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
     return (log_subsets + k * per_hash) / math.log(2) < -1076
+
+
+def _power_cost_s(bits: float) -> float:
+    """Estimated seconds to build a power of ``bits`` bits and divide by
+    one as large; fitted on a 2-core x86 VM under CPython 3.11."""
+    return 2e-11 * bits**1.5
 
 
 def check_bound_cost(ell: int, n: int, k: int):
@@ -106,7 +110,7 @@ def check_bound_cost(ell: int, n: int, k: int):
             inf_terms = sum(
                 _provably_past_float_range(ell, n, k, i) for i in range(2, n + 1)
             )
-            seconds += 2e-11 * (n - 1 - inf_terms) * bits**1.5
+            seconds += (n - 1 - inf_terms) * _power_cost_s(bits)
             seconds += 2e-10 * inf_terms * (n + bits)
         return seconds
 
@@ -132,7 +136,7 @@ def union_bound(census: StoppingCensus, ell: int, n: int, k: int) -> BoundBreakd
     for i in range(2, n + 1):
         if _provably_past_float_range(ell, n, k, i):
             terms.append((i, math.inf))
-        elif _provably_below_float_range(ell, n, k, i):
+        elif _provably_below_float_range(counts[i], ell, n, k, i):
             terms.append((i, 0.0))
         else:
             if ell_k is None:
@@ -156,13 +160,33 @@ def size2_asymptote(ell: int, n: int, k: int) -> float:
     to 0.0."""
     if ell < 1 or k < 1 or n < 0:
         raise ValueError("ell and k must be positive, n nonnegative")
-    if n < 2 or _provably_below_float_range(ell, n, k, 2):
+    if n < 2 or _provably_below_float_range(ell, ell, n, k, 2):  # count(ell, 2) = ell
         return 0.0
     return _ratio_term(math.comb(n, 2), ell**k)
 
 
 def stopping_set_probability(census: StoppingCensus, ell: int, i: int, k: int) -> float:
-    """Probability that a fixed set of i entries forms a stopping set."""
+    """Probability that a fixed set of i entries forms a stopping set,
+    (count(ell,i) / ell**i) ** k.
+
+    It is 0.0 at i = 1, where count(ell, 1) = 0, and wherever the union
+    bound's 0.0 rule shows it rounds to 0.0; neither builds a power.
+    Raises ResourceGuardError, before any work, when the census row is
+    estimated past ``COST_GUARD_S``, and, before the power, when the row
+    and the power count(ell,i)**k together are: at the union bound's
+    rates, as for (ell, i, k) = (2, 40000, 10**4), whose power is about
+    4e8 bits.
+    """
     if ell < 1 or i < 1 or k < 1:
         raise ValueError("ell, i and k must be positive")
-    return _ratio_term(census.count(ell, i) ** k, ell ** (i * k))
+    if i == 1:
+        return 0.0
+    what = f"the stopping-set probability at ell={ell}, i={i}, k={k}"
+    row_s = rows_cost_s(ell, ell, i)
+    check_cost(what, lambda: row_s)
+    count = census.count(ell, i)
+    if _provably_below_float_range(count, ell, i, k, i):
+        return 0.0
+    # (ell - 1).bit_length() >= log2(ell), and is 0 where every power is 1.
+    check_cost(what, lambda: row_s + _power_cost_s(float(k * i * (ell - 1).bit_length())))
+    return _ratio_term(count**k, ell ** (i * k))

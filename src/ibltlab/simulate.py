@@ -9,10 +9,12 @@ order, and splitting the trial range across workers cannot change the
 result.  Sweep points at m cells run with the derived seed
 mix64(mix64(seed ^ SWEEP_SALT) + m*PHI64).  A refusal is a pure function
 of the config and the worker count: the guards never read the host's CPU
-count, which only caps the pool of kernel processes.
+count, which only caps the pool of kernel processes.  The process that
+plans the trials loads the kernel, and pool workers start with it.
 """
 
 import contextlib
+import functools
 import math
 import os
 from collections.abc import Iterator, Sequence
@@ -184,13 +186,6 @@ def plan_trials(
     return processes, ranges
 
 
-def _run_range(args) -> tuple[int, int, int]:
-    from ibltlab import _kernels_py  # numpy, loaded only to run trials
-
-    *kernel_args, budget = args
-    return _kernels_py.run_trials(*kernel_args, budget=budget)
-
-
 def run_trials(
     cfg: TrialConfig,
     census: StoppingCensus | None = None,
@@ -204,18 +199,23 @@ def run_trials(
     entries -- those necessarily had identical index tuples.  Trials run
     in the processes ``plan_trials`` picks, in-process when that is 1.
     ``plan_trials`` decides, before any trial runs, whether they may
-    start; the kernel then meters their work W, and ResourceGuardError is
+    start; once it admits them, this process loads the kernel, and numpy
+    with it, so pool workers fork with both loaded and import nothing.
+    The kernel then meters their work W, and ResourceGuardError is
     raised iff W passes ``TRIAL_WORK_BUDGET``, whatever ``workers`` is.  A
     refused run stops once the work summed so far passes it: each kernel
     call returns once its own work does, and a pool cancels the ranges not
     yet started.
     """
     processes, ranges = plan_trials(cfg, workers)
+    from ibltlab import _kernels_py  # numpy, loaded only to run trials
+
+    kernel = functools.partial(_kernels_py.run_trials, budget=TRIAL_WORK_BUDGET)
     shape = (cfg.n, cfg.ell, cfg.k, cfg.b, cfg.scheme.value, cfg.key_model.value)
-    args = [(cfg.seed, lo, hi, *shape, TRIAL_WORK_BUDGET) for lo, hi in ranges]
+    columns = list(zip(*((cfg.seed, lo, hi, *shape) for lo, hi in ranges)))
     failures = two_left = work = 0
     with contextlib.ExitStack() as stack:
-        results = map(_run_range, args)  # one range, in-process
+        results = map(kernel, *columns)  # one range, in-process
         if processes > 1:
             # Imported here: concurrent.futures loads multiprocessing, which an
             # in-process run never uses.
@@ -223,7 +223,7 @@ def run_trials(
 
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=processes))
             stack.callback(pool.shutdown, cancel_futures=True)
-            results = pool.map(_run_range, args)
+            results = pool.map(kernel, *columns)
         for range_failures, range_two_left, range_work in results:
             failures += range_failures
             two_left += range_two_left

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from ibltlab import (
     BoundBreakdown,
     ResourceGuardError,
+    StoppingCensus,
     size2_asymptote,
     stopping_set_probability,
     union_bound,
@@ -73,6 +75,34 @@ def test_stopping_set_probability_values(census):
     assert stopping_set_probability(census, 3, 3, 2) == expected
 
 
+# Each (ell, i, k) of the child's argument, under a 10 s CPU limit: the
+# probability, or the refusal's type.
+_PROBABILITIES_UNDER_CPU_LIMIT = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_CPU, (10, 10))
+from ibltlab import ResourceGuardError, StoppingCensus, stopping_set_probability
+for shape in json.loads(sys.argv[1]):
+    try:
+        print(stopping_set_probability(StoppingCensus(), *shape))
+    except ResourceGuardError as exc:
+        print(type(exc).__name__)
+"""
+
+
+def test_stopping_set_probability_builds_no_power_it_cannot_afford(capped_python):
+    # count(8, 1) = 0, and the next two round to 0.0 by the union bound's
+    # rule.  Building their powers anyway ended in MemoryError at the first
+    # two under a 1 GiB address cap, and took 21 s at the third.  The last
+    # is near 1, and its power count(2, 40000)**(10**4), about 4e8 bits, is
+    # refused.  At ell = 1 every power is 1, which costs nothing.
+    shapes = [
+        (8, 1, 10**12), (2, 4, 10**9), (10**6, 3, 10**6), (2, 40000, 10**4), (1, 2, 10**12)
+    ]
+    result = capped_python(_PROBABILITIES_UNDER_CPU_LIMIT, json.dumps(shapes))
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.split() == ["0.0", "0.0", "0.0", "ResourceGuardError", "1.0"]
+
+
 def test_stopping_set_probability_matches_sampling(census):
     # Empirical frequency of "these 3 fixed columns form a stopping matrix"
     # over random placements, both subtables stacked.
@@ -119,8 +149,6 @@ def test_terms_are_nonnegative_and_sum(census):
 
 
 def test_validation():
-    from ibltlab import StoppingCensus
-
     with pytest.raises(ValueError):
         union_bound(StoppingCensus(), 0, 2, 1)
     with pytest.raises(ValueError):
@@ -219,7 +247,7 @@ def test_overflowing_terms_are_not_divided(census, monkeypatch):
 @pytest.mark.parametrize("ell", [4, 8, 280, 10**6])
 def test_terms_shown_below_float_range_round_to_zero(census, ell):
     # union_bound records a term as 0.0, with no power built, exactly when
-    # the census-free upper bound shows it under 2**-1075, where a double
+    # its log from the census count falls under 2**-1075, where a double
     # rounds to 0; checked here in exact integers.
     skipped = 0
     for n in (2, 3, 12, 40):
@@ -227,7 +255,7 @@ def test_terms_shown_below_float_range_round_to_zero(census, ell):
         for k in (1, 3, 40, 300):
             subsets = math.comb(n, 2)
             for i in range(2, n + 1):
-                if _provably_below_float_range(ell, n, k, i):
+                if _provably_below_float_range(counts[i], ell, n, k, i):
                     skipped += 1
                     assert subsets * counts[i] ** k << 1075 < ell ** (i * k), (n, k, i)
                 subsets = subsets * (n - i) // (i + 1)
@@ -246,7 +274,7 @@ def test_terms_below_float_range_match_the_plain_quotients(census, monkeypatch):
         ((10**6, 60, 32), 58, 58),  # only i = 2 is divided
         ((2**64 - 1, 30, 7), 26, 26),  # i = 2..4 divided, 5..30 skipped
         ((10**6, 3, 10**5), 2, 2),  # nothing is divided
-        ((8, 60, 400), 19, 3),  # i = 2, 3 and 5 skipped, 16 more divide to 0.0
+        ((8, 60, 400), 19, 19),  # i = 2..20, every term that rounds to 0.0
     ):
         divided.clear()
         counts = census.row(ell, n)

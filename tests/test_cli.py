@@ -42,6 +42,15 @@ def test_ztable_contains_known_value(invoke_cli):
     assert len(rows) == 35
 
 
+def test_ztable_bytes_are_pinned(invoke_cli):
+    # Every count of the 40x40 rectangle; CI pins the same digest.
+    code, out, _ = invoke_cli(["ztable", "40", "40"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d3f51bb919ea75b37c344f98eac777c636e8d33641fc3486ccf87956ab85806e"
+    )
+
+
 def test_ztable_full_rectangle(invoke_cli):
     code, out, _ = invoke_cli(["ztable", "10", "10"])
     assert code == 0
@@ -236,6 +245,18 @@ def test_bound_builds_no_power_for_terms_below_float_range(capped_python):
     assert result.stdout.splitlines()[1] == "1000000,3,1000000,0.0,0.0,0.0"
 
 
+def test_bound_builds_no_power_for_a_term_that_rounds_to_zero(capped_python):
+    # Every term at ell = 3, n = 4, k = 7.8e6 rounds to 0.0, and the census
+    # count shows it, so no power is built.  The occupied-rows bound could
+    # not show it at i = 4, whose power took 41 s on a 2-core x86 VM, past
+    # the 30 s budget, under a guard estimate of 29.6 s.
+    result = capped_python(
+        _MAIN_UNDER_CPU_LIMIT, "bound", "--ell", "3", "--n", "4", "--k", "7800000"
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines()[1] == "3,4,7800000,0.0,0.0,0.0"
+
+
 def test_simulate_repeatable(invoke_cli):
     argv = ["simulate", "--n", "10", "--k", "2", "--m", "24", "--trials", "3000",
             "--seed", "4"]
@@ -274,12 +295,87 @@ def test_simulate_single_m_runs_with_the_sweep_point_seed(invoke_cli):
     assert simulate.run_trials(derived).failures == 73
 
 
-def test_simulate_workers_byte_identical(invoke_cli):
-    base = ["simulate", "--n", "24", "--k", "3", "--m", "96", "--trials", "6000",
-            "--seed", "12"]
-    _, serial, _ = invoke_cli(base + ["--workers", "1"])
-    _, parallel, _ = invoke_cli(base + ["--workers", "3"])
-    assert serial == parallel
+def test_simulate_workers_byte_identical(invoke_cli, monkeypatch):
+    # A point and a sweep, each from a pool of two processes.
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+    for base, rows in (
+        (["--n", "24", "--k", "3", "--m", "96", "--trials", "6000", "--seed", "12"], 1),
+        (["--n", "32", "--k", "4", "--sweep", "8:80:8", "--b", "16", "--trials", "2000"], 10),
+    ):
+        serial = invoke_cli(["simulate", *base, "--workers", "1"])
+        assert serial == invoke_cli(["simulate", *base, "--workers", "3"])
+        assert (serial[0], len(serial[1].splitlines())) == (0, 1 + rows)
+
+
+def test_simulate_division_path_bytes_are_pinned(invoke_cli, monkeypatch):
+    # ell = 280 is no power of two, so the kernel reduces its hashes by
+    # division; CI pins the same digest, in-process and from a pool.
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+    argv = ["simulate", "--n", "210", "--k", "3", "--b", "32", "--m", "840",
+            "--trials", "12000", "--seed", "0"]
+    for workers in ("1", "2"):
+        code, out, _ = invoke_cli(argv + ["--workers", workers])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "2a8a43711c7f8b94f48c9e12315b06126790b2646f190fde6a01756696dee013"
+        ), workers
+
+
+def test_simulate_pool_workers_start_with_the_kernel():
+    # A pool that records, when it is built, whether the planning process
+    # has loaded the kernel; it then runs in-process.  Forked workers start
+    # with what the process that forks them has loaded.
+    probe = """
+import concurrent.futures, sys
+from ibltlab import cli, simulate
+
+simulate._cpu_count = lambda: 2
+loaded = []
+
+
+class RecordingPool:
+    def __init__(self, max_workers):
+        loaded.append("ibltlab._kernels_py" in sys.modules)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, *columns):
+        return map(fn, *columns)
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+concurrent.futures.ProcessPoolExecutor = RecordingPool
+code = cli.main(sys.argv[1:])
+print(loaded, file=sys.stderr)
+sys.exit(code)
+"""
+    argv = ["simulate", "--n", "20", "--k", "3", "--m", "60", "--trials", "5000",
+            "--workers", "2"]
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *argv], capture_output=True, text=True
+    )
+    assert (result.returncode, result.stderr) == (0, "[True]\n")
+
+
+def test_capped_sweep_from_a_pool_exits_cleanly(capped_python):
+    # Each point starts a pool, whose threads reserve malloc arenas that the
+    # next point's workers inherit.  Workers that imported numpy themselves
+    # then failed to map it under the address cap (exit 3); forked with the
+    # kernel already loaded, they map nothing new.
+    probe = "from ibltlab import simulate\nsimulate._cpu_count = lambda: 2\n"
+    result = capped_python(
+        probe + _MAIN_UNDER_CPU_LIMIT, "simulate", "--n", "32", "--k", "4",
+        "--sweep", "8:280:8", "--b", "16", "--key-model", "iid", "--trials", "20000",
+        "--workers", "2",
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert len(result.stdout.splitlines()) == 36
 
 
 def test_simulate_one_batch_starts_no_pool():
@@ -603,12 +699,16 @@ def test_oracle_guard_counts_the_placements_at_ell_one(invoke_cli, monkeypatch):
 
 
 def test_oracle_bytes_are_pinned(invoke_cli):
-    # perfbench and CI record the same digest for `oracle 4 3 3`; CI also
-    # pins `oracle 5 4 2` (3577/15625), where each state's head, the blocks
-    # before its last, is one block.
+    # perfbench and CI record the same digests for `oracle 3 4 3` and
+    # `oracle 4 3 3`; CI also pins `oracle 5 4 2` (3577/15625), where each
+    # state's head, the blocks before its last, is one block, and `oracle
+    # 8 6 1` (3781/4096), whose 262,144 distinct blocks run past the block
+    # memo's cap.
     pinned = {
+        "3 4 3": "d3b425ece4b7ca5f8c6df42d28f1b61145ffce8354c57bd1c76f2c129e392ad4",
         "4 3 3": "b41fec45de0157205382ceeb72d0804cee4db3b854c738d437dce120b45c6b39",
         "5 4 2": "2e6776d75e6cb480a21259f2a3f02a6691d85247ad9f0e40167e3d14f49651cc",
+        "8 6 1": "2d1dff8bc87d669b1163b3ad38db1fa79e6acaad190b04b2c269d25cd25732da",
     }
     for shape, digest in pinned.items():
         code, out, _ = invoke_cli(["oracle", *shape.split()])
@@ -847,18 +947,8 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
-# A `--workers 2` case forks its pool workers from a process whose pool
-# threads have each reserved a glibc malloc arena (64 MiB of address space),
-# and each worker then maps numpy, whose OpenBLAS maps buffers for a thread
-# per CPU: under the cap the worker's import failed (exit 3), though the
-# same run peaks far below the cap in resident memory.  Two arenas and one
-# BLAS thread (the kernel does no BLAS work) keep the cap apart from the
-# host's core count.
-_CONTRACT_ENV = {"MALLOC_ARENA_MAX": "2", "OPENBLAS_NUM_THREADS": "1"}
-
-
 def run_contract(capped_python, cases):
-    result = capped_python(_CONTRACT_CHILD, json.dumps(cases), **_CONTRACT_ENV)
+    result = capped_python(_CONTRACT_CHILD, json.dumps(cases))
     assert result.returncode == 0, result.stderr
     return [tuple(json.loads(line)) for line in result.stdout.splitlines()]
 

@@ -419,8 +419,8 @@ class _RecordingPool:
     def __exit__(self, *exc_info):
         return False
 
-    def map(self, fn, items):
-        return list(map(fn, items))
+    def map(self, fn, *columns):
+        return list(map(fn, *columns))
 
     def shutdown(self, wait=True, cancel_futures=False):
         pass
