@@ -5,29 +5,25 @@ stopping set"; a fixed subset of size i is a stopping set with probability
 (count(ell,i) / ell**i) ** k under the uniform-hash model.  The bound
 sums C(n,i) such terms over i = 2..n (a single entry can never stop).
 
-Terms are evaluated as exact-integer numerator/denominator pairs and
-converted by one correctly-rounded true division each, so small cases come
-out bit-exact (the i=2 term IS the floor asymptote) while huge mixed-scale
-terms -- C(210,105) alone is ~1e61 and the ratio underflows a double --
-still land on the correctly rounded product.  A term that
-``_provably_past_float_range`` shows to be past float range is recorded as
-inf without building its power count**k, the bulk of the work at large n
-and small ell, and the cost guard charges no power for exactly those terms.
-Any other term whose quotient overflows is inf too, from its division.
-Likewise a term whose log2, k*log2(count(ell,i)/ell**i) + log2 C(n,i)
-from the census count in hand, falls below -1076 rounds to 0.0 and is
-recorded as 0.0 without building its power
-(``_provably_below_float_range``), and the powers of ell are built at the
-first term that is divided, so a bound whose terms all underflow (huge ell
-and k at small n) builds none.  The cost guard still charges those
-terms, so it refuses exactly what it refused before.
-Totals above float range degrade to inf; the clamped total is then 1.
+Every term is its exact value correctly rounded, by one rule (Ziv's
+strategy; Ziv, ACM TOMS 17(3), 1991).  C(n,i), count(ell,i)**k and
+ell**(i*k) are held as brackets, two p-bit mantissas with one exponent,
+cut down for the lower end and up for the upper at every step.  If both
+ends divide (int true division) to the same double, so does the exact
+term; if not, the term is evaluated again at 2p bits.  No power is built
+in full, and the i=2 term IS the floor asymptote, bit for bit.  Totals
+above float range degrade to inf; the clamped total is then 1.
 """
 
 import math
 from typing import NamedTuple
 
 from ibltlab.census import COST_GUARD_S, StoppingCensus, check_cost, rows_cost_s
+
+# A term's first pass holds _PRECISION + log2(k) bits: each squaring
+# doubles a bracket's relative width, so a k-th power spends log2(k) of
+# them.  Each retry doubles the whole precision.
+_PRECISION = 96
 
 
 class BoundBreakdown(NamedTuple):
@@ -42,77 +38,94 @@ class BoundBreakdown(NamedTuple):
         return dict(self.terms)[i]
 
 
-def _ratio_term(numerator: int, denominator: int) -> float:
+def _shrink(lo: int, hi: int, e: int, p: int) -> tuple[int, int, int]:
+    """The bracket lo*2**e <= x <= hi*2**e cut to p bits of hi: lo down,
+    hi up, one exponent."""
+    s = max(0, hi.bit_length() - p)
+    return lo >> s, -(-hi >> s), e + s
+
+
+def _product(a, b, p):
+    return _shrink(a[0] * b[0], a[1] * b[1], a[2] + b[2], p)
+
+
+def _power(x: int, k: int, p: int) -> tuple[int, int, int]:
+    """A p-bit bracket of x**k, k >= 1, by squaring from the top bit."""
+    base = result = _shrink(x, x, 0, p)
+    for bit in bin(k)[3:]:
+        result = _product(result, result, p)
+        if bit == "1":
+            result = _product(result, base, p)
+    return result
+
+
+def _to_float(num: int, den: int, e: int) -> float:
+    """num * 2**e / den correctly rounded, for num, den >= 0, and inf over
+    den = 0, the lower end of a bracket too wide.  The quotient lies in
+    (2**(bits-1), 2**(bits+1)): inf from bits = 1025 on, 0.0 (below
+    2**-1075) up to bits = -1076, and between them a shift of at most
+    about 1100 bits."""
+    if not (num and den):
+        return math.inf if num else 0.0
+    bits = num.bit_length() - den.bit_length() + e
+    if bits >= 1025:
+        return math.inf
+    if bits <= -1076:
+        return 0.0
     try:
-        return numerator / denominator
-    except OverflowError:
+        return (num << e) / den if e >= 0 else num / (den << -e)
+    except OverflowError:  # rounds past the largest double
         return math.inf
 
 
-def _provably_past_float_range(ell: int, n: int, k: int, i: int) -> bool:
-    """Whether term i of the union bound is at least 2**1024, shown by a
-    lower bound that needs no census count.
-
-    An i-set fails to stop in a block only if some row holds exactly one
-    of its entries; a union bound over the ell rows gives
-    count(ell,i)/ell**i >= 1 - i*(1-1/ell)**(i-1), so term i is at least
-    C(n,i) * (1 - i*(1-1/ell)**(i-1))**k.  Its log, taken only where
-    i*(1-1/ell)**(i-1) <= 1/2, must reach 1025 bits: a margin of one bit
-    is far more than the rounding of the logs at any n and k the cost
-    guard admits.  This is the one rule for skipping a power:
-    ``union_bound`` records every term it accepts as inf without building
-    count(ell,i)**k, and ``check_bound_cost`` charges such a term no power."""
-    single = i * (1 - 1 / ell) ** (i - 1)
-    if single > 0.5:
-        return False
-    log_subsets = math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
-    bits = (log_subsets + k * math.log1p(-single)) / math.log(2)
-    return bits >= 1025
+def _steps_s(steps: int, p: int) -> float:
+    """Estimated seconds for ``steps`` multiplications of p-bit brackets
+    (``check_bound_cost`` has the fit)."""
+    return steps * (1.2e-6 + 7e-11 * p**1.585)
 
 
-def _provably_below_float_range(count: int, ell: int, n: int, k: int, i: int) -> bool:
-    """Whether term i of the union bound, C(n,i) * (count/ell**i)**k with
-    count = count(ell,i), rounds to 0.0, decided from its log.
+def _term(subsets: int, count: int, ell: int, i: int, k: int, what: str, den=None) -> float:
+    """subsets * count**k / ell**(i*k) correctly rounded; ``den``, if
+    given, is a bracket of ell**(i*k) at the first pass's precision.
 
-    A double rounds values up to 2**-1075 to 0.0; the log2 of the term
-    must fall below -1076, a bit under that.  The per-hash log carries a
-    relative slack of 1e-12, far more than its rounding error, which k
-    multiplies."""
-    stopping, all_placements = math.log(count), i * math.log(ell)
-    per_hash = stopping - all_placements + 1e-12 * (stopping + all_placements)
-    if per_hash >= 0:
-        return False
-    log_subsets = math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
-    return (log_subsets + k * per_hash) / math.log(2) < -1076
-
-
-def _power_cost_s(bits: float) -> float:
-    """Estimated seconds to build a power of ``bits`` bits and divide by
-    one as large; fitted on a 2-core x86 VM under CPython 3.11."""
-    return 2e-11 * bits**1.5
+    Rounding is monotone, so when both ends round to the same double,
+    that double is the exact term's rounding.  Otherwise the pass runs
+    again at twice the precision; at the exact size the ends meet.  Each
+    pass that builds ell**(i*k) is first charged to ``check_cost``."""
+    p = _PRECISION + k.bit_length()
+    while True:
+        if den is None:
+            steps = 2 * (k.bit_length() + (i * k).bit_length()) + 3
+            check_cost(what, lambda: _steps_s(steps, p))
+            den = _power(ell, i * k, p)
+        lo, hi, e = _product(_shrink(subsets, subsets, 0, p), _power(count, k, p), p)
+        low = _to_float(lo, den[1], e - den[2])
+        if low == _to_float(hi, den[0], e - den[2]):
+            return low
+        p, den = 2 * p, None
 
 
 def check_bound_cost(ell: int, n: int, k: int):
     """Raise ResourceGuardError when ``union_bound(_, ell, n, k)`` is
     estimated to exceed ``COST_GUARD_S``.
 
-    Besides the census row, a term takes a power count(ell,i)**k of up to
-    b = k*n*log2(ell) bits, unless ``_provably_past_float_range`` shows it
-    is inf; ``union_bound`` then builds no power, and the term costs about
-    n + b bit operations.  The terms are walked only when the census row
-    is under budget, which bounds n by about 4e5.  The rates were fitted
-    on a 2-core x86 VM under CPython 3.11.
+    It charges the census row (``rows_cost_s``) and, per term, one C(n,i)
+    step and one truncation of count(ell,i) on about n*log2(ell) bits, and
+    2*log2(k) + 3 multiplications at the first pass's precision; ``_term``
+    charges each retry before it runs.  Fitted on a 2-core x86 VM under
+    CPython 3.11, one multiplication took 0.6-1.2e-6 s at 96 bits,
+    1.3-2.5e-5 s at 3072 and 0.10 s at 786432 over two runs (``_steps_s``:
+    1.3e-6, 2.5e-5, 0.16), and the term loop, census row prebuilt, took:
+
+        ell, n, k          loop (s)   estimate (s)
+        1000, 1000, 3       0.0053      0.0102
+        2, 30000, 3         0.33        0.54
+        7, 1000, 280        0.0092      0.028
+        2, 300, 10**300     0.75        3.45
     """
     def estimate():
-        seconds = rows_cost_s(ell, ell, n)
-        if seconds <= COST_GUARD_S:
-            bits = float(k * n * max(1, ell.bit_length()))
-            inf_terms = sum(
-                _provably_past_float_range(ell, n, k, i) for i in range(2, n + 1)
-            )
-            seconds += (n - 1 - inf_terms) * _power_cost_s(bits)
-            seconds += 2e-10 * inf_terms * (n + bits)
-        return seconds
+        step_s = _steps_s(2 * k.bit_length() + 3, _PRECISION + k.bit_length())
+        return rows_cost_s(ell, ell, n) + (n - 1) * (1e-10 * n * (1 + ell.bit_length()) + step_s)
 
     check_cost(f"the union bound at ell={ell}, n={n}, k={k}", estimate)
 
@@ -121,31 +134,23 @@ def union_bound(census: StoppingCensus, ell: int, n: int, k: int) -> BoundBreakd
     """Upper bound on the listing failure probability for k subtables of ell
     cells holding n entries, with the per-size breakdown.
 
-    The i=1 term is absent because a single column always has a weight-1 row.
+    Every term is its exact value correctly rounded.  The i=1 term is
+    absent because a single column always has a weight-1 row.
     Raises ResourceGuardError when the work is estimated over budget.
     """
     if ell < 1 or n < 1 or k < 1:
         raise ValueError("ell, n and k must be positive")
     check_bound_cost(ell, n, k)
     counts = census.row(ell, n)
-    terms = []
-    # ell**k and denominator = ell**(i*k) are built at the first divided
-    # term, so at n = 1, or when every term is skipped, no power is built.
-    ell_k = None
+    what = f"the union bound at ell={ell}, n={n}, k={k}"
+    p = _PRECISION + k.bit_length()
+    ell_k = den = _power(ell, k, p)
     subsets = math.comb(n, 2)  # C(n, i), advanced exactly to C(n, i+1)
+    terms = []
     for i in range(2, n + 1):
-        if _provably_past_float_range(ell, n, k, i):
-            terms.append((i, math.inf))
-        elif _provably_below_float_range(counts[i], ell, n, k, i):
-            terms.append((i, 0.0))
-        else:
-            if ell_k is None:
-                ell_k = ell**k
-                denominator = ell_k**i
-            terms.append((i, _ratio_term(subsets * counts[i] ** k, denominator)))
+        den = _product(den, ell_k, p)  # ell**(i*k), carried
+        terms.append((i, _term(subsets, counts[i], ell, i, k, what, den)))
         subsets = subsets * (n - i) // (i + 1)
-        if ell_k is not None:
-            denominator *= ell_k
     try:
         total = math.fsum(value for _, value in terms)
     except OverflowError:  # finite terms summing past float range
@@ -155,38 +160,26 @@ def union_bound(census: StoppingCensus, ell: int, n: int, k: int) -> BoundBreakd
 
 def size2_asymptote(ell: int, n: int, k: int) -> float:
     """Error-floor asymptote: probability mass of size-2 stopping sets,
-    C(n,2) / ell**k.  Matches the union bound's i=2 term bit for bit, and
-    like it is 0.0, with no power built, where that term provably rounds
-    to 0.0."""
+    C(n,2) / ell**k.  It is the union bound's i=2 term, count(ell,2) = ell,
+    bit for bit, and is refused where a pass of it is over budget."""
     if ell < 1 or k < 1 or n < 0:
         raise ValueError("ell and k must be positive, n nonnegative")
-    if n < 2 or _provably_below_float_range(ell, ell, n, k, 2):  # count(ell, 2) = ell
+    if n < 2:
         return 0.0
-    return _ratio_term(math.comb(n, 2), ell**k)
+    what = f"the size-2 asymptote at ell={ell}, n={n}, k={k}"
+    return _term(math.comb(n, 2), ell, ell, 2, k, what)
 
 
 def stopping_set_probability(census: StoppingCensus, ell: int, i: int, k: int) -> float:
     """Probability that a fixed set of i entries forms a stopping set,
-    (count(ell,i) / ell**i) ** k.
+    (count(ell,i) / ell**i) ** k: the union bound's term with C(n,i) = 1,
+    correctly rounded (0.0 at i = 1, where count(ell, 1) = 0).
 
-    It is 0.0 at i = 1, where count(ell, 1) = 0, and wherever the union
-    bound's 0.0 rule shows it rounds to 0.0; neither builds a power.
-    Raises ResourceGuardError, before any work, when the census row is
-    estimated past ``COST_GUARD_S``, and, before the power, when the row
-    and the power count(ell,i)**k together are: at the union bound's
-    rates, as for (ell, i, k) = (2, 40000, 10**4), whose power is about
-    4e8 bits.
+    Raises ResourceGuardError when the census row, before any work, or a
+    pass of the term, before that pass, is estimated past ``COST_GUARD_S``.
     """
     if ell < 1 or i < 1 or k < 1:
         raise ValueError("ell, i and k must be positive")
-    if i == 1:
-        return 0.0
     what = f"the stopping-set probability at ell={ell}, i={i}, k={k}"
-    row_s = rows_cost_s(ell, ell, i)
-    check_cost(what, lambda: row_s)
-    count = census.count(ell, i)
-    if _provably_below_float_range(count, ell, i, k, i):
-        return 0.0
-    # (ell - 1).bit_length() >= log2(ell), and is 0 where every power is 1.
-    check_cost(what, lambda: row_s + _power_cost_s(float(k * i * (ell - 1).bit_length())))
-    return _ratio_term(count**k, ell ** (i * k))
+    check_cost(what, lambda: rows_cost_s(ell, ell, i))
+    return _term(1, census.count(ell, i), ell, i, k, what)

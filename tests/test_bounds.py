@@ -14,12 +14,7 @@ from ibltlab import (
     union_bound,
 )
 import ibltlab.bounds
-from ibltlab.bounds import (
-    _provably_below_float_range,
-    _provably_past_float_range,
-    _ratio_term,
-    check_bound_cost,
-)
+from ibltlab.bounds import check_bound_cost
 from reference import is_stopping_matrix
 
 
@@ -58,6 +53,8 @@ def test_single_entry_bound_is_empty_sum(census):
 def test_size2_asymptote_values():
     assert size2_asymptote(280, 210, 3) == 21945 / 280**3
     assert size2_asymptote(280, 210, 3) == pytest.approx(9.996811e-4, rel=1e-6)
+    assert size2_asymptote(2, 2, 1074) == 2.0**-1074  # the smallest subnormal
+    assert size2_asymptote(2, 2, 1075) == 0.0
     assert size2_asymptote(7, 1, 3) == 0.0
     assert size2_asymptote(7, 0, 3) == 0.0
 
@@ -75,32 +72,30 @@ def test_stopping_set_probability_values(census):
     assert stopping_set_probability(census, 3, 3, 2) == expected
 
 
-# Each (ell, i, k) of the child's argument, under a 10 s CPU limit: the
-# probability, or the refusal's type.
+# The probability at each (ell, i, k) of the child's argument, under a
+# 10 s CPU limit.
 _PROBABILITIES_UNDER_CPU_LIMIT = """
 import json, resource, sys
 resource.setrlimit(resource.RLIMIT_CPU, (10, 10))
-from ibltlab import ResourceGuardError, StoppingCensus, stopping_set_probability
+from ibltlab import StoppingCensus, stopping_set_probability
 for shape in json.loads(sys.argv[1]):
-    try:
-        print(stopping_set_probability(StoppingCensus(), *shape))
-    except ResourceGuardError as exc:
-        print(type(exc).__name__)
+    print(stopping_set_probability(StoppingCensus(), *shape))
 """
 
 
 def test_stopping_set_probability_builds_no_power_it_cannot_afford(capped_python):
-    # count(8, 1) = 0, and the next two round to 0.0 by the union bound's
-    # rule.  Building their powers anyway ended in MemoryError at the first
-    # two under a 1 GiB address cap, and took 21 s at the third.  The last
-    # is near 1, and its power count(2, 40000)**(10**4), about 4e8 bits, is
-    # refused.  At ell = 1 every power is 1, which costs nothing.
+    # count(8, 1) = 0, and the next two round to 0.0.  Building their
+    # powers in full ended in MemoryError at the first two under a 1 GiB
+    # address cap, and took 21 s at the third.  The fourth is near 1; its
+    # power count(2, 40000)**(10**4), about 4e8 bits, was refused until
+    # terms were bracketed at bounded precision.  At ell = 1 every power
+    # is 1.
     shapes = [
         (8, 1, 10**12), (2, 4, 10**9), (10**6, 3, 10**6), (2, 40000, 10**4), (1, 2, 10**12)
     ]
     result = capped_python(_PROBABILITIES_UNDER_CPU_LIMIT, json.dumps(shapes))
     assert (result.returncode, result.stderr) == (0, "")
-    assert result.stdout.split() == ["0.0", "0.0", "0.0", "ResourceGuardError", "1.0"]
+    assert result.stdout.split() == ["0.0", "0.0", "0.0", "1.0", "1.0"]
 
 
 def test_stopping_set_probability_matches_sampling(census):
@@ -169,33 +164,8 @@ def test_bound_cost_charges_no_binomials():
     check_bound_cost(2, 15000, 3)
 
 
-@pytest.mark.parametrize("ell", range(1, 9))
-def test_cost_guard_skips_only_terms_past_float_range(census, ell):
-    # union_bound and its cost guard skip the power of a term exactly when
-    # the census-free lower bound puts it past float range; checked here in
-    # exact integers, C(n,i) * count**k / ell**(i*k) >= 2**1024.
-    skipped = 0
-    for n in (2, 40, 1030, 1100, 3000):
-        counts = census.row(ell, n)
-        for k in range(1, 5):
-            subsets = math.comb(n, 2)
-            for i in range(2, n + 1):
-                if _provably_past_float_range(ell, n, k, i):
-                    skipped += 1
-                    assert subsets * counts[i] ** k >= ell ** (i * k) << 1024, (n, k, i)
-                subsets = subsets * (n - i) // (i + 1)
-    assert skipped > 0
-
-
-def test_cost_guard_sees_the_overflowing_terms():
-    # At (2, 1200, 3) the lower bound shows all 523 terms that union_bound
-    # records as inf (i = 339..861), the outermost by 0.3 bits.
-    shown = [i for i in range(2, 1201) if _provably_past_float_range(2, 1200, 3, i)]
-    assert shown == list(range(339, 862))
-
-
-def test_bound_cost_skips_the_powers_of_overflowing_terms():
-    # ell = 2, n = 30000 runs in about 1 s (2-core x86 VM); charging the
+def test_bound_cost_charges_the_census_row_and_the_term_loop():
+    # ell = 2, n = 30000 runs in about 0.5 s (2-core x86 VM); charging the
     # powers of its terms past float range estimated it at 46.6 s.
     check_bound_cost(2, 30000, 3)
     # The census row alone refuses ell = 1 far past that.
@@ -210,90 +180,76 @@ def test_peeling_region_bound_blows_up(census):
     assert breakdown.total_clamped == 1.0
 
 
-def test_terms_past_float_range_match_the_plain_quotients(census):
-    # The bound skips the powers of the terms its lower bound shows past
-    # float range; the others past it reach the division, whose overflow
-    # makes them inf.  Either way each term equals the plain quotient.
-    for (ell, n, k), inf_terms, by_division in (
-        ((2, 1200, 3), 523, 0),  # i = 339..861, all shown by the lower bound
-        ((2, 1030, 1), 31, 31),
-        ((10, 3000, 3), 2617, 2),
-    ):
-        counts = census.row(ell, n)
-        plain = tuple(
-            (i, _ratio_term(math.comb(n, i) * counts[i] ** k, ell ** (i * k)))
-            for i in range(2, n + 1)
-        )
-        assert union_bound(census, ell, n, k).terms == plain
-        past = [i for i, value in plain if value == math.inf]
-        assert len(past) == inf_terms
-        assert sum(not _provably_past_float_range(ell, n, k, i) for i in past) == by_division
+# Shapes whose every term is checked against exact integers: the smallest
+# subnormal 2**-1074 at (2, 2, 1074), which is 0.0 from k = 1075 on; the
+# overflow edge, where terms from i = 31 at (2, 1030, 1) and i = 339 at
+# (2, 1200, 3) pass float range; terms that round to 0.0, at (8, 60, 400)
+# for i = 2..20 and at large ell; ell = 1; and bound-curve's two n = 210
+# shapes.
+_GRID = [(2, 2, k) for k in range(1073, 1077)] + [
+    (2, 1030, 1), (2, 1200, 3), (8, 60, 400), (10**6, 60, 32), (2**64 - 1, 30, 7),
+    (3, 4, 1000), (7, 25, 2), (1, 6, 5), (140, 210, 3), (280, 210, 3),
+]
 
 
-def test_overflowing_terms_are_not_divided(census, monkeypatch):
-    # The 523 terms past float range (i = 339..861) are recorded as inf
-    # before their power is built, so none reaches the division.
-    results = []
-    ratio_term = ibltlab.bounds._ratio_term
-    monkeypatch.setattr(
-        ibltlab.bounds, "_ratio_term", lambda *a: results.append(ratio_term(*a)) or results[-1]
+def _exact_terms(census, ell, n, k):
+    """(i, C(n,i) * count(ell,i)**k, ell**(i*k)) for i = 2..n."""
+    counts = census.row(ell, n)
+    return [(i, math.comb(n, i) * counts[i] ** k, ell ** (i * k)) for i in range(2, n + 1)]
+
+
+def _quotient(numerator, denominator):
+    """The double nearest numerator / denominator, inf past float range."""
+    try:
+        return numerator / denominator
+    except OverflowError:
+        return math.inf
+
+
+def _assert_terms_are_exact(census, ell, n, k):
+    breakdown = union_bound(census, ell, n, k)
+    assert breakdown.terms == tuple(
+        (i, _quotient(num, den)) for i, num, den in _exact_terms(census, ell, n, k)
     )
-    breakdown = union_bound(census, 2, 1200, 3)
-    assert sum(value == math.inf for _, value in breakdown.terms) == 523
-    assert len(results) == 1199 - 523
-    assert math.inf not in results
+    assert size2_asymptote(ell, n, k) == breakdown.term(2)
 
 
-@pytest.mark.parametrize("ell", [4, 8, 280, 10**6])
-def test_terms_shown_below_float_range_round_to_zero(census, ell):
-    # union_bound records a term as 0.0, with no power built, exactly when
-    # its log from the census count falls under 2**-1075, where a double
-    # rounds to 0; checked here in exact integers.
-    skipped = 0
-    for n in (2, 3, 12, 40):
-        counts = census.row(ell, n)
-        for k in (1, 3, 40, 300):
-            subsets = math.comb(n, 2)
-            for i in range(2, n + 1):
-                if _provably_below_float_range(counts[i], ell, n, k, i):
-                    skipped += 1
-                    assert subsets * counts[i] ** k << 1075 < ell ** (i * k), (n, k, i)
-                subsets = subsets * (n - i) // (i + 1)
-    assert skipped > 0
+@pytest.mark.parametrize("ell, n, k", _GRID)
+def test_terms_equal_the_exact_quotients(census, ell, n, k):
+    _assert_terms_are_exact(census, ell, n, k)
 
 
-def test_terms_below_float_range_match_the_plain_quotients(census, monkeypatch):
-    # Terms past the first divided one are skipped too, and each still
-    # equals the plain quotient; p2 is the i = 2 term, 0.0 where skipped.
-    divided = []
-    ratio_term = ibltlab.bounds._ratio_term
+@pytest.mark.parametrize("ell, n, k", _GRID)
+def test_bracket_ends_enclose_the_exact_term(census, monkeypatch, ell, n, k):
+    # Each term's pass divides its lower end, then its upper end, each as
+    # (num, den, e) for num * 2**e / den; at the first precision every
+    # grid term is told in one pass, and its two ends enclose it.
+    ends = []
+    to_float = ibltlab.bounds._to_float
     monkeypatch.setattr(
-        ibltlab.bounds, "_ratio_term", lambda *a: divided.append(ratio_term(*a)) or divided[-1]
+        ibltlab.bounds, "_to_float", lambda *end: ends.append(end) or to_float(*end)
     )
-    for (ell, n, k), zeros, skipped in (
-        ((10**6, 60, 32), 58, 58),  # only i = 2 is divided
-        ((2**64 - 1, 30, 7), 26, 26),  # i = 2..4 divided, 5..30 skipped
-        ((10**6, 3, 10**5), 2, 2),  # nothing is divided
-        ((8, 60, 400), 19, 19),  # i = 2..20, every term that rounds to 0.0
-    ):
-        divided.clear()
-        counts = census.row(ell, n)
-        plain = tuple(
-            (i, ratio_term(math.comb(n, i) * counts[i] ** k, ell ** (i * k)))
-            for i in range(2, n + 1)
-        )
-        breakdown = union_bound(census, ell, n, k)
-        assert breakdown.terms == plain
-        assert sum(value == 0.0 for _, value in plain) == zeros
-        assert len(divided) == n - 1 - skipped
-        assert size2_asymptote(ell, n, k) == breakdown.term(2)
+    union_bound(census, ell, n, k)
+    exact = _exact_terms(census, ell, n, k)
+    assert len(ends) == 2 * len(exact)
+    for (i, num, den), low, high in zip(exact, ends[::2], ends[1::2]):
+        term = Fraction(num, den)
+        assert Fraction(low[0], low[1]) * Fraction(2) ** low[2] <= term, i
+        assert high[1] == 0 or term <= Fraction(high[0], high[1]) * Fraction(2) ** high[2], i
 
 
-def test_size2_term_is_skipped_only_past_the_smallest_subnormal(census):
-    # count(ell, 2) = ell, so the upper bound is exact at i = 2: at ell = 2
-    # and n = 2 the term is 2**-k, the smallest subnormal at k = 1074 and
-    # 0.0 from k = 1075 on.
-    for k in range(1060, 1090):
-        term = union_bound(census, 2, 2, k).term(2)
-        assert term == size2_asymptote(2, 2, k) == 2.0**-k
-        assert (term == 0.0) == (k >= 1075)
+def test_retried_terms_equal_the_exact_quotients(census, monkeypatch):
+    # From 8 bits past those the powers spend, most grid terms need more
+    # passes, each at twice the precision and dividing both ends again;
+    # they still land on the exact quotients.
+    ends = []
+    to_float = ibltlab.bounds._to_float
+    monkeypatch.setattr(ibltlab.bounds, "_PRECISION", 8)
+    monkeypatch.setattr(
+        ibltlab.bounds, "_to_float", lambda *end: ends.append(end) or to_float(*end)
+    )
+    for shape in _GRID:
+        _assert_terms_are_exact(census, *shape)
+    # A pass divides two ends; one pass per term would divide 2*(n-1) in
+    # the bound and 2 in size2_asymptote.
+    assert len(ends) > 2 * sum(n for _, n, _ in _GRID)

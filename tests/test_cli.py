@@ -129,9 +129,10 @@ def test_bound_total_past_float_range_is_inf(invoke_cli):
 
 
 def test_bound_with_most_terms_past_float_range_runs(invoke_cli):
-    # The cost guard charges no power for the terms its lower bound puts
-    # past float range; it refused this input at an estimated 46.6 s, and
-    # it runs in about 1 s on a 2-core x86 VM.
+    # The cost guard charges each term a bounded-precision pass, and no
+    # power: charging the powers of the terms past float range refused this
+    # input at an estimated 46.6 s, and it runs in about 0.5 s on a 2-core
+    # x86 VM.
     code, out, err = invoke_cli(["bound", "--ell", "2", "--n", "30000", "--k", "3"])
     assert (code, err) == (0, "")
     header, rows = parse_csv(out)
@@ -180,8 +181,7 @@ def test_bound_breakdown_bytes_are_pinned(invoke_cli):
     "argv",
     [
         ["--ell", "5000", "--n", "3000", "--k", "3"],  # census row
-        ["--ell", "1048576", "--n", "1000", "--k", "100"],  # powers of finite terms
-        ["--ell", "3", "--n", "5", "--k", "10000000000"],  # powers
+        ["--ell", "2", "--n", "10000", "--k", "1" + "0" * 1000],  # term loop
         ["--ell", "2", "--n", "1" + "0" * 400, "--k", "3"],  # beyond float range
     ],
 )
@@ -235,9 +235,9 @@ def test_bound_at_one_entry_builds_no_power(capped_python, ell, k):
 
 
 def test_bound_builds_no_power_for_terms_below_float_range(capped_python):
-    # Both terms at ell = 10**6, n = 3, k = 10**6 provably round to 0.0, so
-    # no power of ell is built.  Building them anyway took 59 s on a 2-core
-    # x86 VM, past the 30 s budget, under a guard estimate of 18.6 s.
+    # Both terms at ell = 10**6, n = 3, k = 10**6 round to 0.0, read from
+    # the bit lengths of their bracket ends.  Building their powers in full
+    # took 59 s on a 2-core x86 VM, past the 30 s budget.
     result = capped_python(
         _MAIN_UNDER_CPU_LIMIT, "bound", "--m", str(10**12), "--n", "3", "--k", str(10**6)
     )
@@ -246,15 +246,44 @@ def test_bound_builds_no_power_for_terms_below_float_range(capped_python):
 
 
 def test_bound_builds_no_power_for_a_term_that_rounds_to_zero(capped_python):
-    # Every term at ell = 3, n = 4, k = 7.8e6 rounds to 0.0, and the census
-    # count shows it, so no power is built.  The occupied-rows bound could
-    # not show it at i = 4, whose power took 41 s on a 2-core x86 VM, past
-    # the 30 s budget, under a guard estimate of 29.6 s.
+    # Every term at ell = 3, n = 4, k = 7.8e6 rounds to 0.0.  The power at
+    # i = 4, built in full, took 41 s on a 2-core x86 VM, past the 30 s
+    # budget.
     result = capped_python(
         _MAIN_UNDER_CPU_LIMIT, "bound", "--ell", "3", "--n", "4", "--k", "7800000"
     )
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout.splitlines()[1] == "3,4,7800000,0.0,0.0,0.0"
+
+
+@pytest.mark.parametrize(
+    "ell, n, k, row",
+    [
+        (1048576, 1000, 100, "0.0,0.0,0.0"),
+        (3, 5, 10**10, "0.0,0.0,0.0"),
+        (1, 3, 10**9, "4.0,1.0,3.0"),  # every power is 1: C(3,2) + C(3,3)
+    ],
+)
+def test_bound_once_refused_for_its_powers_prints_its_row(capped_python, ell, n, k, row):
+    # Each was refused (exit 2) while the guard charged every term its
+    # power count(ell,i)**k in full; bracketed at bounded precision, each
+    # term costs a few dozen multiplications.
+    result = capped_python(
+        _MAIN_UNDER_CPU_LIMIT, "bound", "--ell", str(ell), "--n", str(n), "--k", str(k)
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines()[1] == f"{ell},{n},{k},{row}"
+
+
+def test_bound_bytes_where_full_powers_were_slowest(invoke_cli):
+    # Its terms' full powers took 11.9 s on a 2-core x86 VM; the bracketed
+    # terms print the same bytes.
+    code, out, _ = invoke_cli(["bound", "--ell", "7", "--n", "1000", "--k", "280"])
+    assert code == 0
+    assert out.splitlines()[1] == "7,1000,280,1.0715086071862673e+301,1.0,1.1778345473584718e-231"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "28ebf4cd12b4821cfe52ec48a75686c1de64c92f66102ba7ba1d9a181b2998fb"
+    )
 
 
 def test_simulate_repeatable(invoke_cli):
