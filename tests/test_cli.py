@@ -182,6 +182,7 @@ def test_bound_breakdown_bytes_are_pinned(invoke_cli):
     [
         ["--ell", "5000", "--n", "3000", "--k", "3"],  # census row
         ["--ell", "2", "--n", "10000", "--k", "1" + "0" * 1000],  # term loop
+        ["--ell", "2", "--n", "30000", "--k", "1" + "0" * 300],  # many wide terms
         ["--ell", "2", "--n", "1" + "0" * 400, "--k", "3"],  # beyond float range
     ],
 )
