@@ -2,14 +2,16 @@
 
 Everything downstream (hash lanes, per-trial key streams, sweep seeds) is
 derived from one finalizer; the scalar ``mix64`` and the numpy
-``mix64_array`` compute it bit for bit alike.
+``mix64_array`` compute it bit for bit alike, and so do the hash lanes of
+``lane_keys`` and its numpy twin ``lane_keys_array``.
 
 The scalar functions are plain integer arithmetic.  Only the vector
-function ``mix64_array`` uses numpy, and it imports it when called, so the
-census, the bounds, the oracle and the table run without loading it.  The
-trial kernel's batch size lives here too, so ``simulate`` reads it without
-loading numpy.  The kernel's scheme and key-model codes are the values of
-``hashing.HashKind`` and ``hashing.KeyModel``, written once, here.
+functions ``mix64_array`` and ``lane_keys_array`` use numpy, and they
+import it when called, so the census, the bounds, the oracle and the table
+run without loading it.  The trial kernel's batch size lives here too, so
+``simulate`` reads it without loading numpy.  The kernel's scheme and
+key-model codes are the values of ``hashing.HashKind`` and
+``hashing.KeyModel``, written once, here.
 """
 
 import functools
@@ -108,3 +110,11 @@ def mix64_array(x: "np.ndarray") -> "np.ndarray":
     x *= mul2
     x ^= np.right_shift(x, shift3, out=shifted)
     return x
+
+
+def lane_keys_array(seed: int, k: int) -> "np.ndarray":
+    """``lane_keys`` as a uint64 array, mixed by one ``mix64_array`` call."""
+    import numpy as np
+
+    counters = np.arange(1, k + 1, dtype=np.uint64)
+    return mix64_array(np.uint64(mix64(seed ^ LANE_SALT)) + counters * np.uint64(PHI64))

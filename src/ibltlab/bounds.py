@@ -78,10 +78,16 @@ def _to_float(num: int, den: int, e: int) -> float:
         return math.inf
 
 
+def _power_steps(e: int) -> int:
+    """Products ``_power`` runs for an e-th power: a squaring per bit below
+    the top one and a multiply per set bit below it."""
+    return e.bit_length() + e.bit_count() - 2
+
+
 def _steps_s(steps: int, p: int) -> float:
     """Estimated seconds for ``steps`` multiplications of p-bit brackets
     (``check_bound_cost`` has the fit)."""
-    return steps * (1.2e-6 + 7e-11 * p**1.585)
+    return steps * (1.8e-6 + min(1.7e-12 * p**2, 7e-11 * p**1.585))
 
 
 def _term(subsets: int, count: int, ell: int, i: int, k: int, what: str, den=None) -> float:
@@ -95,7 +101,7 @@ def _term(subsets: int, count: int, ell: int, i: int, k: int, what: str, den=Non
     p = _PRECISION + k.bit_length()
     while True:
         if den is None:
-            steps = 2 * (k.bit_length() + (i * k).bit_length()) + 3
+            steps = _power_steps(k) + _power_steps(i * k) + 3
             check_cost(what, lambda: _steps_s(steps, p))
             den = _power(ell, i * k, p)
         lo, hi, e = _product(_shrink(subsets, subsets, 0, p), _power(count, k, p), p)
@@ -111,20 +117,29 @@ def check_bound_cost(ell: int, n: int, k: int):
 
     It charges the census row (``rows_cost_s``) and, per term, one C(n,i)
     step and one truncation of count(ell,i) on about n*log2(ell) bits, and
-    2*log2(k) + 3 multiplications at the first pass's precision; ``_term``
-    charges each retry before it runs.  Fitted on a 2-core x86 VM under
-    CPython 3.11, one multiplication took 0.6-1.2e-6 s at 96 bits,
-    1.3-2.5e-5 s at 3072 and 0.10 s at 786432 over two runs (``_steps_s``:
-    1.3e-6, 2.5e-5, 0.16), and the term loop, census row prebuilt, took:
+    the products of count(ell,i)**k (``_power_steps``) plus 3 at the first
+    pass's precision; ``_term`` charges each retry before it runs.  Fitted
+    on a 2-core x86 VM under CPython 3.11 at the widths the loop uses
+    (p = 98 to 4,083 bits), a charged step took 0.85-1.7e-6 s at 98 bits,
+    2.3-2.6e-6 at 1,093, 5.2e-6 at 2,090 and 1.2-2.2e-5 at 3,418-4,083
+    (``_steps_s``: 1.8e-6, 3.8e-6, 9.2e-6, 2.2-3.0e-5).  Past about 7,800
+    bits, as on a retry, the p**1.585 rate is the lower one: a
+    multiplication took 0.10 s at 786,432 bits (``_steps_s``: 0.15).  The
+    term loop, census row prebuilt, took:
 
-        ell, n, k          loop (s)   estimate (s)
-        1000, 1000, 3       0.0053      0.0102
-        2, 30000, 3         0.33        0.54
-        7, 1000, 280        0.0092      0.028
-        2, 300, 10**300     0.75        3.45
+        ell, n, k          loop (s)      estimate (s)
+        1000, 1000, 3       0.0053-0.0090  0.0102
+        2, 30000, 3         0.33-0.65      0.54
+        7, 1000, 280        0.0099-0.019   0.024
+        2, 300, 10**300     0.78-1.43      1.54
+        7, 200, 10**1000    10.3-18.4      19.3
+
+    At (2, 30000, 3) the C(n,i) step is most of the loop, and one run in
+    ten went past its charge; the command's whole estimate, 1.33 s with
+    the row, still covers the row and that loop (0.10 + 0.65 s).
     """
     def estimate():
-        step_s = _steps_s(2 * k.bit_length() + 3, _PRECISION + k.bit_length())
+        step_s = _steps_s(_power_steps(k) + 3, _PRECISION + k.bit_length())
         return rows_cost_s(ell, ell, n) + (n - 1) * (1e-10 * n * (1 + ell.bit_length()) + step_s)
 
     check_cost(f"the union bound at ell={ell}, n={n}, k={k}", estimate)

@@ -27,11 +27,14 @@ runs once on the packed int.  Each shift right by s < 64 is masked to the low
 above (they land at bit 128 - s), and each multiply is cut back to those
 64 bits; a 64x64-bit product fits in 128 bits, so no carry crosses into
 the next slot.  Every index is bit for bit
-``i*ell + mix64(key ^ lane_i) % ell``.  The scheme packs its lanes on
-its first ``indices`` call, not when built: the trial kernel calls only
+``i*ell + mix64(key ^ lane_i) % ell``.  The scheme keeps no list of
+its lanes; each path builds them on first use.  ``indices`` packs
+``lane_keys`` on its first call: the trial kernel calls only
 ``indices_array``, and at k = 10**6 the packed ints and slots take about
-180 MiB.  Only the vectorized ``indices_array`` uses numpy, which it
-imports when called.  A scheme builds its numpy constants once, on its
+170 MiB.  ``indices_array`` takes them as one uint64 column from
+``lane_keys_array``, 7.6 MiB at k = 10**6, where a tuple of the k ints
+took 42 MiB.  Only the vectorized ``indices_array`` uses numpy, which
+it imports when called.  A scheme builds its numpy constants once, on its
 first ``indices_array`` call.  The partitioned scheme's
 ``indices_array`` reduces modulo ell with the mask ``h & (ell - 1)``
 when ell is a power of two, and otherwise as
@@ -55,6 +58,7 @@ from ibltlab._bits import (
     SCHEME_PARTITIONED,
     SCHEME_SS_AVOIDING,
     lane_keys,
+    lane_keys_array,
     mix64_array,
 )
 
@@ -136,7 +140,6 @@ class PartitionedUniformScheme:
         self.ell = params.ell
         self.b = params.b
         self.m = params.m
-        self._lanes = lane_keys(params.seed, params.k)
         self._packed = None  # built by the first `indices` call
 
     def _pack_lanes(self) -> tuple[int, int, int]:
@@ -144,7 +147,7 @@ class PartitionedUniformScheme:
         module docstring.  `ones` has a 1 at the bottom of every slot, and
         `m64` the low 64 bits of every slot set, each built in one pass."""
         ones = _pack([1] * self.k)
-        self._packed = (ones, _pack(self._lanes), MASK64 * ones)
+        self._packed = (ones, _pack(lane_keys(self.params.seed, self.k)), MASK64 * ones)
         # (first cell, slot shift) of each subtable.
         self._slots = tuple((i * self.ell, _SLOT * i) for i in range(self.k))
         return self._packed
@@ -173,7 +176,7 @@ class PartitionedUniformScheme:
         ell - 1 when ell is a power of two (else None)."""
         import numpy as np
 
-        lanes = np.array(self._lanes, dtype=np.uint64)[:, None]
+        lanes = lane_keys_array(self.params.seed, self.k)[:, None]
         offsets = np.arange(0, self.m, self.ell, dtype=np.uint64)[:, None]
         mask = np.uint64(self.ell - 1) if self.ell & (self.ell - 1) == 0 else None
         return lanes, offsets, np.uint64(self.ell), mask

@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 
 from ibltlab._bits import (
     MASK64,
     lane_keys,
+    lane_keys_array,
     mix64,
     mix64_array,
     sweep_point_seed,
@@ -31,6 +33,14 @@ def test_vectorized_mix_matches_scalar():
     assert values.tolist() == given.tolist()  # the input is left as it was
     assert got.tolist() == [mix64(x) for x in given.tolist()]
     assert mix64_array(np.array([MASK64, 0], dtype=np.uint64)).tolist() == [mix64(MASK64), 0]
+
+
+@pytest.mark.parametrize("seed", [0, 7, MASK64])
+@pytest.mark.parametrize("k", [1, 3, 64, 1000])
+def test_array_lanes_match_the_scalar_lanes(seed, k):
+    lanes = lane_keys_array(seed, k)
+    assert lanes.dtype == np.uint64
+    assert lanes.tolist() == list(lane_keys(seed, k))
 
 
 def test_streams_are_salted_apart():

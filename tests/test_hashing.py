@@ -15,6 +15,7 @@ from ibltlab import (
     make_partitioned_uniform,
     make_ss_avoiding,
 )
+from ibltlab._bits import lane_keys
 
 # chi-square quantiles for 255 degrees of freedom at 0.0005 / 0.9995
 CHI2_255_LOW = 187.17080706331643
@@ -264,9 +265,10 @@ def test_wide_partitioned_scheme_builds_in_linear_time():
     scheme._pack_lanes()
     assert time.perf_counter() - start < 2
     ones, packed_lanes, m64 = scheme._packed
+    lanes = lane_keys(params.seed, params.k)
     for i in (0, 1, params.k - 1):
         assert ones >> 128 * i & (1 << 128) - 1 == 1
-        assert packed_lanes >> 128 * i & (1 << 128) - 1 == scheme._lanes[i]
+        assert packed_lanes >> 128 * i & (1 << 128) - 1 == lanes[i]
         assert m64 >> 128 * i & (1 << 128) - 1 == 2**64 - 1
     assert packed_lanes.bit_length() <= 128 * params.k
 

@@ -3,10 +3,12 @@ the distinct-key replay must keep producing these exact counts, and the
 meter the same work."""
 
 import math
+from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
-from reference import batch_work, peel_cells, stream_pairs
+from reference import batch_work, peel_cells, stream_pairs, weighted_failure_probability
 
 from ibltlab import _kernels_py
 from ibltlab._bits import (
@@ -275,3 +277,74 @@ def test_peel_rounds_leaves_the_reference_entries(k, ell, n, tables):
             for j in sorted(peel_cells(ell, placements[t].tolist()))
         ]
         assert unpeeled.tolist() == expected
+
+
+# Exact listing failure probabilities P_u under iid uniform index tuples,
+# tests/reference.py::weighted_failure_probability(ell, n, k); the first
+# four pins are checked there too, each in under 0.1 s.
+_EXACT = {
+    (32, 6, 2): Fraction(257681794621, 17592186044416),
+    (8, 4, 4): Fraction(12605027, 8589934592),
+    (6, 6, 2): Fraction(41261, 104976),
+    (16, 6, 2): Fraction(1004664229, 17179869184),
+    (8, 5, 3): Fraction(42380543, 2147483648),
+    (4, 4, 5): Fraction(797141, 134217728),
+    (12, 5, 3): Fraction(539453251, 92876046336),
+    (5, 5, 4): Fraction(2511399841, 152587890625),
+    (6, 4, 5): Fraction(15155699, 19591041024),
+    (8, 6, 3): Fraction(515140999, 17179869184),
+    (4, 5, 4): Fraction(22171127, 536870912),
+}
+
+# (scheme, ell, n, k): ell a power of two takes the mask reduction and any
+# other ell the division, at k = 2..5 each; ss-avoiding draws distinct keys.
+_GRID = [
+    (SCHEME_PARTITIONED, 32, 6, 2),
+    (SCHEME_PARTITIONED, 8, 5, 3),
+    (SCHEME_PARTITIONED, 8, 4, 4),
+    (SCHEME_PARTITIONED, 4, 4, 5),
+    (SCHEME_PARTITIONED, 6, 6, 2),
+    (SCHEME_PARTITIONED, 12, 5, 3),
+    (SCHEME_PARTITIONED, 5, 5, 4),
+    (SCHEME_PARTITIONED, 6, 4, 5),
+    (SCHEME_SS_AVOIDING, 16, 6, 2),
+    (SCHEME_SS_AVOIDING, 8, 5, 3),
+    (SCHEME_SS_AVOIDING, 8, 6, 3),
+    (SCHEME_SS_AVOIDING, 4, 5, 4),
+]
+_GRID_TRIALS = 200_000
+_GRID_SEED = 5
+# Two-sided Bonferroni bound on |z| for a family-wise error of 1e-3 over the grid.
+_GRID_Z = NormalDist().inv_cdf(1 - 1e-3 / (2 * len(_GRID)))
+
+
+def _exact_failure(scheme, ell, n, k):
+    """P_u for partitioned-uniform.  ss-avoiding with distinct keys gives n
+    distinct tuples, uniform among them: P_u conditioned on the event A
+    that two tuples coincide not happening, where A always fails (a
+    coinciding pair is a stopping set), so P_ss = (P_u - P(A)) / (1 - P(A))."""
+    p_u = _EXACT[ell, n, k]
+    if scheme == SCHEME_PARTITIONED:
+        return p_u
+    tuples = ell**k
+    p_a = 1 - math.prod(Fraction(tuples - j, tuples) for j in range(n))
+    return (p_u - p_a) / (1 - p_a)
+
+
+@pytest.mark.parametrize("shape", list(_EXACT)[:4], ids=str)
+def test_exact_grid_values_match_the_reference(shape):
+    assert weighted_failure_probability(*shape) == _EXACT[shape]
+
+
+@pytest.mark.parametrize("scheme, ell, n, k", _GRID, ids=str)
+def test_kernel_estimate_matches_the_exact_value(scheme, ell, n, k):
+    # One fixed seed, so the outcome is deterministic; a biased index
+    # reduction fails it.
+    b = (ell.bit_length() - 1) * k if scheme == SCHEME_SS_AVOIDING else 32
+    key_model = KEYS_DISTINCT if scheme == SCHEME_SS_AVOIDING else KEYS_IID
+    failures, _, _ = _kernels_py.run_trials(
+        _GRID_SEED, 0, _GRID_TRIALS, n, ell, k, b, scheme, key_model
+    )
+    p = float(_exact_failure(scheme, ell, n, k))
+    z = (failures - _GRID_TRIALS * p) / math.sqrt(_GRID_TRIALS * p * (1 - p))
+    assert abs(z) <= _GRID_Z, (failures, _GRID_TRIALS * p, z)
