@@ -15,6 +15,8 @@ draws a batch's keys, finds the trials whose keys repeat and computes every
 cell index, and the batch then peels at once.  Its tables sit side by side
 in one cell array, and each round counts the live entries per cell with
 ``np.bincount`` and drops every live entry whose least cell count is one.
+The rounds carry only the cells of the live entries: a survivor's trial
+is read from its first cell, which lies in that trial's table.
 Peeling is confluent: any order of peels ends at the same fixpoint, the
 largest stopping set, so the rounds leave exactly the entries a
 one-cell-at-a-time peeler leaves, whichever trials share a batch (Jiang,
@@ -139,9 +141,9 @@ def _distinct_keys_replay(
 
 
 def peel_rounds(cells: np.ndarray, m: int, budget: float = math.inf) -> tuple[np.ndarray, int]:
-    """Peel to the fixpoint in rounds; returns the indices of unpeeled
-    entries and the work of the rounds, m cells plus ``cells.size`` live
-    entry cells each.
+    """Peel to the fixpoint in rounds; returns the cells of the unpeeled
+    entries, their columns in input order, and the work of the rounds, m
+    cells plus ``cells.size`` live entry cells each.
 
     ``cells`` has shape (k, entries): column e holds entry e's k cells, all
     in [0, m).  A round drops every live entry that is alone in one of its
@@ -150,17 +152,15 @@ def peel_rounds(cells: np.ndarray, m: int, budget: float = math.inf) -> tuple[np
     entry, so the entry is alone in one of its cells exactly when the
     least of their counts is 1.
     """
-    alive = np.arange(cells.shape[1])
     work = 0
-    while alive.size and work <= budget:
+    while cells.size and work <= budget:
         work += m + cells.size
         counts = np.bincount(cells.ravel(), minlength=m)
         keep = (counts.take(cells).min(axis=0) > 1).nonzero()[0]
-        if keep.size == alive.size:
+        if keep.size == cells.shape[1]:
             break
         cells = cells.take(keep, axis=1)
-        alive = alive[keep]
-    return alive, work
+    return cells, work
 
 
 def run_trials(
@@ -189,7 +189,8 @@ def run_trials(
     Trials run in batches of ``batch_trials`` trials counted from t_lo.
     Each batch draws and hashes its keys at once, and its tables sit side
     by side in one cell array, trial r of the batch owning cells
-    [r*m, (r+1)*m).  Under distinct keys a trial whose keys repeat is
+    [r*m, (r+1)*m), so an entry left by the peel belongs to the trial its
+    first cell names.  Under distinct keys a trial whose keys repeat is
     replayed, and hashed again, in order, from the budget left once the
     batch's entry cells are charged.  Once the work passes ``budget`` the
     call returns at once, with the counts of the batches it finished.
@@ -233,7 +234,7 @@ def run_trials(
         work += spent
         if work > budget:
             return failures, two_left, work
-        left = np.bincount(unpeeled // n, minlength=trials)
+        left = np.bincount(unpeeled[0] // m, minlength=trials)
         failures += int(np.count_nonzero(left))
         two_left += int(np.count_nonzero(left == 2))
     return failures, two_left, work

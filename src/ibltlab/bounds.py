@@ -90,6 +90,15 @@ def _steps_s(steps: int, p: int) -> float:
     return steps * (1.8e-6 + min(1.7e-12 * p**2, 7e-11 * p**1.585))
 
 
+def _decimal(k: int) -> str:
+    """k in decimal for a guard message, or by its bit length where k has
+    more digits than ``sys.get_int_max_str_digits()`` lets ``str`` print."""
+    try:
+        return str(k)
+    except ValueError:
+        return f"<{k.bit_length()}-bit integer>"
+
+
 def _term(subsets: int, count: int, ell: int, i: int, k: int, what: str, den=None) -> float:
     """subsets * count**k / ell**(i*k) correctly rounded; ``den``, if
     given, is a bracket of ell**(i*k) at the first pass's precision.
@@ -142,7 +151,7 @@ def check_bound_cost(ell: int, n: int, k: int):
         step_s = _steps_s(_power_steps(k) + 3, _PRECISION + k.bit_length())
         return rows_cost_s(ell, ell, n) + (n - 1) * (1e-10 * n * (1 + ell.bit_length()) + step_s)
 
-    check_cost(f"the union bound at ell={ell}, n={n}, k={k}", estimate)
+    check_cost(f"the union bound at ell={ell}, n={n}, k={_decimal(k)}", estimate)
 
 
 def union_bound(census: StoppingCensus, ell: int, n: int, k: int) -> BoundBreakdown:
@@ -157,7 +166,7 @@ def union_bound(census: StoppingCensus, ell: int, n: int, k: int) -> BoundBreakd
         raise ValueError("ell, n and k must be positive")
     check_bound_cost(ell, n, k)
     counts = census.row(ell, n)
-    what = f"the union bound at ell={ell}, n={n}, k={k}"
+    what = f"the union bound at ell={ell}, n={n}, k={_decimal(k)}"
     p = _PRECISION + k.bit_length()
     ell_k = den = _power(ell, k, p)
     subsets = math.comb(n, 2)  # C(n, i), advanced exactly to C(n, i+1)
@@ -181,7 +190,7 @@ def size2_asymptote(ell: int, n: int, k: int) -> float:
         raise ValueError("ell and k must be positive, n nonnegative")
     if n < 2:
         return 0.0
-    what = f"the size-2 asymptote at ell={ell}, n={n}, k={k}"
+    what = f"the size-2 asymptote at ell={ell}, n={n}, k={_decimal(k)}"
     return _term(math.comb(n, 2), ell, ell, 2, k, what)
 
 
@@ -195,6 +204,6 @@ def stopping_set_probability(census: StoppingCensus, ell: int, i: int, k: int) -
     """
     if ell < 1 or i < 1 or k < 1:
         raise ValueError("ell, i and k must be positive")
-    what = f"the stopping-set probability at ell={ell}, i={i}, k={k}"
+    what = f"the stopping-set probability at ell={ell}, i={i}, k={_decimal(k)}"
     check_cost(what, lambda: rows_cost_s(ell, ell, i))
     return _term(1, census.count(ell, i), ell, i, k, what)

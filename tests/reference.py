@@ -175,13 +175,15 @@ def integer_partitions(n, parts):
                 stack.append((sizes + (size,), left - size, size))
 
 
-def weighted_failure_probability(ell, n, k):
-    """The oracle's exact listing failure probability, over weighted tuples
-    of set partitions instead of the ell**(n*k) state matrices.
+def residual_size_law(ell, n, k):
+    """The exact law of the residual's size under iid uniform index tuples:
+    entry s is the probability that peeling leaves exactly s of the n
+    entries, computed over weighted tuples of set partitions instead of
+    the ell**(n*k) state matrices.
 
     Peeling sees a block only through the set partition it induces on the
     n entries, and a partition of p parts comes from ff(ell, p) blocks.
-    Whether peeling fails is unchanged when the entries are relabelled or
+    The residual's size is unchanged when the entries are relabelled or
     the blocks reordered.  So the first block runs over the integer
     partition types of n with at most ell parts, one canonical set
     partition each, weighted by the n!/(prod sizes! prod multiplicities!)
@@ -190,17 +192,25 @@ def weighted_failure_probability(ell, n, k):
     multiplicities.  Exact integers throughout (Stanley, *Enumerative
     Combinatorics* Vol. 1, ch. 1 and 3)."""
     blocks = list(restricted_growth_strings(n, ell))
-    failing = 0
+    weights = [0] * (n + 1)
     for sizes in integer_partitions(n, ell):
         first = tuple(part for part, size in enumerate(sizes) for _ in range(size))
         of_type = factorial(n) // prod(map(factorial, sizes))
         of_type //= prod(map(factorial, Counter(sizes).values()))
         for rest in itertools.combinations_with_replacement(blocks, k - 1):
-            if peel_cells(ell, (first, *rest)):
+            left = len(peel_cells(ell, (first, *rest)))
+            if left:
                 orders = factorial(k - 1) // prod(map(factorial, Counter(rest).values()))
                 rows = prod(perm(ell, max(block) + 1) for block in (first, *rest))
-                failing += of_type * orders * rows
-    return Fraction(failing, ell ** (n * k))
+                weights[left] += of_type * orders * rows
+    weights[0] = ell ** (n * k) - sum(weights)  # the tuples that peel fully
+    return [Fraction(weight, ell ** (n * k)) for weight in weights]
+
+
+def weighted_failure_probability(ell, n, k):
+    """The oracle's exact listing failure probability: the chance that
+    peeling leaves any entry, by ``residual_size_law``."""
+    return sum(residual_size_law(ell, n, k)[1:])
 
 
 class ThreeListTable:

@@ -173,6 +173,22 @@ def test_bound_cost_charges_the_census_row_and_the_term_loop():
         check_bound_cost(1, 1_000_000, 1)
 
 
+def test_guards_refuse_a_k_too_wide_for_decimal():
+    # k = 10**20000 has more digits than str() prints by default; each
+    # guard names it by its bit length and refuses it, one first pass of a
+    # term being charged minutes.
+    k = 10**20000
+    calls = [
+        lambda: union_bound(StoppingCensus(), 7, 200, k),
+        lambda: size2_asymptote(7, 200, k),
+        lambda: check_bound_cost(7, 200, k),
+        lambda: stopping_set_probability(StoppingCensus(), 7, 3, k),
+    ]
+    for call in calls:
+        with pytest.raises(ResourceGuardError, match=r"k=<66439-bit integer> is estimated"):
+            call()
+
+
 def test_peeling_region_bound_blows_up(census):
     # Deep in the undecodable regime the raw bound explodes; clamp holds.
     breakdown = union_bound(census, 10, 100, 3)

@@ -8,7 +8,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from reference import batch_work, peel_cells, stream_pairs, weighted_failure_probability
+from reference import batch_work, peel_cells, residual_size_law, stream_pairs
 
 from ibltlab import _kernels_py
 from ibltlab._bits import (
@@ -267,7 +267,7 @@ def test_peel_rounds_leaves_the_reference_entries(k, ell, n, tables):
         )
         cells = cells.transpose(1, 0, 2).reshape(k, tables * n)
         unpeeled, work = _kernels_py.peel_rounds(cells, tables * m)
-        assert unpeeled.dtype.kind == "i"
+        assert unpeeled.shape[0] == k
         # At least one round over every cell and entry cell when any
         # entry is live.
         assert work >= (tables * m + cells.size if cells.size else 0)
@@ -276,17 +276,20 @@ def test_peel_rounds_leaves_the_reference_entries(k, ell, n, tables):
             for t in range(tables)
             for j in sorted(peel_cells(ell, placements[t].tolist()))
         ]
-        assert unpeeled.tolist() == expected
+        # The cells of the entries left, in their input order.
+        assert np.array_equal(unpeeled, cells[:, expected])
 
 
 # Exact listing failure probabilities P_u under iid uniform index tuples,
-# tests/reference.py::weighted_failure_probability(ell, n, k); the first
-# four pins are checked there too, each in under 0.1 s.
+# the sum over sizes from 1 of tests/reference.py::residual_size_law(ell,
+# n, k); the first six pins are checked there too, each in under 0.1 s.
 _EXACT = {
     (32, 6, 2): Fraction(257681794621, 17592186044416),
     (8, 4, 4): Fraction(12605027, 8589934592),
     (6, 6, 2): Fraction(41261, 104976),
     (16, 6, 2): Fraction(1004664229, 17179869184),
+    (4, 5, 2): Fraction(2251, 4096),
+    (5, 6, 2): Fraction(1055141, 1953125),
     (8, 5, 3): Fraction(42380543, 2147483648),
     (4, 4, 5): Fraction(797141, 134217728),
     (12, 5, 3): Fraction(539453251, 92876046336),
@@ -296,17 +299,36 @@ _EXACT = {
     (4, 5, 4): Fraction(22171127, 536870912),
 }
 
+# Exact P_2, the chance that peeling leaves exactly two entries, under iid
+# uniform index tuples: residual_size_law(ell, n, k)[2], for each
+# partitioned-uniform grid shape.
+_EXACT_TWO_LEFT = {
+    (32, 6, 2): Fraction(1020732611175, 70368744177664),
+    (8, 4, 4): Fraction(25147395, 17179869184),
+    (6, 6, 2): Fraction(2675, 8748),
+    (4, 5, 2): Fraction(3345, 8192),
+    (5, 6, 2): Fraction(734832, 1953125),
+    (8, 5, 3): Fraction(331588005, 17179869184),
+    (4, 4, 5): Fraction(1568259, 268435456),
+    (12, 5, 3): Fraction(1428284825, 247669456896),
+    (5, 5, 4): Fraction(483477312, 30517578125),
+    (6, 4, 5): Fraction(30221425, 39182082048),
+}
+
 # (scheme, ell, n, k): ell a power of two takes the mask reduction and any
-# other ell the division, at k = 2..5 each; ss-avoiding draws distinct keys.
+# other ell the division, at k = 2..5 each, with p up to about 0.55;
+# ss-avoiding draws distinct keys.
 _GRID = [
     (SCHEME_PARTITIONED, 32, 6, 2),
     (SCHEME_PARTITIONED, 8, 5, 3),
     (SCHEME_PARTITIONED, 8, 4, 4),
     (SCHEME_PARTITIONED, 4, 4, 5),
+    (SCHEME_PARTITIONED, 4, 5, 2),
     (SCHEME_PARTITIONED, 6, 6, 2),
     (SCHEME_PARTITIONED, 12, 5, 3),
     (SCHEME_PARTITIONED, 5, 5, 4),
     (SCHEME_PARTITIONED, 6, 4, 5),
+    (SCHEME_PARTITIONED, 5, 6, 2),
     (SCHEME_SS_AVOIDING, 16, 6, 2),
     (SCHEME_SS_AVOIDING, 8, 5, 3),
     (SCHEME_SS_AVOIDING, 8, 6, 3),
@@ -314,8 +336,10 @@ _GRID = [
 ]
 _GRID_TRIALS = 200_000
 _GRID_SEED = 5
-# Two-sided Bonferroni bound on |z| for a family-wise error of 1e-3 over the grid.
-_GRID_Z = NormalDist().inv_cdf(1 - 1e-3 / (2 * len(_GRID)))
+# Two-sided Bonferroni bound on |z| for a family-wise error of 1e-3 over
+# the grid's z-tests: one of the failures per shape, and one of the size-2
+# residuals per partitioned shape.
+_GRID_Z = NormalDist().inv_cdf(1 - 1e-3 / (2 * (len(_GRID) + len(_EXACT_TWO_LEFT))))
 
 
 def _exact_failure(scheme, ell, n, k):
@@ -331,9 +355,20 @@ def _exact_failure(scheme, ell, n, k):
     return (p_u - p_a) / (1 - p_a)
 
 
-@pytest.mark.parametrize("shape", list(_EXACT)[:4], ids=str)
+def _assert_binomial_count(count, p):
+    """``count`` of _GRID_TRIALS trials within _GRID_Z of its mean at
+    success probability p."""
+    p = float(p)
+    z = (count - _GRID_TRIALS * p) / math.sqrt(_GRID_TRIALS * p * (1 - p))
+    assert abs(z) <= _GRID_Z, (count, _GRID_TRIALS * p, z)
+
+
+@pytest.mark.parametrize("shape", list(_EXACT)[:6], ids=str)
 def test_exact_grid_values_match_the_reference(shape):
-    assert weighted_failure_probability(*shape) == _EXACT[shape]
+    law = residual_size_law(*shape)
+    assert sum(law[1:]) == _EXACT[shape]
+    if shape in _EXACT_TWO_LEFT:
+        assert law[2] == _EXACT_TWO_LEFT[shape]
 
 
 @pytest.mark.parametrize("scheme, ell, n, k", _GRID, ids=str)
@@ -342,9 +377,13 @@ def test_kernel_estimate_matches_the_exact_value(scheme, ell, n, k):
     # reduction fails it.
     b = (ell.bit_length() - 1) * k if scheme == SCHEME_SS_AVOIDING else 32
     key_model = KEYS_DISTINCT if scheme == SCHEME_SS_AVOIDING else KEYS_IID
-    failures, _, _ = _kernels_py.run_trials(
+    failures, two_left, _ = _kernels_py.run_trials(
         _GRID_SEED, 0, _GRID_TRIALS, n, ell, k, b, scheme, key_model
     )
-    p = float(_exact_failure(scheme, ell, n, k))
-    z = (failures - _GRID_TRIALS * p) / math.sqrt(_GRID_TRIALS * p * (1 - p))
-    assert abs(z) <= _GRID_Z, (failures, _GRID_TRIALS * p, z)
+    _assert_binomial_count(failures, _exact_failure(scheme, ell, n, k))
+    if scheme == SCHEME_SS_AVOIDING:
+        # Two entries are left only when their index tuples coincide, and
+        # distinct keys under ss-avoiding have distinct tuples.
+        assert two_left == 0
+    else:
+        _assert_binomial_count(two_left, _EXACT_TWO_LEFT[ell, n, k])
