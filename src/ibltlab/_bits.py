@@ -71,11 +71,6 @@ def stream_output(state: int, j: int) -> int:
     return mix64((state + (j + 1) * PHI64) & MASK64)
 
 
-def trial_state(seed: int, trial: int) -> int:
-    """Root state of the random stream for one simulation trial."""
-    return stream_output(mix64(seed ^ TRIAL_SALT), trial)
-
-
 def lane_keys(seed: int, k: int) -> tuple[int, ...]:
     """Per-subtable keys that turn one mixer into k independent keyed hashes."""
     base = mix64(seed ^ LANE_SALT)

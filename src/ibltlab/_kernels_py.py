@@ -21,6 +21,10 @@ Peeling is confluent: any order of peels ends at the same fixpoint, the
 largest stopping set, so the rounds leave exactly the entries a
 one-cell-at-a-time peeler leaves, whichever trials share a batch (Jiang,
 Mitzenmacher and Thaler, "Parallel Peeling Algorithms", arXiv:1302.7014).
+Under distinct keys a trial whose keys repeat is replayed before its batch
+peels: its keys are drawn again one candidate at a time, each a scalar
+``_bits.stream_output``, in the stream order that
+``tests/reference.py::stream_pairs`` reads.
 
 The trial loop also meters its work W: per batch, its entry cells once;
 per peeling round, the batch's cells plus k per live entry; and
@@ -32,7 +36,6 @@ from trial 0 and sum to its W.
 
 import itertools
 import math
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -44,6 +47,7 @@ from ibltlab._bits import (
     batch_trials,
     mix64,
     mix64_array,
+    stream_output,
 )
 from ibltlab.hashing import (
     HashKind,
@@ -53,16 +57,12 @@ from ibltlab.hashing import (
 )
 
 # Work units per key candidate of a distinct-key replay; 100 units are
-# 1.6 us at simulate's 16 ns per unit.  A candidate drawn by a scalar mix64
-# took 0.8-1.5 us on one pinned vCPU of a 2-core x86 VM; drawn from block
-# mixes it takes 0.2 us in a replay of 41,280 candidates and 1.0 us in one
-# of 51, whose block mix costs about as much as its candidates.  The units
-# are kept, so that W and every refusal stay as they were.
+# 1.6 us at simulate's 16 ns per unit.  A replay draws each candidate by
+# one scalar stream_output, which took 0.65-0.93 us per candidate on one
+# pinned vCPU of a 2-core x86 VM (CPython 3.11), in replays of 107 to
+# 36,373 candidates, and 0.8-1.5 us in an earlier measurement on the same
+# kind of host.
 REPLAY_UNITS = 100
-
-# Stream outputs a distinct-key replay mixes per mix64_array call, at most,
-# so a long replay holds a bounded list of outputs.
-REPLAY_BLOCK = 1 << 15
 
 # Bytes of a block that run_trials allocates and frees before its first
 # batch: four times a batch's largest index array.  glibc serves an
@@ -101,43 +101,31 @@ def count_stopping_matrices(ell: int, n: int) -> int:
     return count
 
 
-def _stream_outputs(state: int, mask: int, block: int) -> Iterator[int]:
-    """Outputs 0, 1, 2, ... of the counter stream rooted at ``state``,
-    masked, mixed ``block`` at a time by one ``mix64_array`` call."""
-    root = np.uint64(state)
-    np_mask = np.uint64(mask)
-    for lo in itertools.count(1, block):
-        counters = np.arange(lo, lo + block, dtype=np.uint64)
-        outputs = mix64_array(root + counters * np.uint64(PHI64))
-        outputs &= np_mask
-        yield from outputs.tolist()
-
-
 def _distinct_keys_replay(
     state: int, n: int, mask: int, spare: float = math.inf
 ) -> tuple[list[int], int]:
     """Sequential key draw with rejection: the stream order behind distinct keys.
 
-    Per entry: draw key candidates until unseen (each rejection consumes
-    one stream output), then consume one output for the value.  Returns
-    the keys and the replay's work, ``REPLAY_UNITS`` per candidate; once
-    that work passes ``spare`` the draw stops, with fewer than n keys.
+    Per entry: draw key candidates, one scalar ``stream_output`` each,
+    until unseen (each rejection consumes one stream output), then skip
+    one output for the value.  Returns the keys and the replay's work,
+    ``REPLAY_UNITS`` per candidate; once that work passes ``spare`` the
+    draw stops, before its next entry, with fewer than n keys.
     """
-    draws = _stream_outputs(state, mask, min(4 * n, REPLAY_BLOCK))
     keys: list[int] = []
     seen = set()
-    candidates = 0
+    j = 0  # outputs read: every candidate, and one value per key
     for _ in range(n):
-        if REPLAY_UNITS * candidates > spare:
+        if REPLAY_UNITS * (j - len(keys)) > spare:
             break
-        for x in draws:
-            candidates += 1
-            if x not in seen:
-                break
+        x = stream_output(state, j) & mask
+        while x in seen:
+            j += 1
+            x = stream_output(state, j) & mask
         seen.add(x)
         keys.append(x)
-        next(draws)  # value draw
-    return keys, REPLAY_UNITS * candidates
+        j += 2  # past the key and its value
+    return keys, REPLAY_UNITS * (j - len(keys))
 
 
 def peel_rounds(cells: np.ndarray, m: int, budget: float = math.inf) -> tuple[np.ndarray, int]:
@@ -212,7 +200,8 @@ def run_trials(
     failures = two_left = work = 0
     for first in range(t_lo, t_hi, batch):
         trials = min(batch, t_hi - first)
-        # trial_state(seed, t) for the batch's trials t = first, first+1, ...
+        # The batch's trial states: output t of the stream rooted at base,
+        # for its trials t = first, first+1, ...
         counters = np.arange(first + 1, first + trials + 1, dtype=np.uint64)
         states = mix64_array(base + counters * np.uint64(PHI64))
         keys = mix64_array(states[:, None] + steps)

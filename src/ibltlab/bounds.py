@@ -144,8 +144,9 @@ def check_bound_cost(ell: int, n: int, k: int):
         7, 200, 10**1000    10.3-18.4      19.3
 
     At (2, 30000, 3) the C(n,i) step is most of the loop, and one run in
-    ten went past its charge; the command's whole estimate, 1.33 s with
-    the row, still covers the row and that loop (0.10 + 0.65 s).
+    ten went past its charge; the command's whole estimate, 1.01 s with
+    the row, still covers the row and that loop (0.10 + 0.65 s), and
+    whole runs of ``union_bound`` there took 0.40-0.54 s.
     """
     def estimate():
         step_s = _steps_s(_power_steps(k) + 3, _PRECISION + k.bit_length())

@@ -85,33 +85,39 @@ def rows_cost_s(ell_min: int, ell_max: int, n_max: int) -> float:
     """Estimated seconds for ``stopping_row(ell, n_max)`` summed over
     ell = ell_min..ell_max.
 
-    The model charges n_max columns of min(ell, n_max) big-integer steps
-    on about n_max * log2(ell) bits each; the sum of min(ell, n_max) is
-    exact and every log2(ell) is taken at ell_max.  The rate was fitted
-    on a 2-core x86 VM under CPython 3.11 to the inclusion-exclusion loop
-    (``tests/reference.py::inclusion_exclusion_row``), which takes one
-    big division per step over up to min(ell, n_max) signed summands.
-    The recurrence has at most min(ell, n_max//2) steps per column, with
-    no division, so the estimate still bounds it; single rows on the same
-    kind of host, in seconds:
+    The recurrence takes min(ell, n//2) big-integer steps at column n, on
+    counts of at most n * log2(ell) bits.  The model charges each of the
+    n_max columns the steps of the last, min(ell, n_max//2), on n_max *
+    log2(ell) bits each; the sum of min(ell, n_max//2) is exact and every
+    log2(ell) is taken at ell_max.  The rate, 1.3e-10 s per step and bit,
+    was fitted on a 2-core x86 VM under CPython 3.11 to ``stopping_row``
+    itself, three runs per shape, in seconds:
 
-        ell, n_max     estimate   incl.-excl.   recurrence
-        1, 200000        8.80         0.07         0.11
-        2, 100000        8.80         2.90         0.84
-        10, 20000        3.52         1.68         0.73
-        40, 8000         3.38         2.01         0.75
-        1000, 1200       3.17         2.03         0.46
+        ell, n_max       estimate   row
+        1, 200000          5.20     0.11-0.21
+        2, 30000           0.47     0.09-0.10
+        2, 100000          5.20     1.22-1.49
+        10, 20000          2.08     0.63-0.91
+        40, 8000           2.00     0.73-1.10
+        1000, 1200         1.12     0.38-0.45
+        5000, 3000        22.8      6.0-8.5
+        1..90, 2000       14.9      6.7 (ztable's 90 rows, summed)
+        1..1000, 256      10.2      5.9 (ztable's 1000 rows, summed)
 
-    At ell = 1 the recurrence pays a fixed cost per column on tiny
-    counts, so it is slower than inclusion-exclusion there, and still far
-    under the estimate.
+    Per unit charged, the slowest runs took 7.2-7.6e-11 s, at (40, 8000)
+    and on ztable's 1000 short rows, where each step's fixed cost counts
+    most, and rows at ell <= 2 took at most 3.7e-11; the rate is above
+    these, and above the 11.1-13.8 s that ztable's 90 rows took in slower
+    phases of the same host.
     """
-    def min_sum(top):  # sum of min(ell, n_max) over ell = 1..top
-        below = min(top, n_max)
-        return below * (below + 1) // 2 + (top - below) * n_max
+    half = n_max // 2
+
+    def min_sum(top):  # sum of min(ell, n_max//2) over ell = 1..top
+        below = min(top, half)
+        return below * (below + 1) // 2 + (top - below) * half
 
     summands = min_sum(ell_max) - min_sum(ell_min - 1)
-    return 2.2e-10 * n_max * n_max * summands * max(1, ell_max.bit_length())
+    return 1.3e-10 * n_max * n_max * summands * max(1, ell_max.bit_length())
 
 
 def check_cost(what: str, estimate: Callable[[], float]):

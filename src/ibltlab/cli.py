@@ -10,6 +10,7 @@ of worker count.
 import argparse
 import csv
 import gc
+import math
 import sys
 
 from ibltlab.bounds import size2_asymptote, union_bound
@@ -25,6 +26,13 @@ KEY_MODELS = ("iid", "distinct")
 # Seconds to store and write one ztable cell: `ztable 200000 1` takes 1.9 s
 # on a 2-core x86 VM.
 _ZTABLE_CELL_S = 1e-5
+
+# Seconds per squared digit to print one ztable count: str() of a d-digit
+# integer is quadratic in d, and took 1.5-1.7e-11 * d**2 s from 300 to
+# 4,000 digits (15 us at 1,000 digits, 245 us at 4,000) on a 2-core x86
+# VM under CPython 3.11.  `ztable 90 2000` spent 9.2-12.3 s in str() of
+# its 180,000 counts, up to 3,909 digits, against the 18.4 s charged.
+_ZTABLE_DIGIT_S = 2e-11
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,14 +102,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _ztable_cost_s(lmax: int, nmax: int) -> float:
+    """Estimated seconds for `ztable lmax nmax`: its census rows, a store
+    and write per cell, and the str() of each count.  count(ell, n) is at
+    most ell**n, so it has at most n*log10(lmax) + 1 digits; the squares of
+    those bounds, summed over the rectangle, are lmax times
+    sum_{n=1..nmax} (n*a + 1)**2 with a = log10(lmax)."""
+    a = math.log10(lmax)
+    squares = a * a * (nmax * (nmax + 1) * (2 * nmax + 1) // 6) + a * nmax * (nmax + 1) + nmax
+    return rows_cost_s(1, lmax, nmax) + lmax * (_ZTABLE_CELL_S * nmax + _ZTABLE_DIGIT_S * squares)
+
+
 def cmd_ztable(args):
     if args.lmax < 1 or args.nmax < 1:
         raise ValueError("lmax and nmax must be positive")
-    check_cost(
-        f"ztable {args.lmax} {args.nmax}",
-        lambda: rows_cost_s(1, args.lmax, args.nmax)
-        + _ZTABLE_CELL_S * args.lmax * args.nmax,
-    )
+    check_cost(f"ztable {args.lmax} {args.nmax}", lambda: _ztable_cost_s(args.lmax, args.nmax))
     # csv writes each count with str(), which CPython refuses past
     # sys.get_int_max_str_digits() digits (0 means no limit).  No count
     # exceeds lmax**nmax, so refusing here keeps a partial table off stdout.

@@ -4,9 +4,9 @@ the unit and acceptance tests."""
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import factorial, perm, prod
+from math import exp, factorial, perm, prod, sqrt
 
-from ibltlab._bits import lane_keys, mix64, stream_output
+from ibltlab._bits import TRIAL_SALT, lane_keys, mix64, stream_output
 from ibltlab.table import GetStatus, ListingStatus
 
 # Exact stopping-matrix counts for subtable sizes 1..10 (rows) and column
@@ -104,6 +104,13 @@ def peel_cells(ell, placements):
             if count[ci] == 1:
                 stack.append(ci)
     return {j for j in range(n) if alive[j]}
+
+
+def trial_state(seed, trial):
+    """Root state of the random stream for one simulation trial: output
+    ``trial`` of the stream rooted at mix64(seed ^ TRIAL_SALT), which the
+    trial kernel mixes a batch of trials at a time."""
+    return stream_output(mix64(seed ^ TRIAL_SALT), trial)
 
 
 def stream_pairs(state, n, mask, distinct):
@@ -271,3 +278,26 @@ class Unpowered(int):
 
     def __pow__(self, exponent):
         raise AssertionError(f"built {int(self)}**{exponent}")
+
+
+def peeling_threshold(k):
+    """The asymptotic peeling threshold c*_k of k hash functions: the least
+    load x / (k (1 - e^(-x))^(k-1)), in entries per cell, over x > 0.
+
+    The load is unimodal in x for k >= 2, so a golden-section search over
+    (0, 20] finds its minimum, to about 1e-12 in x.
+    """
+    def load(x):
+        return x / (k * (1 - exp(-x)) ** (k - 1))
+
+    shrink = (sqrt(5) - 1) / 2
+    lo, hi = 0.0, 20.0
+    left, right = hi - shrink * hi, shrink * hi
+    while hi - lo > 1e-12:
+        if load(left) < load(right):
+            hi, right = right, left
+            left = hi - shrink * (hi - lo)
+        else:
+            lo, left = left, right
+            right = lo + shrink * (hi - lo)
+    return load((lo + hi) / 2)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference import trial_state
 
 from ibltlab._bits import (
     MASK64,
@@ -8,7 +9,6 @@ from ibltlab._bits import (
     mix64,
     mix64_array,
     sweep_point_seed,
-    trial_state,
 )
 
 

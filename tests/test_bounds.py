@@ -152,15 +152,15 @@ def test_validation():
         stopping_set_probability(StoppingCensus(), 2, 0, 1)
     census = StoppingCensus()
     with pytest.raises(ResourceGuardError):
-        union_bound(census, 5000, 3000, 3)
+        union_bound(census, 5000, 6000, 3)
     assert census.known() == {}  # refused before any work
 
 
 def test_bound_cost_charges_no_binomials():
     # union_bound advances C(n, i) by one multiply and divide per term, so
     # the cost guard charges no binomial beyond that step; at ell=2,
-    # n=15000 the estimate is about 0.64 s (0.3 s measured on a 2-core x86
-    # VM).
+    # n=15000 the estimate is about 0.32 s (0.14-0.22 s measured on a
+    # 2-core x86 VM).
     check_bound_cost(2, 15000, 3)
 
 
@@ -171,6 +171,12 @@ def test_bound_cost_charges_the_census_row_and_the_term_loop():
     # The census row alone refuses ell = 1 far past that.
     with pytest.raises(ResourceGuardError, match="estimated"):
         check_bound_cost(1, 1_000_000, 1)
+    # The row is charged min(ell, n//2) recurrence steps per column: the
+    # row (5000, 3000) took 6.0-8.5 s and is admitted, twice its columns
+    # are refused.
+    check_bound_cost(5000, 3000, 3)
+    with pytest.raises(ResourceGuardError, match="estimated"):
+        check_bound_cost(5000, 6000, 3)
 
 
 def test_guards_refuse_a_k_too_wide_for_decimal():

@@ -73,6 +73,17 @@ def test_ztable_guard_exit_code(invoke_cli):
     assert "guard" in err
 
 
+def test_ztable_guard_charges_printing(invoke_cli, monkeypatch):
+    # str() of a d-digit count takes time quadratic in d: `ztable 90 2000`
+    # built its rows in 6.7-13.8 s and spent 9.2-12.3 s in str() of its
+    # 180,000 counts, up to 3,909 digits (2-core x86 VM), so the guard
+    # refuses it.  Rows of zeros end quickly a run that is admitted anyway.
+    monkeypatch.setattr(cli, "stopping_row", lambda ell, n_max: [0] * (n_max + 1))
+    code, out, err = invoke_cli(["ztable", "90", "2000"])
+    assert (code, out) == (2, "")
+    assert "estimated" in err
+
+
 def test_ztable_refuses_counts_past_the_digit_limit(invoke_cli):
     # count(2, 15000) has 4516 digits; CPython prints at most 4300 by default.
     code, out, err = invoke_cli(["ztable", "2", "15000"])
@@ -180,7 +191,7 @@ def test_bound_breakdown_bytes_are_pinned(invoke_cli):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--ell", "5000", "--n", "3000", "--k", "3"],  # census row
+        ["--ell", "5000", "--n", "6000", "--k", "3"],  # census row
         ["--ell", "2", "--n", "10000", "--k", "1" + "0" * 1000],  # term loop
         ["--ell", "2", "--n", "30000", "--k", "1" + "0" * 300],  # many wide terms
         ["--ell", "2", "--n", "1" + "0" * 400, "--k", "3"],  # beyond float range
@@ -521,7 +532,7 @@ def test_simulate_checks_every_sweep_point_first(invoke_cli):
     assert "divisible" in err
     # m = 30 is cheap; m = 15000 puts the bound over budget.
     code, out, err = invoke_cli(
-        ["simulate", "--n", "3000", "--k", "3", "--sweep", "30:15000:14970",
+        ["simulate", "--n", "6000", "--k", "3", "--sweep", "30:15000:14970",
          "--trials", "10"]
     )
     assert (code, out) == (2, "")
@@ -713,7 +724,7 @@ def test_oracle_guard_refuses_past_the_digit_limit(invoke_cli):
 def test_oracle_bound_guard_refuses_before_enumerating(invoke_cli, monkeypatch):
     # One state of 10**6 placements passes the state guard; the union
     # bound's cost guard refuses it (its census row alone is estimated at
-    # over three minutes).
+    # over two minutes).
     calls = []
     monkeypatch.setattr(cli, "exact_failure_probability", lambda *a, **kw: calls.append(a))
     code, out, err = invoke_cli(["oracle", "1", "1000000", "1"])

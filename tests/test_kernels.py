@@ -8,7 +8,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from reference import batch_work, peel_cells, residual_size_law, stream_pairs
+from reference import batch_work, peel_cells, residual_size_law, stream_pairs, trial_state
 
 from ibltlab import _kernels_py
 from ibltlab._bits import (
@@ -18,7 +18,6 @@ from ibltlab._bits import (
     SCHEME_PARTITIONED,
     SCHEME_SS_AVOIDING,
     batch_trials,
-    trial_state,
 )
 from ibltlab.hashing import (
     HashKind,

@@ -1,7 +1,7 @@
 import dataclasses
 
 import pytest
-from reference import stream_pairs
+from reference import peeling_threshold, stream_pairs, trial_state
 
 from ibltlab import (
     HashKind,
@@ -25,7 +25,6 @@ from ibltlab._bits import (
     SCHEME_PARTITIONED,
     SCHEME_SS_AVOIDING,
     batch_trials,
-    trial_state,
 )
 from ibltlab import _kernels_py, simulate
 
@@ -204,15 +203,15 @@ def test_kernel_processes_count_only_the_cpus_this_process_may_use(monkeypatch):
 
 
 def test_refusals_come_before_any_kernel_call(monkeypatch):
-    # n = 3000 at m = 15000 puts the union bound over budget.
+    # n = 6000 at m = 15000 puts the union bound over budget.
     calls = []
     monkeypatch.setattr(
         _kernels_py, "run_trials", lambda *a, **kw: calls.append(a) or (0, 0, 0)
     )
     with pytest.raises(ResourceGuardError):
-        run_trials(TrialConfig(n=3000, m=15000, k=3, trials=10))
+        run_trials(TrialConfig(n=6000, m=15000, k=3, trials=10))
     with pytest.raises(ResourceGuardError):
-        sweep(TrialConfig(n=3000, m=30, k=3, trials=10), [30, 15000])
+        sweep(TrialConfig(n=6000, m=30, k=3, trials=10), [30, 15000])
     assert calls == []
 
 
@@ -236,7 +235,7 @@ def test_sweep_checks_every_point_at_call_time_and_runs_when_iterated(monkeypatc
     monkeypatch.setattr(
         _kernels_py, "run_trials", lambda *a, **kw: calls.append(a) or (0, 0, 0)
     )
-    base = TrialConfig(n=3000, m=30, k=3, trials=10)
+    base = TrialConfig(n=6000, m=30, k=3, trials=10)
     with pytest.raises(ResourceGuardError):
         sweep(base, [30, 15000])  # the second point's bound is over budget
     assert calls == []
@@ -343,9 +342,12 @@ def test_trial_time_guard_charges_distinct_key_replay(census):
 
 
 def test_peeling_thresholds():
-    # Large tables peel completely below the load threshold of k and
-    # fail above it: 0.818 at k = 3 and 0.772 at k = 4.
-    for k, threshold in ((3, 0.8185), (4, 0.7723)):
+    # c*_k = min over x > 0 of x / (k (1 - e^(-x))^(k-1)) entries per cell,
+    # 0.8185 at k = 3 and 0.7723 at k = 4 in the literature.  Large tables
+    # peel completely below it and fail above it.
+    assert [round(peeling_threshold(k), 6) for k in (3, 4, 5)] == [0.818469, 0.772280, 0.701780]
+    for k in (3, 4):
+        threshold = peeling_threshold(k)
         m = 12_000
         for load, failures in ((0.9, 0), (1.1, 10)):
             n = int(load * threshold * m)
