@@ -125,32 +125,35 @@ def check_bound_cost(ell: int, n: int, k: int):
     estimated to exceed ``COST_GUARD_S``.
 
     It charges the census row (``rows_cost_s``) and, per term, one C(n,i)
-    step and one truncation of count(ell,i) on about n*log2(ell) bits, and
-    the products of count(ell,i)**k (``_power_steps``) plus 3 at the first
-    pass's precision; ``_term`` charges each retry before it runs.  Fitted
-    on a 2-core x86 VM under CPython 3.11 at the widths the loop uses
-    (p = 98 to 4,083 bits), a charged step took 0.85-1.7e-6 s at 98 bits,
-    2.3-2.6e-6 at 1,093, 5.2e-6 at 2,090 and 1.2-2.2e-5 at 3,418-4,083
-    (``_steps_s``: 1.8e-6, 3.8e-6, 9.2e-6, 2.2-3.0e-5).  Past about 7,800
-    bits, as on a retry, the p**1.585 rate is the lower one: a
-    multiplication took 0.10 s at 786,432 bits (``_steps_s``: 0.15).  The
-    term loop, census row prebuilt, took:
+    step and one truncation of count(ell,i) at 2.7e-10 s per bit on
+    n*(1 + log2(ell)) bits, and the products of count(ell,i)**k
+    (``_power_steps``) plus 3 at the first pass's precision; ``_term``
+    charges each retry before it runs.  Fitted on a 2-core x86 VM under
+    CPython 3.11 at the widths the loop uses (p = 98 to 4,083 bits), a
+    charged step took 0.85-1.7e-6 s at 98 bits, 2.3-2.6e-6 at 1,093,
+    5.2e-6 at 2,090 and 1.2-2.2e-5 at 3,418-4,083 (``_steps_s``: 1.8e-6,
+    3.8e-6, 9.2e-6, 2.2-3.0e-5).  Past about 7,800 bits, as on a retry,
+    the p**1.585 rate is the lower one: a multiplication took 0.10 s at
+    786,432 bits (``_steps_s``: 0.15).  The term loop, census row
+    prebuilt, took:
 
         ell, n, k          loop (s)      estimate (s)
-        1000, 1000, 3       0.0053-0.0090  0.0102
-        2, 30000, 3         0.33-0.65      0.54
-        7, 1000, 280        0.0099-0.019   0.024
+        1000, 1000, 3       0.0053-0.0090  0.0120
+        2, 30000, 3         0.32-0.49      1.00
+        2, 100000, 3        2.57-3.45      9.01
+        1, 200000, 3        8.69-11.5      23.4
+        7, 1000, 280        0.0099-0.019   0.025
         2, 300, 10**300     0.78-1.43      1.54
         7, 200, 10**1000    10.3-18.4      19.3
 
-    At (2, 30000, 3) the C(n,i) step is most of the loop, and one run in
-    ten went past its charge; the command's whole estimate, 1.01 s with
-    the row, still covers the row and that loop (0.10 + 0.65 s), and
-    whole runs of ``union_bound`` there took 0.40-0.54 s.
+    At large n the C(n,i) step is most of the loop.  Its rate is set so
+    that each of the three large-n estimates is at least twice every quiet
+    loop measured there; a slow phase of the host ran the loop at
+    (2, 30000, 3) in 0.65 s.
     """
     def estimate():
         step_s = _steps_s(_power_steps(k) + 3, _PRECISION + k.bit_length())
-        return rows_cost_s(ell, ell, n) + (n - 1) * (1e-10 * n * (1 + ell.bit_length()) + step_s)
+        return rows_cost_s(ell, ell, n) + (n - 1) * (2.7e-10 * n * (1 + ell.bit_length()) + step_s)
 
     check_cost(f"the union bound at ell={ell}, n={n}, k={_decimal(k)}", estimate)
 

@@ -28,14 +28,15 @@ above (they land at bit 128 - s), and each multiply is cut back to those
 64 bits; a 64x64-bit product fits in 128 bits, so no carry crosses into
 the next slot.  Every index is bit for bit
 ``i*ell + mix64(key ^ lane_i) % ell``.  The scheme keeps no list of
-its lanes; each path builds them on first use.  ``indices`` packs
-``lane_keys`` on its first call: the trial kernel calls only
+its lanes; each path builds its constants once, on first use, as a cached
+property.  The scalar constants (``_packed``) are built on the first
+``indices`` call, which packs ``lane_keys``: the trial kernel calls only
 ``indices_array``, and at k = 10**6 the packed ints and slots take about
-170 MiB.  ``indices_array`` takes them as one uint64 column from
-``lane_keys_array``, 7.6 MiB at k = 10**6, where a tuple of the k ints
-took 42 MiB.  Only the vectorized ``indices_array`` uses numpy, which
-it imports when called.  A scheme builds its numpy constants once, on its
-first ``indices_array`` call.  The partitioned scheme's
+170 MiB.  The numpy constants (``_array_constants``) are built on the
+first ``indices_array`` call, which takes the lanes as one uint64 column
+from ``lane_keys_array``, 7.6 MiB at k = 10**6, where a tuple of the k
+ints took 42 MiB.  Only the vectorized ``indices_array`` uses numpy,
+which it imports when called.  The partitioned scheme's
 ``indices_array`` reduces modulo ell with the mask ``h & (ell - 1)``
 when ell is a power of two, and otherwise as
 ``h - h // ell * ell``; both equal ``h % ell`` on unsigned integers, and
@@ -140,24 +141,22 @@ class PartitionedUniformScheme:
         self.ell = params.ell
         self.b = params.b
         self.m = params.m
-        self._packed = None  # built by the first `indices` call
 
-    def _pack_lanes(self) -> tuple[int, int, int]:
-        """Lane i owns bits [128*i, 128*i + 128) of one packed int; see the
-        module docstring.  `ones` has a 1 at the bottom of every slot, and
-        `m64` the low 64 bits of every slot set, each built in one pass."""
+    @functools.cached_property
+    def _packed(self) -> tuple[int, int, int, tuple[tuple[int, int], ...]]:
+        """``(ones, packed lanes, m64, slots)``, built by the first
+        ``indices`` call.  Lane i owns bits [128*i, 128*i + 128) of one
+        packed int; see the module docstring.  `ones` has a 1 at the bottom
+        of every slot, and `m64` the low 64 bits of every slot set, each
+        built in one pass; `slots` holds the (first cell, slot shift) of
+        each subtable."""
         ones = _pack([1] * self.k)
-        self._packed = (ones, _pack(lane_keys(self.params.seed, self.k)), MASK64 * ones)
-        # (first cell, slot shift) of each subtable.
-        self._slots = tuple((i * self.ell, _SLOT * i) for i in range(self.k))
-        return self._packed
+        slots = tuple((i * self.ell, _SLOT * i) for i in range(self.k))
+        return ones, _pack(lane_keys(self.params.seed, self.k)), MASK64 * ones, slots
 
     def indices(self, key: int) -> tuple[int, ...]:
         # mix64(key ^ lane) of every lane in one pass over the packed int.
-        packed = self._packed
-        if packed is None:
-            packed = self._pack_lanes()
-        ones, packed_lanes, m64 = packed
+        ones, packed_lanes, m64, slots = self._packed
         x = (key & MASK64) * ones ^ packed_lanes
         x ^= x >> 30 & m64
         x = x * MUL1 & m64
@@ -166,7 +165,7 @@ class PartitionedUniformScheme:
         x ^= x >> 31 & m64
         ell = self.ell
         cells = []
-        for offset, shift in self._slots:
+        for offset, shift in slots:
             cells.append(offset + (x >> shift & MASK64) % ell)
         return tuple(cells)
 

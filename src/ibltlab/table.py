@@ -188,7 +188,7 @@ class Iblt:
 
         Count-1 cells wait on one stack, last in first out.
         """
-        counts, sums, b = self._counts, self._sums, self._b
+        counts, sums, b, mask = self._counts, self._sums, self._b, self._mask
         indices = self.scheme.indices
         # A list, not a set: frozenset() would copy a set's hash table, and
         # both tables would be held at once.
@@ -206,7 +206,7 @@ class Iblt:
                 continue
             if c not in cells:  # several keys net to a count of 1: impure
                 continue
-            entries.append((x, xy & self._mask))
+            entries.append((x, xy & mask))
             for ci in cells:
                 counts[ci] -= 1
                 sums[ci] ^= xy

@@ -15,6 +15,7 @@ from ibltlab import (
 )
 import ibltlab.bounds
 from ibltlab.bounds import check_bound_cost
+from ibltlab.census import rows_cost_s
 from reference import is_stopping_matrix
 
 
@@ -159,7 +160,7 @@ def test_validation():
 def test_bound_cost_charges_no_binomials():
     # union_bound advances C(n, i) by one multiply and divide per term, so
     # the cost guard charges no binomial beyond that step; at ell=2,
-    # n=15000 the estimate is about 0.32 s (0.14-0.22 s measured on a
+    # n=15000 the estimate is about 0.44 s (0.14-0.22 s measured on a
     # 2-core x86 VM).
     check_bound_cost(2, 15000, 3)
 
@@ -177,6 +178,23 @@ def test_bound_cost_charges_the_census_row_and_the_term_loop():
     check_bound_cost(5000, 3000, 3)
     with pytest.raises(ResourceGuardError, match="estimated"):
         check_bound_cost(5000, 6000, 3)
+
+
+@pytest.mark.parametrize(
+    "ell, n, slowest_loop_s",
+    [(2, 30000, 0.49), (2, 100000, 3.45), (1, 200000, 11.5)],
+)
+def test_bound_cost_charges_the_term_loop_twice_its_slowest_quiet_run(
+    monkeypatch, ell, n, slowest_loop_s
+):
+    # The slowest quiet term loop, census row prebuilt, at k = 3 on a
+    # 2-core x86 VM; the C(n, i) step is most of it.
+    estimates = []
+    monkeypatch.setattr(
+        ibltlab.bounds, "check_cost", lambda what, estimate: estimates.append(estimate())
+    )
+    check_bound_cost(ell, n, 3)
+    assert estimates[0] - rows_cost_s(ell, ell, n) >= 2 * slowest_loop_s
 
 
 def test_guards_refuse_a_k_too_wide_for_decimal():

@@ -262,29 +262,34 @@ def test_wide_partitioned_scheme_builds_in_linear_time():
     params = HashParams(k=50_000, ell=2, b=32, seed=9)
     start = time.perf_counter()
     scheme = make_partitioned_uniform(params)
-    scheme._pack_lanes()
+    ones, packed_lanes, m64, slots = scheme._packed
     assert time.perf_counter() - start < 2
-    ones, packed_lanes, m64 = scheme._packed
     lanes = lane_keys(params.seed, params.k)
     for i in (0, 1, params.k - 1):
         assert ones >> 128 * i & (1 << 128) - 1 == 1
         assert packed_lanes >> 128 * i & (1 << 128) - 1 == lanes[i]
         assert m64 >> 128 * i & (1 << 128) - 1 == 2**64 - 1
+        assert slots[i] == (i * params.ell, 128 * i)
     assert packed_lanes.bit_length() <= 128 * params.k
+    assert len(slots) == params.k
 
 
 def test_wide_partitioned_scheme_packs_nothing_for_the_array_path():
     # The trial kernel hashes through `indices_array` alone; the packed
     # ints and slots of the scalar `indices` took about 180 MiB at
     # k = 10**6, so a scheme builds them only when `indices` is called.
+    # Reading `scheme._packed` would build them, so the test looks in the
+    # instance dict, where the cached property stores its value.
     params = HashParams(k=2_000, ell=3, b=32, seed=4)
     scheme = make_partitioned_uniform(params)
-    assert scheme._packed is None
+    assert "_packed" not in vars(scheme)
     keys = [0, 1, 2**32 - 1, 12345]
     arr = scheme.indices_array(np.array(keys, dtype=np.uint64))
-    assert scheme._packed is None
+    assert "_packed" not in vars(scheme)
+    scheme.indices(keys[0])
+    packed = vars(scheme)["_packed"]  # built by that first `indices` call
     assert [tuple(column) for column in arr.T.tolist()] == [scheme.indices(x) for x in keys]
-    assert scheme._packed is not None
+    assert vars(scheme)["_packed"] is packed  # and reused by every later call
 
 
 def test_indices_are_pinned():
